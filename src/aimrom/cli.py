@@ -139,13 +139,21 @@ def _check(doc, schema, section, required=()):
     for key, value in doc.items():
         if key == "__line__":
             continue
-        if value is not None and not isinstance(value, schema[key]):
+        if value is not None and not _is_type(value, schema[key]):
             raise ConfigError(
                 f"{_where(section, line)}: key {key!r} expects "
                 f"{_type_name(schema[key])}, got {type(value).__name__}"
             )
         out[key] = value
     return out
+
+
+def _is_type(value, tp):
+    # bool subclasses int: true/false only pass where the schema names bool
+    types = tp if isinstance(tp, tuple) else (tp,)
+    if isinstance(value, bool) and bool not in types:
+        return False
+    return isinstance(value, types)
 
 
 def _type_name(tp):

@@ -15,6 +15,10 @@ __all__ = [
 ]
 
 
+# dense batch states a sampler chunk may hold
+_BATCH_BYTES = 32 * 2**20
+
+
 class BlowUpError(RuntimeError):
     """Raised when a state stops being finite during integration."""
 
@@ -25,16 +29,23 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense fixed-step output: times (n,), states (n, dim)."""
+    """Dense fixed-step output: times (n,) and states (n, dim), or a batch of
+    trajectories with states (n, n_traj, dim).
+
+    A batch's blowup_times (n_traj,) holds the time each row stopped being
+    finite, NaN for a row that never did; the states of a blown-up row are
+    NaN from that time on.
+    """
 
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
+    blowup_times: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         s = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.shape[0]:
-            raise ValueError("times (n,) and states (n, dim) must align")
+        if t.ndim != 1 or s.ndim not in (2, 3) or s.shape[0] != t.shape[0]:
+            raise ValueError("times (n,) and states (n, dim) or (n, n_traj, dim) must align")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -42,7 +53,7 @@ class Trajectory:
 
     @property
     def dim(self):
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def final_time(self):
@@ -52,21 +63,39 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
+    def row(self, k):
+        """Trajectory k of a batch; raises BlowUpError if that row blew up."""
+        if not np.isnan(self.blowup_times[k]):
+            raise BlowUpError(time=float(self.blowup_times[k]))
+        return Trajectory(times=self.times, states=np.ascontiguousarray(self.states[:, k]))
 
-def _rk4_step(f, a, dt):
-    k1 = f(a)
+
+def _rk4_step(f, a, dt, k1):
     k2 = f(a + 0.5 * dt * k1)
     k3 = f(a + 0.5 * dt * k2)
     k4 = f(a + dt * k3)
     return a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rows_eval(f, n_rows):
+    # a lone row is evaluated as a plain state, which costs small fields less
+    if n_rows == 1:
+        return lambda a: f(a[0])[None]
+    return f
+
+
 def rk4(field_, a0, t_end, dt):
     """Classical RK4 from t = 0 to t_end with step dt; the last step is shortened
-    if t_end is not an integer multiple of dt.  Returns the dense trajectory."""
+    if t_end is not an integer multiple of dt.  Returns the dense trajectory.
+
+    a0 is one state (dim,) or a batch (n_traj, dim) stepped together, each
+    row with the same arithmetic as a run of its own.  A single run raises
+    BlowUpError when its state stops being finite; in a batch the row is
+    dropped from the stepping and its time recorded in blowup_times.
+    """
     a0 = np.asarray(a0, dtype=float)
-    if a0.ndim != 1 or a0.shape[0] != field_.dim:
-        raise ValueError(f"initial state must have shape ({field_.dim},)")
+    if a0.ndim not in (1, 2) or a0.shape[-1] != field_.dim:
+        raise ValueError(f"initial state must have shape ({field_.dim},) or (n_traj, {field_.dim})")
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     if not np.all(np.isfinite(a0)):
@@ -81,24 +110,38 @@ def rk4(field_, a0, t_end, dt):
     times[: n_full + 1] = np.arange(n_full + 1) * dt
     if has_tail:
         times[-1] = t_end
-    states = np.empty((n_states, a0.shape[0]))
-    states[0] = a0
+    a = a0.reshape(-1, field_.dim)
+    states = np.empty((n_states,) + a.shape)
+    states[0] = a
+    blowup = np.full(a.shape[0], np.nan)
 
-    f = field_.eval
-    a = a0
+    f = _rows_eval(field_.eval, a.shape[0])
+    live = None  # indices of the rows still stepping; None while all are
     # overflow inside a step is handled by the finite check, keep it quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_full):
-            a = _rk4_step(f, a, dt)
-            if not np.all(np.isfinite(a)):
-                raise BlowUpError(time=times[i + 1])
-            states[i + 1] = a
-        if has_tail:
-            a = _rk4_step(f, a, remainder)
-            if not np.all(np.isfinite(a)):
-                raise BlowUpError(time=t_end)
-            states[-1] = a
-    return Trajectory(times=times, states=states)
+        for i in range(1, n_states):
+            k1 = f(a)
+            if i == 1 and np.shape(k1) != a.shape:
+                raise ValueError(f"field {field_.name!r} changed the shape of the state")
+            a = _rk4_step(f, a, dt if i <= n_full else remainder, k1)
+            if not np.isfinite(a).all():
+                finite = np.isfinite(a).all(axis=1)
+                rows = np.arange(a.shape[0]) if live is None else live
+                blowup[rows[~finite]] = times[i]
+                states[i:, rows[~finite]] = np.nan
+                live, a = rows[finite], a[finite]
+                if live.size == 0:
+                    break
+                f = _rows_eval(field_.eval, live.size)
+            if live is None:
+                states[i] = a
+            else:
+                states[i, live] = a
+    if a0.ndim == 1:
+        if not np.isnan(blowup[0]):
+            raise BlowUpError(time=blowup[0])
+        return Trajectory(times=times, states=states[:, 0])
+    return Trajectory(times=times, states=states, blowup_times=blowup)
 
 
 @dataclass(frozen=True)
@@ -150,10 +193,12 @@ class SampleSet:
 def sample_attractor(field_, cfg, dt):
     """Integrate an ensemble and collect post-transient snapshots.
 
-    Trajectories run sequentially in index order, so results are bit
-    reproducible for a fixed seed.  A trajectory that blows up is dropped
-    and recorded in failed_ids; if more than half fail the whole sample
-    is abandoned.
+    All trajectories are stepped together as one batch (in chunks of about
+    _BATCH_BYTES of dense states), each row with the arithmetic of a run of
+    its own, so results are bit reproducible for a fixed seed and do not
+    depend on the chunking.  A trajectory that blows up is dropped and
+    recorded in failed_ids; if more than half fail the whole sample is
+    abandoned.
     """
     box = cfg.ic_box
     if box.shape[0] != field_.dim:
@@ -163,19 +208,19 @@ def sample_attractor(field_, cfg, dt):
 
     t_total = cfg.transient_time + cfg.sample_time
     first_kept = int(round(cfg.transient_time / dt))
+    chunk = max(1, _BATCH_BYTES // (8 * field_.dim * (int(t_total / dt) + 2)))
 
     states, ids, times = [], [], []
     failed = []
-    for i in range(cfg.n_trajectories):
-        try:
-            traj = rk4(field_, ics[i], t_total, dt)
-        except BlowUpError:
-            failed.append(i)
-            continue
+    for lo in range(0, cfg.n_trajectories, chunk):
+        traj = rk4(field_, ics[lo : lo + chunk], t_total, dt)
+        ok = np.isnan(traj.blowup_times)
         keep = np.arange(first_kept, traj.times.shape[0], cfg.snapshot_stride)
-        states.append(traj.states[keep])
-        times.append(traj.times[keep])
-        ids.append(np.full(keep.shape[0], i, dtype=int))
+        # trajectory-major: every kept snapshot of one row, then the next row
+        states.append(traj.states[keep][:, ok].transpose(1, 0, 2).reshape(-1, field_.dim))
+        times.append(np.tile(traj.times[keep], int(ok.sum())))
+        ids.append(np.repeat(lo + np.flatnonzero(ok), keep.shape[0]))
+        failed.extend(int(lo + i) for i in np.flatnonzero(~ok))
 
     if len(failed) > cfg.n_trajectories / 2:
         raise BlowUpError(

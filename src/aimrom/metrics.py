@@ -132,11 +132,12 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
 
     Returns per-config final percent errors binned on a common grid.
     Initial conditions are drawn uniformly in ic_box; a run that blows up
-    is recorded under failed and skipped in the histogram.
+    is recorded under failed and skipped in the histogram.  Each distinct
+    truth is integrated once for all pipelines and initial conditions.
     """
     # local import: the pipeline runner builds MetricsBundles from this module
     from .integrate import BlowUpError
-    from .rom import run_pipeline
+    from .rom import run_pipeline_batch
 
     if n_ic < 1:
         raise ValueError("n_ic must be positive")
@@ -145,14 +146,14 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n_ic, box.shape[0]))
 
     labels, samples, failures = [], [], []
+    truths = {}
     for cfg in configs:
         errs = []
         failed = 0
-        for ic in ics:
-            run_cfg = cfg.with_ic(ic) if final_time is None else cfg.with_ic(ic, final_time)
-            try:
-                result = run_pipeline(run_cfg, artifacts)
-            except BlowUpError:
+        for result in run_pipeline_batch(
+            [cfg.with_ic(ic, final_time) for ic in ics], artifacts, truths
+        ):
+            if isinstance(result, BlowUpError):
                 failed += 1
                 continue
             errs.append(result.corrected_metrics.mape_final)

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "VectorField",
-    "ModelParams",
     "chafee_rhs_2",
     "chafee_rhs_3",
     "ks_rhs",
@@ -31,14 +30,6 @@ class VectorField:
     dim: int
     eval: callable
     name: str = ""
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical parameters; nu for the PDE models, epsilon for the toy system."""
-
-    nu: float = 0.16
-    epsilon: float = 0.01
 
 
 def chafee_rhs_3(a, nu):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .aim import Closure, euler_galerkin_closure, postprocess, zero_closure
 from .dmaps import gh_extend
-from .integrate import rk4
+from .integrate import BlowUpError, rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import VectorField, chafee_field, ks_field
 from .nn import TrainConfig, decode, decoder_invert, forward, init_mlp, train
@@ -32,6 +32,7 @@ __all__ = [
     "learn_gray_box",
     "learn_latent_map",
     "run_pipeline",
+    "run_pipeline_batch",
     "validate_pipeline",
 ]
 
@@ -344,96 +345,105 @@ def _build_closure(cfg, artifacts, n_low, n_high):
     return Closure(n_low=n_low, n_high=n_high, map=inv_map)
 
 
-def _field_metrics(u_pred_rows, u_truth_rows, times, u_pred_final, u_truth_final):
-    return MetricsBundle(
-        mape_final=mape(u_pred_final, u_truth_final),
-        mse_final=mse(u_pred_final, u_truth_final),
-        percent_error_series=mape_series(u_pred_rows, u_truth_rows),
-        times=times,
-    )
-
-
 def run_pipeline(cfg, artifacts):
     """Integrate, close, and score one pipeline; returns a PipelineResult."""
+    (result,) = run_pipeline_batch([cfg], artifacts)
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
+
+
+def run_pipeline_batch(cfgs, artifacts, truths=None):
+    """Run one pipeline from several initial conditions.
+
+    cfgs are the pipeline's configs, alike but for ic.  The truth and the
+    reduced model are each integrated once, batched over the initial
+    conditions; closures and scores then run per initial condition.  A
+    truths dict shares batched truth runs between calls, keyed by model,
+    nu, final_time, dt and the initial conditions.  Yields, in order, each
+    initial condition's PipelineResult or the BlowUpError that ended its
+    truth or reduced run.
+    """
+    cfg = cfgs[0]
     validate_pipeline(cfg, artifacts)
-    full_field = _full_field(cfg)
-    ic_full = np.asarray(cfg.ic, dtype=float)
-    truth = rk4(full_field, ic_full, cfg.final_time, cfg.dt)
+    ic_full = np.array([c.ic for c in cfgs])
+    truths = {} if truths is None else truths
+    key = (cfg.model, cfg.nu, cfg.final_time, cfg.dt, ic_full.tobytes())
+    if key not in truths:
+        truths[key] = rk4(_full_field(cfg), ic_full, cfg.final_time, cfg.dt)
+    truth = truths[key]
 
     basis_full = BasisSpec(_BASIS_KIND[cfg.model], cfg.n_full)
     grid = uniform_grid(basis_full, cfg.grid_points)
     sines = np.sin(np.outer(grid.points, basis_full.wavenumbers()))
+    pod = artifacts["pod"] if cfg.latent_route == "pod" else None
+    # as in one run per initial condition, the reduced field and the closure
+    # are built, and can raise, only once some run has got that far
+    reduced = closure = None
+    live = np.flatnonzero(np.isnan(truth.blowup_times))
+    if live.size:
+        if pod is None:
+            n_low, n_high = cfg.n_low, cfg.n_full - cfg.n_low
+            starts = ic_full[live, :n_low]
+        else:
+            if pod.ambient_dim != grid.n_points:
+                raise ConfigurationError("pod artifact was fitted on a different grid")
+            if pod.rank < cfg.pod_rank_full:
+                raise ConfigurationError("pod artifact rank is below pod_rank_full")
+            n_low, n_high = cfg.pod_rank_low, cfg.pod_rank_full - cfg.pod_rank_low
+            starts = np.array([
+                pod_project(pod, (truth.row(k).states @ sines.T)[0], n_low) for k in live
+            ])
+        reduced = rk4(_reduced_field(cfg, artifacts, n_low), starts, cfg.final_time, cfg.dt)
+        if np.isnan(reduced.blowup_times).any():
+            closure = _build_closure(cfg, artifacts, n_low, n_high)
+
+    for k, run_cfg in enumerate(cfgs):
+        try:
+            truth_k = truth.row(k)
+            reduced_k = reduced.row(int(np.searchsorted(live, k)))
+        except BlowUpError as exc:
+            yield exc
+            continue
+        yield _score(run_cfg, truth_k, reduced_k, closure, grid, sines, pod)
+
+
+def _score(cfg, truth, reduced, closure, grid, sines, pod):
+    """Close the reduced run at its final time and score it against the truth."""
     u_truth = truth.states @ sines.T
+    if pod is None:
+        n_low = reduced.dim
+        low_final = SpectralState(BasisSpec(_BASIS_KIND[cfg.model], n_low), reduced.final_state)
+        corrected = postprocess(low_final, closure)
+        coeffs = corrected.coeffs
+        u_raw = reduced.states @ sines[:, :n_low].T
+        u_corr_final = reconstruct(corrected, grid)
+        decomp = decompose_errors(truth.final_state, reduced.final_state, closure, grid)
+    else:
+        # reduced dynamics in POD coefficient space, lifted back to the grid
+        coeffs = np.concatenate([reduced.final_state, closure(reduced.final_state)])
+        u_raw = pod_lift(pod, reduced.states, cfg.pod_rank_low)
+        u_corr_final = pod_lift(pod, coeffs, cfg.pod_rank_full)
+        decomp = None
 
-    if cfg.latent_route == "pod":
-        return _run_pod_pipeline(cfg, artifacts, truth, u_truth, grid)
-
-    n_low, n_high = cfg.n_low, cfg.n_full - cfg.n_low
-    reduced_field = _reduced_field(cfg, artifacts, n_low)
-    reduced = rk4(reduced_field, ic_full[:n_low], cfg.final_time, cfg.dt)
-    closure = _build_closure(cfg, artifacts, n_low, n_high)
-
-    low_final = SpectralState(BasisSpec(_BASIS_KIND[cfg.model], n_low), reduced.final_state)
-    corrected = postprocess(low_final, closure)
-
-    u_raw = reduced.states @ sines[:, :n_low].T
-    u_raw_final = u_raw[-1]
-    u_corr_final = reconstruct(corrected, grid)
     u_truth_final = u_truth[-1]
-
-    raw_metrics = _field_metrics(u_raw, u_truth, reduced.times, u_raw_final, u_truth_final)
-    corr_metrics = MetricsBundle(
-        mape_final=mape(u_corr_final, u_truth_final),
-        mse_final=mse(u_corr_final, u_truth_final),
-        percent_error_series=raw_metrics.percent_error_series,
+    raw_metrics = MetricsBundle(
+        mape_final=mape(u_raw[-1], u_truth_final),
+        mse_final=mse(u_raw[-1], u_truth_final),
+        percent_error_series=mape_series(u_raw, u_truth),
         times=reduced.times,
     )
-    decomp = decompose_errors(truth.final_state, reduced.final_state, closure, grid)
+    corr_metrics = replace(
+        raw_metrics,
+        mape_final=mape(u_corr_final, u_truth_final),
+        mse_final=mse(u_corr_final, u_truth_final),
+    )
     return PipelineResult(
         config=cfg,
         truth=truth,
         reduced=reduced,
-        corrected_coeffs=corrected.coeffs,
+        corrected_coeffs=coeffs,
         raw_metrics=raw_metrics,
         corrected_metrics=corr_metrics,
         decomposition=decomp,
-    )
-
-
-def _run_pod_pipeline(cfg, artifacts, truth, u_truth, grid):
-    """Reduced dynamics in POD coefficient space, lifted back to the grid."""
-    pod = artifacts["pod"]
-    if pod.ambient_dim != grid.n_points:
-        raise ConfigurationError("pod artifact was fitted on a different grid")
-    if pod.rank < cfg.pod_rank_full:
-        raise ConfigurationError("pod artifact rank is below pod_rank_full")
-    n_low, n_high = cfg.pod_rank_low, cfg.pod_rank_full - cfg.pod_rank_low
-
-    c0 = pod_project(pod, u_truth[0], cfg.pod_rank_low)
-    reduced_field = _reduced_field(cfg, artifacts, n_low)
-    reduced = rk4(reduced_field, c0, cfg.final_time, cfg.dt)
-    closure = _build_closure(cfg, artifacts, n_low, n_high)
-
-    tail = closure(reduced.final_state)
-    corrected_coeffs = np.concatenate([reduced.final_state, tail])
-
-    u_raw = pod_lift(pod, reduced.states, n_low)
-    u_corr_final = pod_lift(pod, corrected_coeffs, cfg.pod_rank_full)
-    u_truth_final = u_truth[-1]
-
-    raw_metrics = _field_metrics(u_raw, u_truth, reduced.times, u_raw[-1], u_truth_final)
-    corr_metrics = MetricsBundle(
-        mape_final=mape(u_corr_final, u_truth_final),
-        mse_final=mse(u_corr_final, u_truth_final),
-        percent_error_series=raw_metrics.percent_error_series,
-        times=reduced.times,
-    )
-    return PipelineResult(
-        config=cfg,
-        truth=truth,
-        reduced=reduced,
-        corrected_coeffs=corrected_coeffs,
-        raw_metrics=raw_metrics,
-        corrected_metrics=corr_metrics,
-        decomposition=None,
     )

@@ -283,3 +283,45 @@ def test_ensemble_outputs_and_determinism(tmp_path):
     assert _invoke(["ensemble", "--config", cfg, "--out", tmp_path / "b"]).exit_code == 0
     assert (tmp_path / "a" / "samples.csv").read_bytes() == \
         (tmp_path / "b" / "samples.csv").read_bytes()
+
+
+ENSEMBLE_DOC = {"pipelines": [EVAL_PIPELINE], "ic_box": [[0.5, 1.2], [-0.5, 0.5], [-0.2, 0.2]],
+                "n_ic": 2, "plots": False}
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("simulate", dict(SIM_DOC, final_time=True), "final_time"),
+    ("simulate", dict(SIM_DOC, grid_points=True), "grid_points"),
+    ("sample", dict(SAMPLE_DOC, n_trajectories=True), "n_trajectories"),
+    ("sample", dict(SAMPLE_DOC, dt=False), "dt"),
+    ("train", {"kind": "closure", "alias": "cl", "data": "absent.csv", "n_low": True},
+     "n_low"),
+    ("train", {"kind": "pod", "alias": "p", "data": "absent.csv", "delta": True}, "delta"),
+    ("evaluate", {"pipeline": dict(EVAL_PIPELINE, final_time=True)}, "final_time"),
+    ("postprocess", {"pipeline": dict(EVAL_PIPELINE, grid_points=True)}, "grid_points"),
+    ("ensemble", dict(ENSEMBLE_DOC, n_ic=True), "n_ic"),
+    ("ensemble", dict(ENSEMBLE_DOC, final_time=False), "final_time"),
+])
+def test_numeric_keys_reject_booleans(tmp_path, command, doc, key):
+    # isinstance(True, int) holds, so the schema check must rule bools out itself
+    cfg = _write(tmp_path / "bool.yaml", doc)
+    res = _invoke([command, "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert f"key {key!r} expects" in res.output and "got bool" in res.output
+
+
+def test_train_block_rejects_booleans(tmp_path):
+    data = _sampled(tmp_path)
+    doc = _closure_doc(data, tmp_path / "store")
+    doc["train"]["epochs"] = True
+    cfg = _write(tmp_path / "train.yaml", doc)
+    res = _invoke(["train", "--config", cfg, "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert "key 'epochs' expects int, got bool" in res.output
+
+
+def test_bool_keys_still_accept_booleans(tmp_path):
+    cfg = _write(tmp_path / "ens.yaml", ENSEMBLE_DOC)
+    res = _invoke(["ensemble", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 0, res.output
+    assert not (tmp_path / "out" / "histogram.svg").exists()

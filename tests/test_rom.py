@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aimrom.aim import chafee_aim_alpha3
-from aimrom.integrate import SamplerConfig, rk4, sample_attractor
+from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram
-from aimrom.models import chafee_field, chafee_rhs_3
+from aimrom.models import chafee_field, chafee_rhs_3, ks_field
 from aimrom.nn import TrainConfig, forward, init_mlp, train
 from aimrom.pod import pod_fit
 from aimrom.rom import (
@@ -280,3 +284,87 @@ def test_ensemble_histogram_is_deterministic():
     assert all(c.sum() == 6 for c in r1.counts)
     # the corrected arm should typically do better than plain truncation
     assert np.mean(r1.samples[0]) < np.mean(r1.samples[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["black-box", "gray-box"]),
+    model=st.sampled_from(["chafee", "ks"]),
+    n_traj=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_rk4_matches_per_row_for_learned_fields(kind, model, n_traj, seed):
+    # A batch of rows goes through the network's matrix products in one
+    # block, a single row in its own; the blocking changes the summation
+    # order, so one evaluation differs by up to about 3e-14 relative.  Each
+    # step adds dt times such an evaluation, so over 100 steps the rows stay
+    # within 1e-12 of the trajectory's size (about 5e-16 is typical).
+    dim, base, dt = (2, chafee_field(2, NU), 1e-2) if model == "chafee" else (3, ks_field(3, 33.0), 1e-4)
+    net = init_mlp((dim, 24, 24, dim), seed=seed)
+    lf = LearnedField(kind=kind, dim=dim, net=net, base=base if kind == "gray-box" else None)
+    a0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_traj, dim))
+    batch = rk4(lf, a0, 100 * dt, dt)
+    for k in range(n_traj):
+        solo = rk4(lf, a0[k], 100 * dt, dt).states
+        assert np.max(np.abs(batch.row(k).states - solo)) <= 1e-12 * np.max(np.abs(solo))
+
+
+def _per_ic_ensemble(configs, artifacts, ic_box, n_ic, seed, final_time=None):
+    """The ensemble as one run_pipeline per pipeline and initial condition."""
+    box = np.asarray(ic_box, dtype=float)
+    rng = np.random.default_rng(seed)
+    ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n_ic, box.shape[0]))
+    samples, failed = [], []
+    for cfg in configs:
+        errs = []
+        for ic in ics:
+            try:
+                errs.append(run_pipeline(cfg.with_ic(ic, final_time), artifacts)
+                            .corrected_metrics.mape_final)
+            except BlowUpError:
+                pass
+        samples.append(np.array(errs))
+        failed.append(n_ic - len(errs))
+    return samples, tuple(failed)
+
+
+CHAFEE_BOX = [[-1.2, 1.2], [-0.6, 0.6], [-0.4, 0.4]]
+KS_BOX = [[-1.0, 1.0]] * 2 + [[-0.5, 0.5]] * 6
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=st.sampled_from(["chafee", "ks"]), n_ic=st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_ensemble_equals_the_per_ic_pipeline_loop_bitwise(closure_net, model, n_ic, seed):
+    if model == "chafee":
+        eg = base_cfg(final_time=1.0, dt=1e-2)
+        configs = [eg, replace(eg, closure="mlp"), replace(eg, closure="none")]
+        box = CHAFEE_BOX
+    else:
+        configs = [PipelineConfig("ks", "fourier", "truncated", "none", (0.0,) * 8, 0.01, 1e-4)]
+        box = KS_BOX
+    artifacts = {"closure-net": closure_net}
+    result = ensemble_histogram(configs, artifacts, box, n_ic=n_ic, seed=seed, bins=5)
+    samples, failed = _per_ic_ensemble(configs, artifacts, box, n_ic, seed)
+    assert result.failed == failed
+    for got, want in zip(result.samples, samples):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_truth_blowup_fails_that_initial_condition_in_every_pipeline(closure_net):
+    # at dt = 0.3 the 3-mode truth blows up from a3 >= 4, the 2-mode
+    # truncation never sees a3; seed 5 draws exactly one such start
+    box = [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 5.0]]
+    eg = base_cfg(final_time=3.0, dt=0.3)
+    configs = [eg, replace(eg, closure="mlp"), replace(eg, closure="none")]
+    artifacts = {"closure-net": closure_net}
+    result = ensemble_histogram(configs, artifacts, box, n_ic=5, seed=5, bins=4)
+    ics = np.array(box)[:, 0] + np.ptp(box, axis=1) * np.random.default_rng(5).random((5, 3))
+    truth = rk4(chafee_field(3, NU), ics, 3.0, 0.3)
+    assert np.count_nonzero(~np.isnan(truth.blowup_times)) == 1
+    assert np.all(np.isnan(rk4(chafee_field(2, NU), ics[:, :2], 3.0, 0.3).blowup_times))
+    assert result.failed == (1, 1, 1)
+    samples, failed = _per_ic_ensemble(configs, artifacts, box, 5, 5)
+    assert failed == result.failed
+    for got, want in zip(result.samples, samples):
+        assert got.tobytes() == want.tobytes()
