@@ -36,9 +36,7 @@ from .rom import (
     MissingArtifactError,
     PipelineConfig,
     build_derivative_dataset,
-    learn_black_box,
-    learn_gray_box,
-    learn_latent_map,
+    learn_field,
     make_closure_dataset,
     run_pipeline,
 )
@@ -491,15 +489,12 @@ def _fit_model(cfg, store, seed):
             raise ConfigError(
                 f"train config: data width {states.shape[1]} != model dim {full.dim}")
         dataset = build_derivative_dataset(states, full, cfg["n_low"])
-        if kind == "black-box":
-            lf, hist = learn_black_box(dataset, hidden=_hidden(cfg, (64,) * 4),
-                                       train_cfg=tcfg, seed=tcfg.seed)
-        else:
+        base = None
+        if kind == "gray-box":
             base = _analytic_field(cfg["model"], cfg["n_low"], cfg.get("nu"),
                                    cfg.get("epsilon"))
-            lf, hist = learn_gray_box(dataset, base, hidden=_hidden(cfg, (95,) * 6),
-                                      train_cfg=tcfg, seed=tcfg.seed)
-        return lf, hist, extras
+        hidden = _hidden(cfg, (64,) * 4 if base is None else (95,) * 6)
+        return *learn_field(dataset, hidden, tcfg, seed=tcfg.seed, base=base), extras
 
     if kind == "autoencoder":
         _require(cfg, ("latent_dim",), kind)
@@ -541,10 +536,10 @@ def _fit_model(cfg, store, seed):
             extras["in_sample_mse"] = float(gh.in_sample_mse)
             return gh, None, extras
         _require(cfg, ("n_low",), kind)
-        net, hist = learn_latent_map(dm.train_points[:, : cfg["n_low"]],
-                                     dm.coordinates(), hidden=_hidden(cfg, (80,) * 5),
-                                     train_cfg=tcfg, seed=tcfg.seed)
-        return net, hist, extras
+        lead, latents = dm.train_points[:, : cfg["n_low"]], dm.coordinates()
+        net = init_mlp((lead.shape[1], *_hidden(cfg, (80,) * 5), latents.shape[1]),
+                       seed=tcfg.seed)
+        return *train(net, lead, latents, tcfg), extras
 
     raise ConfigError(f"train config: unknown kind {kind!r}; one of {_TRAIN_KINDS}")
 

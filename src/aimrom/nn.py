@@ -231,19 +231,15 @@ def _split_indices(n, cfg):
     return perm[n_val:], perm[:n_val], rng
 
 
-def train(mlp, x, y, cfg):
-    """Mini-batch Adam on mean squared error; returns (trained model, history).
+def _fit(nets, x, y, cfg):
+    """Mini-batch Adam on a chain of networks applied in order.
 
-    Standardization constants are computed from the training split and
-    stored on the returned model.  The optimization itself runs on the
-    standardized residuals; the reported history is raw-unit MSE.
+    Standardization constants come from the training split and sit on the
+    chain's input and output; the links between networks stay unscaled.
+    Adam updates every weight and then every bias, in chain order.  The
+    optimization runs on standardized residuals; the history is raw-unit
+    MSE.  Returns (trained networks, history).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("x (n, d_in) and y (n, d_out) must align")
-    if x.shape[1] != mlp.d_in or y.shape[1] != mlp.d_out:
-        raise ValueError("data width does not match the model")
     train_idx, val_idx, rng = _split_indices(x.shape[0], cfg)
     if train_idx.size == 0:
         raise ValueError("empty training split")
@@ -253,9 +249,23 @@ def train(mlp, x, y, cfg):
     xs = (x - x_shift) / x_scale
     ys = (y - y_shift) / y_scale
 
-    weights = [w.copy() for w in mlp.weights]
-    biases = [b.copy() for b in mlp.biases]
-    opt = _Adam([w.shape for w in weights] + [b.shape for b in biases], cfg)
+    bounds, n_w = [], 0
+    for net in nets:
+        bounds.append((n_w, n_w + len(net.weights)))
+        n_w += len(net.weights)
+    params = [w for net in nets for w in net.weights] + [b for net in nets for b in net.biases]
+    opt = _Adam([p.shape for p in params], cfg)
+
+    def layers(flat):
+        """Per network, its (weights, biases) from the flat parameter list."""
+        return [(flat[lo:hi], flat[n_w + lo : n_w + hi]) for lo, hi in bounds]
+
+    def chain_forward(nets_wb, batch):
+        acts = []
+        for w, b in nets_wb:
+            acts.append(_core_forward(w, b, batch))
+            batch = acts[-1][-1]
+        return acts
 
     n_train = train_idx.size
     train_hist = np.empty(cfg.epochs)
@@ -266,35 +276,53 @@ def train(mlp, x, y, cfg):
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             sel = train_idx[order[start : start + cfg.batch_size]]
-            xb, yb = xs[sel], ys[sel]
-            acts = _core_forward(weights, biases, xb)
-            resid = acts[-1] - yb
+            nets_wb = layers(params)
+            acts = chain_forward(nets_wb, xs[sel])
+            resid = acts[-1][-1] - ys[sel]
             delta = 2.0 * resid / (resid.shape[0] * resid.shape[1])
-            gw, gb, _ = _core_backprop(weights, acts, delta)
-            updated = opt.step(weights + biases, gw + gb)
-            weights = updated[: len(weights)]
-            biases = updated[len(weights) :]
+            grads_w, grads_b = [], []
+            for (w, _), net_acts in zip(reversed(nets_wb), reversed(acts)):
+                gw, gb, delta = _core_backprop(w, net_acts, delta)
+                grads_w = gw + grads_w
+                grads_b = gb + grads_b
+            params = opt.step(params, grads_w + grads_b)
 
-        pred = _core_forward(weights, biases, xs[train_idx])[-1]
+        nets_wb = layers(params)
+        pred = chain_forward(nets_wb, xs[train_idx])[-1][-1]
         train_hist[epoch] = float(np.mean((pred - ys[train_idx]) ** 2 * y_var))
         if val_idx.size:
-            predv = _core_forward(weights, biases, xs[val_idx])[-1]
+            predv = chain_forward(nets_wb, xs[val_idx])[-1][-1]
             val_hist[epoch] = float(np.mean((predv - ys[val_idx]) ** 2 * y_var))
         else:
             val_hist[epoch] = np.nan
         if not np.isfinite(train_hist[epoch]):
             raise TrainingDivergedError(epoch)
 
-    trained = replace(
-        mlp,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        x_shift=x_shift,
-        x_scale=x_scale,
-        y_shift=y_shift,
-        y_scale=y_scale,
-    )
+    last = len(nets) - 1
+    trained = []
+    for k, (net, (w, b)) in enumerate(zip(nets, layers(params))):
+        x_std = (x_shift, x_scale) if k == 0 else (np.zeros(net.d_in), np.ones(net.d_in))
+        y_std = (y_shift, y_scale) if k == last else (np.zeros(net.d_out), np.ones(net.d_out))
+        trained.append(replace(net, weights=tuple(w), biases=tuple(b),
+                               x_shift=x_std[0], x_scale=x_std[1],
+                               y_shift=y_std[0], y_scale=y_std[1]))
     return trained, TrainHistory(train_mse=train_hist, val_mse=val_hist)
+
+
+def train(mlp, x, y, cfg):
+    """Mini-batch Adam on mean squared error; returns (trained model, history).
+
+    The network is trained as a chain of one (see ``_fit``): its returned
+    copy carries the standardization constants of the training split.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("x (n, d_in) and y (n, d_out) must align")
+    if x.shape[1] != mlp.d_in or y.shape[1] != mlp.d_out:
+        raise ValueError("data width does not match the model")
+    (trained,), history = _fit((mlp,), x, y, cfg)
+    return trained, history
 
 
 def lead_submodel(mlp, k):
@@ -432,86 +460,16 @@ def decode(ae, latent):
 
 
 def train_autoencoder(ae, x, cfg):
-    """Joint reconstruction training: backprop through decoder then encoder.
+    """Joint reconstruction training; returns (trained autoencoder, history).
 
-    Ambient standardization sits on the encoder input and the decoder
-    output; the bottleneck stays unscaled.  History is raw-unit MSE.
+    The encoder and decoder are trained as a chain of two with the input
+    as target (see ``_fit``): ambient standardization sits on the encoder
+    input and the decoder output, and the bottleneck stays unscaled.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != ae.encoder.d_in:
         raise ValueError("x must be (n, d_ambient)")
     if ae.decoder.d_out != ae.encoder.d_in or ae.decoder.d_in != ae.encoder.d_out:
         raise ValueError("encoder and decoder dimensions do not compose")
-    train_idx, val_idx, rng = _split_indices(x.shape[0], cfg)
-    if train_idx.size == 0:
-        raise ValueError("empty training split")
-
-    shift, scale = _standardization(x[train_idx])
-    xs = (x - shift) / scale
-
-    enc_w = [w.copy() for w in ae.encoder.weights]
-    enc_b = [b.copy() for b in ae.encoder.biases]
-    dec_w = [w.copy() for w in ae.decoder.weights]
-    dec_b = [b.copy() for b in ae.decoder.biases]
-    shapes = [w.shape for w in enc_w + dec_w] + [b.shape for b in enc_b + dec_b]
-    opt = _Adam(shapes, cfg)
-
-    n_train = train_idx.size
-    train_hist = np.empty(cfg.epochs)
-    val_hist = np.empty(cfg.epochs)
-    var = scale**2
-
-    def recon(batch):
-        latent = _core_forward(enc_w, enc_b, batch)[-1]
-        return _core_forward(dec_w, dec_b, latent)[-1]
-
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            xb = xs[train_idx[order[start : start + cfg.batch_size]]]
-            enc_acts = _core_forward(enc_w, enc_b, xb)
-            dec_acts = _core_forward(dec_w, dec_b, enc_acts[-1])
-            resid = dec_acts[-1] - xb
-            delta = 2.0 * resid / (resid.shape[0] * resid.shape[1])
-            gdw, gdb, dlatent = _core_backprop(dec_w, dec_acts, delta)
-            gew, geb, _ = _core_backprop(enc_w, enc_acts, dlatent)
-            params = enc_w + dec_w + enc_b + dec_b
-            grads = gew + gdw + geb + gdb
-            updated = opt.step(params, grads)
-            ne, nd = len(enc_w), len(dec_w)
-            enc_w = updated[:ne]
-            dec_w = updated[ne : ne + nd]
-            enc_b = updated[ne + nd : ne + nd + ne]
-            dec_b = updated[ne + nd + ne :]
-
-        pred = recon(xs[train_idx])
-        train_hist[epoch] = float(np.mean((pred - xs[train_idx]) ** 2 * var))
-        if val_idx.size:
-            predv = recon(xs[val_idx])
-            val_hist[epoch] = float(np.mean((predv - xs[val_idx]) ** 2 * var))
-        else:
-            val_hist[epoch] = np.nan
-        if not np.isfinite(train_hist[epoch]):
-            raise TrainingDivergedError(epoch)
-
-    ident_latent = np.zeros(ae.encoder.d_out), np.ones(ae.encoder.d_out)
-    encoder = replace(
-        ae.encoder,
-        weights=tuple(enc_w),
-        biases=tuple(enc_b),
-        x_shift=shift,
-        x_scale=scale,
-        y_shift=ident_latent[0],
-        y_scale=ident_latent[1],
-    )
-    decoder = replace(
-        ae.decoder,
-        weights=tuple(dec_w),
-        biases=tuple(dec_b),
-        x_shift=ident_latent[0].copy(),
-        x_scale=ident_latent[1].copy(),
-        y_shift=shift,
-        y_scale=scale,
-    )
-    trained = Autoencoder(encoder=encoder, decoder=decoder)
-    return trained, TrainHistory(train_mse=train_hist, val_mse=val_hist)
+    (encoder, decoder), history = _fit((ae.encoder, ae.decoder), x, x, cfg)
+    return Autoencoder(encoder=encoder, decoder=decoder), history

@@ -15,7 +15,7 @@ from .dmaps import gh_extend
 from .integrate import BlowUpError, rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import VectorField, chafee_field, ks_field
-from .nn import TrainConfig, decode, decoder_invert, forward, init_mlp, train
+from .nn import decode, decoder_invert, forward, init_mlp, train
 from .pod import pod_lift, pod_project
 from .spectral import BasisSpec, SpectralState, reconstruct, uniform_grid
 
@@ -28,9 +28,7 @@ __all__ = [
     "PipelineResult",
     "build_derivative_dataset",
     "make_closure_dataset",
-    "learn_black_box",
-    "learn_gray_box",
-    "learn_latent_map",
+    "learn_field",
     "run_pipeline",
     "run_pipeline_batch",
     "validate_pipeline",
@@ -130,35 +128,22 @@ class LearnedField:
         return out
 
 
-def _default_cfg(cfg):
-    return cfg if cfg is not None else TrainConfig(epochs=200, batch_size=64)
+def learn_field(dataset, hidden, train_cfg, seed=0, base=None):
+    """Fit a learned vector field to the dataset; returns (field, history).
 
-
-def learn_black_box(dataset, hidden=(64, 64, 64, 64), train_cfg=None, seed=0):
-    """Fit da/dt = net(a) to the dataset; returns (field, history)."""
+    Without a base the network fits da/dt itself (black-box); with an
+    analytic base it fits only the residual da/dt - base(a) (gray-box).
+    """
     d = dataset.inputs.shape[1]
+    target = dataset.derivs
+    if base is not None:
+        if base.dim != d:
+            raise ValueError("base field dimension must match the dataset")
+        target = target - np.asarray(base.eval(dataset.inputs), dtype=float)
     net = init_mlp((d,) + tuple(hidden) + (d,), seed=seed)
-    trained, hist = train(net, dataset.inputs, dataset.derivs, _default_cfg(train_cfg))
-    return LearnedField(kind="black-box", dim=d, net=trained), hist
-
-
-def learn_gray_box(dataset, base, hidden=(95,) * 6, train_cfg=None, seed=0):
-    """Fit the residual da/dt - base(a) = net(a); returns (field, history)."""
-    d = dataset.inputs.shape[1]
-    if base.dim != d:
-        raise ValueError("base field dimension must match the dataset")
-    resid = dataset.derivs - np.asarray(base.eval(dataset.inputs), dtype=float)
-    net = init_mlp((d,) + tuple(hidden) + (d,), seed=seed)
-    trained, hist = train(net, dataset.inputs, resid, _default_cfg(train_cfg))
-    return LearnedField(kind="gray-box", dim=d, net=trained, base=base), hist
-
-
-def learn_latent_map(lead_coords, latents, hidden=(80,) * 5, train_cfg=None, seed=0):
-    """Fit the map from leading coefficients to latent coordinates."""
-    x = np.asarray(lead_coords, dtype=float)
-    y = np.asarray(latents, dtype=float)
-    net = init_mlp((x.shape[1],) + tuple(hidden) + (y.shape[1],), seed=seed)
-    return train(net, x, y, _default_cfg(train_cfg))
+    trained, hist = train(net, dataset.inputs, target, train_cfg)
+    kind = "black-box" if base is None else "gray-box"
+    return LearnedField(kind=kind, dim=d, net=trained, base=base), hist
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ file carries a timestamp; reproducibility is checked by byte comparison.
 
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -15,9 +16,8 @@ import numpy as np
 
 from . import __version__
 from .dmaps import DiffusionMap, GeometricHarmonics
-from .integrate import Trajectory
 from .models import chafee_field, ks_field, toy_field
-from .nn import Autoencoder, Mlp, TrainHistory
+from .nn import Autoencoder, Mlp
 from .pod import PodModel
 from .rom import LearnedField
 
@@ -29,7 +29,6 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "read_table",
-    "trajectory_from_csv",
     "trajectory_to_csv",
     "write_histogram_csv",
     "write_long_samples",
@@ -65,6 +64,17 @@ def content_hash(payload):
 
 def file_hash(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write_atomic(path, text):
+    """Replace path's content with text through a temp file beside it, so an
+    interrupted save leaves the old file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- models
@@ -265,7 +275,8 @@ class ModelStore:
 
     Layout: <root>/<sha256>.json per model and <root>/aliases.json mapping
     alias -> hash.  The hash covers payload and metadata, so retraining
-    with identical config, data, and seed reuses the same key.
+    with identical config, data, and seed reuses the same key.  Both files
+    are replaced whole, and saving an existing key rewrites its file.
     """
 
     def __init__(self, root):
@@ -283,15 +294,13 @@ class ModelStore:
 
     def save(self, obj, alias=None, meta=None):
         """Store a model, return its content-hash key."""
-        doc = {"model": model_to_dict(obj), "meta": _jsonify(meta or {})}
-        key = content_hash(doc)
-        path = self.root / f"{key}.json"
-        if not path.exists():
-            path.write_text(canonical_json(doc) + "\n")
+        text = canonical_json({"model": model_to_dict(obj), "meta": _jsonify(meta or {})})
+        key = hashlib.sha256(text.encode()).hexdigest()
+        _write_atomic(self.root / f"{key}.json", text + "\n")
         if alias is not None:
             table = self.aliases()
             table[str(alias)] = key
-            self._alias_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+            _write_atomic(self._alias_path, json.dumps(table, indent=2, sort_keys=True) + "\n")
         return key
 
     def resolve(self, name):
@@ -304,15 +313,9 @@ class ModelStore:
         known = ", ".join(sorted(table)) or "(none)"
         raise KeyError(f"no stored model {name!r}; available aliases: {known}")
 
-    def _read(self, name):
-        key = self.resolve(name)
-        return json.loads((self.root / f"{key}.json").read_text())
-
     def load(self, name):
-        return model_from_dict(self._read(name)["model"])
-
-    def load_meta(self, name):
-        return self._read(name)["meta"]
+        key = self.resolve(name)
+        return model_from_dict(json.loads((self.root / f"{key}.json").read_text())["model"])
 
 
 # ---------------------------------------------------------------- tables
@@ -349,20 +352,10 @@ def trajectory_to_csv(traj, path):
     write_table(path, header, np.column_stack([traj.times, traj.states]))
 
 
-def trajectory_from_csv(path):
-    _, data, _ = read_table(path)
-    return Trajectory(times=data[:, 0], states=data[:, 1:])
-
-
 def write_loss_csv(history, path):
     header = ["epoch", "train_mse", "val_mse"]
     epochs = np.arange(1, len(history.train_mse) + 1)
     write_table(path, header, np.column_stack([epochs, history.train_mse, history.val_mse]))
-
-
-def read_loss_csv(path):
-    _, data, _ = read_table(path)
-    return TrainHistory(train_mse=data[:, 1], val_mse=data[:, 2])
 
 
 def write_long_samples(path, labels, samples):

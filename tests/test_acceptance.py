@@ -40,7 +40,7 @@ from aimrom.pod import pod_fit, pod_lift, pod_project, quadratic_fit
 from aimrom.rom import (
     PipelineConfig,
     build_derivative_dataset,
-    learn_gray_box,
+    learn_field,
     make_closure_dataset,
     run_pipeline,
 )
@@ -304,11 +304,11 @@ def test_05_truncation_fails_gray_box_repairs(ks_snapshots):
     field8 = ks_field(8, NU_KS)
     field3 = ks_field(3, NU_KS)
     ds = build_derivative_dataset(ks_snapshots, field8, 3)
-    gray, _ = learn_gray_box(
+    gray, _ = learn_field(
         ds,
-        field3,
         hidden=(64, 64, 64),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=200, batch_size=64, seed=0),
+        base=field3,
     )
 
     pairs = []

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import aimrom
 from aimrom.cli import main
 from aimrom.serialize import read_table
 
@@ -21,9 +24,12 @@ def _invoke(args):
 
 
 def _run_proc(args):
+    # the child imports the same aimrom as this process, whichever path found it
+    src = str(Path(aimrom.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "aimrom.cli"] + [str(a) for a in args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 

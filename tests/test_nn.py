@@ -343,3 +343,53 @@ def test_autoencoder_training_deterministic():
         assert np.array_equal(wa, wb)
     for wa, wb in zip(a1.decoder.weights, a2.decoder.weights):
         assert np.array_equal(wa, wb)
+
+
+def test_autoencoder_diverges_with_absurd_learning_rate():
+    x = 1000.0 * np.random.default_rng(2).uniform(-1, 1, (64, 2))
+    cfg = TrainConfig(learning_rate=1e180, epochs=50, batch_size=8, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            train_autoencoder(init_autoencoder(2, 1, (8,), seed=0), x, cfg)
+    assert isinstance(err.value.epoch, int)
+
+
+def test_autoencoder_rejects_mismatched_shapes():
+    ae = init_autoencoder(3, 2, (8,), seed=0)
+    cfg = TrainConfig(epochs=1)
+    with pytest.raises(ValueError, match="d_ambient"):
+        train_autoencoder(ae, np.zeros((10, 4)), cfg)
+    bad = Autoencoder(encoder=ae.encoder, decoder=init_mlp((2, 8, 4), seed=0))
+    with pytest.raises(ValueError, match="compose"):
+        train_autoencoder(bad, np.zeros((10, 3)), cfg)
+
+
+def test_autoencoder_standardizes_the_ends_not_the_bottleneck():
+    x = np.random.default_rng(6).normal(loc=3.0, scale=2.0, size=(50, 3))
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
+    trained, _ = train_autoencoder(init_autoencoder(3, 2, (8,), seed=1), x, cfg)
+    enc, dec = trained.encoder, trained.decoder
+    assert np.array_equal(enc.x_shift, dec.y_shift)
+    assert np.array_equal(enc.x_scale, dec.y_scale)
+    assert np.allclose(enc.x_shift, 3.0, atol=1.0)
+    assert np.allclose(enc.x_scale, 2.0, atol=1.0)
+    for arr, value in ((enc.y_shift, 0.0), (enc.y_scale, 1.0), (dec.x_shift, 0.0),
+                       (dec.x_scale, 1.0)):
+        assert np.array_equal(arr, np.full(2, value))
+
+
+FITS = {
+    "train": lambda x, cfg: train(init_mlp((2, 8, 2), seed=7), x, np.sin(x), cfg),
+    "train_autoencoder": lambda x, cfg: train_autoencoder(
+        init_autoencoder(2, 1, (8,), seed=5), x, cfg),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FITS))
+def test_zero_validation_fraction_gives_nan_history(entry):
+    x = np.random.default_rng(3).uniform(-1, 1, (40, 2))
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=0, validation_fraction=0.0)
+    _, hist = FITS[entry](x, cfg)
+    assert hist.val_mse.shape == (3,)
+    assert np.all(np.isnan(hist.val_mse))
+    assert np.all(np.isfinite(hist.train_mse))

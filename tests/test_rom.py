@@ -18,8 +18,7 @@ from aimrom.rom import (
     MissingArtifactError,
     PipelineConfig,
     build_derivative_dataset,
-    learn_black_box,
-    learn_gray_box,
+    learn_field,
     make_closure_dataset,
     run_pipeline,
     validate_pipeline,
@@ -113,7 +112,7 @@ def test_gray_box_eval_adds_base():
 def test_learn_black_box_fits_smooth_field(chafee_snapshots):
     field = chafee_field(3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
-    lf, hist = learn_black_box(
+    lf, hist = learn_field(
         ds,
         hidden=(32, 32),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=120, batch_size=64, seed=0),
@@ -128,11 +127,11 @@ def test_learn_gray_box_residual_is_small_on_slaved_data(chafee_snapshots):
     field = chafee_field(3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
     base = chafee_field(2, NU)
-    lf, hist = learn_gray_box(
+    lf, hist = learn_field(
         ds,
-        base,
         hidden=(24, 24),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=120, batch_size=64, seed=0),
+        base=base,
     )
     assert lf.kind == "gray-box"
     assert lf.base is base
@@ -221,7 +220,7 @@ def test_mlp_closure_pipeline_beats_truncation(closure_net):
 def test_black_box_pipeline_runs(chafee_snapshots):
     field = chafee_field(3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
-    lf, _ = learn_black_box(
+    lf, _ = learn_field(
         ds,
         hidden=(32, 32),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=150, batch_size=64, seed=1),
@@ -236,7 +235,7 @@ def test_black_box_pipeline_runs(chafee_snapshots):
 def test_dynamics_net_kind_must_match(chafee_snapshots):
     field = chafee_field(3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
-    lf, _ = learn_black_box(ds, hidden=(8,), train_cfg=TrainConfig(epochs=2, seed=0))
+    lf, _ = learn_field(ds, hidden=(8,), train_cfg=TrainConfig(epochs=2, seed=0))
     with pytest.raises(ConfigurationError, match="kind"):
         run_pipeline(base_cfg(dynamics="gray-box"), {"dynamics-net": lf})
 
@@ -254,7 +253,7 @@ def test_pod_route_pipeline(chafee_snapshots):
     dfields = chafee_rhs_3(chafee_snapshots, NU) @ sines.T
     dcoeffs = dfields @ pod.modes[:, :2]
     ds = DerivativeDataset(inputs=coeffs3[:, :2], derivs=dcoeffs)
-    lf, _ = learn_black_box(
+    lf, _ = learn_field(
         ds, hidden=(32, 32), train_cfg=TrainConfig(learning_rate=2e-3, epochs=150, batch_size=64, seed=2)
     )
     cnet, _ = train(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aimrom import __version__
+from aimrom import __version__, serialize
 from aimrom.dmaps import dmaps_fit, gh_extend, gh_fit, nystrom_restrict
 from aimrom.integrate import rk4
 from aimrom.models import chafee_field, ks_field, toy_field
@@ -16,9 +16,7 @@ from aimrom.serialize import (
     content_hash,
     model_from_dict,
     model_to_dict,
-    read_loss_csv,
     read_table,
-    trajectory_from_csv,
     trajectory_to_csv,
     write_histogram_csv,
     write_long_samples,
@@ -125,10 +123,43 @@ def test_store_content_addressing(tmp_path):
     assert store.aliases() == {"closure": k1, "again": k1}
     back = store.load("closure")
     assert np.array_equal(back.weights[0], net.weights[0])
-    assert store.load_meta(k1) == {"seed": 1}
+    doc = json.loads((tmp_path / "models" / f"{k1}.json").read_text())
+    assert doc["meta"] == {"seed": 1}
+    assert content_hash(doc) == k1
     # different meta -> different key
     k3 = store.save(net, meta={"seed": 2})
     assert k3 != k1
+
+
+def test_store_save_repairs_a_truncated_model_file(tmp_path):
+    store = ModelStore(tmp_path)
+    net = init_mlp((2, 8, 1), seed=1)
+    key = store.save(net, alias="cl")
+    path = tmp_path / f"{key}.json"
+    good = path.read_bytes()
+    path.write_bytes(good[: len(good) // 2])
+    assert store.save(net, alias="cl") == key
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{key}.json", "aliases.json"])
+
+
+def test_store_alias_update_failure_keeps_old_table(tmp_path, monkeypatch):
+    store = ModelStore(tmp_path)
+    store.save(init_mlp((2, 8, 1), seed=1), alias="old")
+    before = (tmp_path / "aliases.json").read_bytes()
+    real_replace = serialize.os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith("aliases.json"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(serialize.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        store.save(init_mlp((2, 8, 1), seed=2), alias="new")
+    assert (tmp_path / "aliases.json").read_bytes() == before
+    assert not list(tmp_path.glob(".*.tmp"))
+    assert store.aliases() == json.loads(before)
 
 
 def test_store_missing_alias_lists_known(tmp_path):
@@ -156,17 +187,20 @@ def test_table_rejects_header_mismatch(tmp_path):
 def test_trajectory_csv_roundtrip(tmp_path):
     traj = rk4(chafee_field(3, 0.16), np.array([1.0, 0.5, 0.1]), 0.05, 1e-3)
     trajectory_to_csv(traj, tmp_path / "traj.csv")
-    back = trajectory_from_csv(tmp_path / "traj.csv")
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.states, traj.states)
+    header, data, _ = read_table(tmp_path / "traj.csv")
+    assert header == ["t", "a1", "a2", "a3"]
+    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 1:], traj.states)
 
 
 def test_loss_csv_roundtrip(tmp_path):
     hist = TrainHistory(train_mse=np.array([3.0, 2.0, 1.5]), val_mse=np.array([4.0, 2.5, 2.0]))
     write_loss_csv(hist, tmp_path / "loss.csv")
-    back = read_loss_csv(tmp_path / "loss.csv")
-    assert np.array_equal(back.train_mse, hist.train_mse)
-    assert np.array_equal(back.val_mse, hist.val_mse)
+    header, data, _ = read_table(tmp_path / "loss.csv")
+    assert header == ["epoch", "train_mse", "val_mse"]
+    assert np.array_equal(data[:, 0], [1.0, 2.0, 3.0])
+    assert np.array_equal(data[:, 1], hist.train_mse)
+    assert np.array_equal(data[:, 2], hist.val_mse)
 
 
 def test_long_samples_and_histogram_layout(tmp_path):
