@@ -4,7 +4,8 @@ Diffusion maps use the Gaussian kernel exp(-||xi - xj||^2 / (2 eps)) with
 density normalization exponent 1 (kernel divided by the product of row
 densities) followed by row normalization to a Markov matrix.  Eigenpairs
 come from the symmetric conjugate D^(-1/2) K D^(-1/2), so eigenvalues are
-real and the trivial pair is lambda_0 = 1 with a constant eigenvector.
+real and the trivial pair is lambda_0 = 1 with a constant eigenvector; only
+the leading ones are computed, by block subspace iteration.
 
 New points enter by Nystrom restriction; functions defined on the latent
 coordinates extend back to ambient space by geometric harmonics (the
@@ -29,6 +30,18 @@ __all__ = [
 ]
 
 
+# Block width of the subspace iteration in dmaps_fit, its stopping residual
+# max ||S v - lambda v|| (S has spectral norm 1, its trivial eigenvalue), and
+# the step count after which it gives way to a full eigh
+_BLOCK = 20
+_EIG_TOL = 1e-13
+_MAX_ITERS = 100
+# Condition number past which an equilibrated leave-one-out normal matrix is
+# not solved, and that point's fit is solved by least squares on its weighted
+# design: below it one refinement step makes the solve as accurate
+_COND_RESOLVE = 1e8
+
+
 def _sq_dists(a, b):
     # ||a_i - b_j||^2 without forming the difference tensor
     aa = np.sum(a * a, axis=1)[:, None]
@@ -38,12 +51,21 @@ def _sq_dists(a, b):
     return d
 
 
+def _upper(d2):
+    """Entries above the diagonal of a square matrix, row by row, as a copy."""
+    return d2[np.triu(np.ones(d2.shape, dtype=bool), 1)]
+
+
+def _gaussian(d2, epsilon):
+    """exp(-d2 / (2 epsilon)), overwriting the squared distances d2."""
+    np.divide(d2, -2.0 * epsilon, out=d2)
+    return np.exp(d2, out=d2)
+
+
 def median_epsilon(points):
     """Median squared pairwise distance, the default kernel scale."""
     x = np.asarray(points, dtype=float)
-    d = _sq_dists(x, x)
-    iu = np.triu_indices(x.shape[0], k=1)
-    return float(np.median(d[iu]))
+    return float(np.median(_upper(_sq_dists(x, x)), overwrite_input=True))
 
 
 @dataclass(frozen=True)
@@ -92,35 +114,62 @@ def _fix_signs(vecs):
     return out
 
 
+def _leading_eigh(sym, k):
+    """Leading k eigenpairs of a symmetric positive semi-definite matrix of
+    spectral norm 1, by descending eigenvalue.
+
+    Block subspace iteration from a seeded random block (Halko, Martinsson
+    and Tropp, SIAM Review 2011): each step multiplies the block by sym,
+    takes the Rayleigh-Ritz pairs on it and orthonormalizes by one QR.  It
+    stops once every wanted pair has max ||S v - lambda v|| < _EIG_TOL.  A
+    full eigh serves instead when the block is not much smaller than the
+    matrix, or when the iteration has not converged in _MAX_ITERS steps.
+    """
+    n = sym.shape[0]
+    if n >= 10 * _BLOCK and k < _BLOCK:
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, _BLOCK)))
+        for _ in range(_MAX_ITERS):
+            z = sym @ q
+            theta, u = np.linalg.eigh(q.T @ z)
+            theta, u = theta[::-1], u[:, ::-1]
+            v, z = q @ u, z @ u
+            if np.max(np.linalg.norm(z[:, :k] - v[:, :k] * theta[:k], axis=0)) < _EIG_TOL:
+                return theta[:k], v[:, :k]
+            q, _ = np.linalg.qr(z)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    order = np.argsort(eigvals)[::-1][:k]
+    return eigvals[order], eigvecs[:, order]
+
+
 def dmaps_fit(points, epsilon=None, n_eigs=10):
     """Fit a diffusion map; epsilon defaults to the median squared distance.
 
-    Returns n_eigs + 1 eigenpairs including the trivial one.
+    Returns n_eigs + 1 eigenpairs including the trivial one.  Raises
+    np.linalg.LinAlgError when the kernel is disconnected at this epsilon.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 3:
         raise ValueError("points must be (n, d) with n >= 3")
     if n_eigs < 1 or n_eigs >= x.shape[0] - 1:
         raise ValueError("n_eigs must be in [1, n_points - 2]")
+    d2 = _sq_dists(x, x)
     if epsilon is None:
-        epsilon = median_epsilon(x)
+        epsilon = float(np.median(_upper(d2), overwrite_input=True))
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
-    a = np.exp(-_sq_dists(x, x) / (2.0 * epsilon))
+    a = _gaussian(d2, epsilon)
     p = a.sum(axis=1)
     if np.any(p - 1.0 < 1e-14):
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             "kernel is disconnected: some point sees no neighbors; increase epsilon"
         )
-    k = a / np.outer(p, p)
-    d = k.sum(axis=1)
-    sym = k / np.sqrt(np.outer(d, d))
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(eigvals)[::-1][: n_eigs + 1]
-    lam = eigvals[order]
-    phi = eigvecs[:, order] / np.sqrt(d)[:, None]
-    phi = _fix_signs(phi)
+    # a becomes the symmetric conjugate D^(-1/2) K D^(-1/2) in place
+    a /= np.outer(p, p)
+    d = a.sum(axis=1)
+    a /= np.sqrt(np.outer(d, d))
+    lam, vecs = _leading_eigh(a, n_eigs + 1)
+    phi = _fix_signs(vecs / np.sqrt(d)[:, None])
     return DiffusionMap(
         epsilon=float(epsilon),
         alpha_density=1.0,
@@ -145,7 +194,7 @@ def nystrom_restrict(dm, x_new):
         x = x[None, :]
     if x.shape[1] != dm.train_points.shape[1]:
         raise ValueError("ambient dimension does not match the training data")
-    a = np.exp(-_sq_dists(x, dm.train_points) / (2.0 * dm.epsilon))
+    a = _gaussian(_sq_dists(x, dm.train_points), dm.epsilon)
     p_new = a.sum(axis=1)
     if np.any(p_new < 1e-300):
         raise ValueError("a query point sees no training neighbors at this epsilon")
@@ -159,48 +208,82 @@ def nystrom_restrict(dm, x_new):
     return coords[0] if single else coords
 
 
-def _loo_linear_residual(basis, target, bandwidth_factor):
+def _loo_linear_residual(basis, target, d2, bandwidth_factor):
     """Normalized leave-one-out error of local linear prediction.
 
     Predicts target at each training point from a kernel-weighted linear
     fit on basis (the earlier coordinates), excluding the point itself.
+    d2 holds the squared distances between the rows of basis.
     """
-    n = basis.shape[0]
-    d2 = _sq_dists(basis, basis)
-    iu = np.triu_indices(n, k=1)
+    n, p = basis.shape
     # bandwidth: median pairwise distance shrunk by the factor, so the
     # regression stays local on the scale of the coordinate cloud
-    scale = np.median(np.sqrt(d2[iu])) / bandwidth_factor
-    w = np.exp(-d2 / (scale * scale))
+    scale = np.median(np.sqrt(_upper(d2)), overwrite_input=True) / bandwidth_factor
+    w = np.divide(d2, -scale * scale)
+    np.exp(w, out=w)
     np.fill_diagonal(w, 0.0)
 
-    preds = np.empty(n)
-    ones = np.ones((n, 1))
-    for i in range(n):
-        xc = np.hstack([ones, basis - basis[i]])
-        wx = w[i][:, None] * xc
-        coef, *_ = np.linalg.lstsq(xc.T @ wx, wx.T @ target, rcond=None)
-        preds[i] = coef[0]
+    # moment form: on the mean-shifted design x = [1, basis - mean] one
+    # product with w gives every point's normal matrix sum_j w_ij x_j x_j^T
+    # (its upper triangle) and right-hand side sum_j w_ij x_j target_j
+    x = np.hstack([np.ones((n, 1)), basis - basis.mean(axis=0)])
+    ia, ib = np.triu_indices(p + 1)
+    moments = w @ np.hstack([x[:, ia] * x[:, ib], x * target[:, None]])
+    normal = np.empty((n, p + 1, p + 1))
+    normal[:, ia, ib] = normal[:, ib, ia] = moments[:, : ia.size]
+    diag = np.einsum("nii->ni", normal)
+    s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    normal *= s[:, :, None] * s[:, None, :]
+    good = np.linalg.cond(normal) <= _COND_RESOLVE
+    normal, sg = normal[good], s[good]
+
+    def solve(rhs):
+        return np.linalg.solve(normal, (rhs[good] * sg)[..., None])[..., 0] * sg
+
+    coef = np.zeros((n, p + 1))
+    coef[good] = solve(moments[:, ia.size :])
+    # forming the normal matrix squares the design's condition number; one
+    # step of iterative refinement, its residual w_ij (target_j - x_j coef_i)
+    # taken on the data, brings the fit to the accuracy of least squares
+    r = coef @ x.T
+    np.subtract(target, r, out=r)
+    r *= w
+    coef[good] += solve(r @ x)
+    preds = np.einsum("ni,ni->n", x, coef)
+    # past the cut, least squares on the square-root-weighted design centred
+    # on the point itself, whose intercept is the prediction
+    bad = np.flatnonzero(~good)
+    for i, sw in zip(bad, np.sqrt(w[bad])):
+        design = np.hstack([np.ones((n, 1)), basis - basis[i]]) * sw[:, None]
+        preds[i] = np.linalg.lstsq(design, sw * target, rcond=None)[0][0]
     return float(np.sqrt(np.sum((target - preds) ** 2) / np.sum(target**2)))
 
 
 def select_independent(dm, regression_bandwidth_factor=3.0, residual_threshold=0.2):
     """Greedy pruning of repeated eigendirections.
 
-    The first nontrivial coordinate is always kept (its residual is defined
-    as 1).  Each later phi_k is kept only if a local linear model on the
-    previously retained... on all earlier nontrivial coordinates fails to
-    predict it: normalized leave-one-out residual above the threshold.
-    Returns the kept column indices and stores them on a new model.
+    The first nontrivial coordinate phi_1 is always kept (its residual is
+    defined as 1).  Each later phi_k is regressed on all earlier nontrivial
+    coordinates phi_1 .. phi_(k-1), kept or not, by a kernel-weighted local
+    linear fit at every point that leaves the point out; phi_k is kept when
+    the normalized leave-one-out residual is above the threshold.  Each
+    point's fit is solved from its normal equations, equilibrated by their
+    diagonal and refined once against the data, or by least squares on the
+    square-root-weighted design where their condition number passes 1e8.
+    Returns a new model with the kept column indices, and the residuals.
     """
     if dm.n_pairs < 2:
         raise ValueError("need at least one nontrivial eigenpair")
+    phi = dm.eigenvectors
     residuals = [1.0]
     kept = [1]
+    # squared distances over phi_1 .. phi_(k-1), one coordinate added per fit
+    d2 = np.zeros((dm.n_train, dm.n_train))
+    step = np.empty_like(d2)
     for k in range(2, dm.n_pairs):
-        basis = dm.eigenvectors[:, 1:k]
-        target = dm.eigenvectors[:, k]
-        r = _loo_linear_residual(basis, target, regression_bandwidth_factor)
+        np.subtract.outer(phi[:, k - 1], phi[:, k - 1], out=step)
+        d2 += np.square(step, out=step)
+        r = _loo_linear_residual(phi[:, 1:k], phi[:, k], d2, regression_bandwidth_factor)
         residuals.append(r)
         if r > residual_threshold:
             kept.append(k)
@@ -254,7 +337,7 @@ def gh_fit(inputs, f_values, epsilon_star=None, delta=1e-6):
     if epsilon_star <= 0 or delta <= 0:
         raise ValueError("epsilon_star and delta must be positive")
 
-    a = np.exp(-_sq_dists(x, x) / (2.0 * epsilon_star))
+    a = _gaussian(_sq_dists(x, x), epsilon_star)
     sigma, psi = np.linalg.eigh(a)
     order = np.argsort(sigma)[::-1]
     sigma = sigma[order]
@@ -287,7 +370,7 @@ def gh_extend(gh, x_new):
         x = x[None, :]
     if x.shape[1] != gh.inputs.shape[1]:
         raise ValueError("latent dimension does not match the fitted inputs")
-    a = np.exp(-_sq_dists(x, gh.inputs) / (2.0 * gh.epsilon_star))
+    a = _gaussian(_sq_dists(x, gh.inputs), gh.epsilon_star)
     out = (a @ (gh.eigenvectors / gh.eigenvalues)) @ gh.coefficients
     return out[0] if single else out
 

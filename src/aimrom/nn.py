@@ -385,7 +385,7 @@ def decoder_invert(decoder, target_lead, candidates, max_iters=200, tol=1e-12):
 
     candidates seeds the starts (rows are latent vectors); each start runs
     gradient descent with backtracking line search.  Returns the best latent
-    vector found.  Raises if every start ends non-finite.
+    vector found.  Raises np.linalg.LinAlgError if every start ends non-finite.
     """
     target = np.asarray(target_lead, dtype=float)
     k = target.shape[0]
@@ -427,7 +427,7 @@ def decoder_invert(decoder, target_lead, candidates, max_iters=200, tol=1e-12):
         if np.isfinite(val) and val < best_val:
             best_l, best_val = latent, val
     if best_l is None:
-        raise RuntimeError("all descent starts failed to produce a finite objective")
+        raise np.linalg.LinAlgError("all descent starts failed to produce a finite objective")
     return best_l
 
 

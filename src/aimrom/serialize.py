@@ -270,6 +270,10 @@ def model_from_dict(doc):
     return _FROM_DICT[fmt](doc)
 
 
+# a stored model's key: the sha256 of its file's text
+_KEY = re.compile(r"[0-9a-f]{64}")
+
+
 class ModelStore:
     """Content-addressed model files plus a human-readable alias table.
 
@@ -308,7 +312,7 @@ class ModelStore:
         table = self.aliases()
         if name in table:
             return table[name]
-        if (self.root / f"{name}.json").exists():
+        if _KEY.fullmatch(name) and (self.root / f"{name}.json").exists():
             return name
         known = ", ".join(sorted(table)) or "(none)"
         raise KeyError(f"no stored model {name!r}; available aliases: {known}")

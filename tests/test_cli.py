@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from click.testing import CliRunner
 
 import aimrom
 from aimrom.cli import main
-from aimrom.serialize import read_table
+from aimrom.nn import init_autoencoder
+from aimrom.serialize import ModelStore, read_table
 
 
 def _write(path, doc):
@@ -120,6 +122,33 @@ def test_blowup_exits_3(tmp_path):
     proc = _run_proc(["simulate", "--config", cfg, "--out", tmp_path / "out"])
     assert proc.returncode == 3
     assert "numeric failure" in proc.stderr
+
+
+def test_disconnected_kernel_exits_3(tmp_path):
+    pts = [[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [50.0, 50.0]]
+    data = tmp_path / "far.csv"
+    data.write_text("a1,a2\n" + "".join(f"{a},{b}\n" for a, b in pts))
+    doc = {"kind": "dmap", "alias": "dm", "data": str(data), "store": str(tmp_path / "store"),
+           "n_eigs": 2, "kernel_epsilon": 1e-4}
+    cfg = _write(tmp_path / "dmap.yaml", doc)
+    proc = _run_proc(["train", "--config", cfg, "--out", tmp_path / "out"])
+    assert proc.returncode == 3
+    assert "numeric failure" in proc.stderr and "disconnected" in proc.stderr
+
+
+def test_decoder_inversion_failure_exits_3(tmp_path):
+    # a decoder whose output overflows the objective from every start
+    ae = init_autoencoder(3, 2, (4,), seed=0)
+    weights = (*ae.decoder.weights[:-1], np.full_like(ae.decoder.weights[-1], 1e300))
+    ae = dataclasses.replace(ae, decoder=dataclasses.replace(ae.decoder, weights=weights))
+    ModelStore(tmp_path / "store").save(ae, alias="ae")
+    doc = {"pipeline": dict(EVAL_PIPELINE, latent_route="autoencoder",
+                            closure="decoder-inversion", final_time=0.01),
+           "store": str(tmp_path / "store"), "artifacts": {"autoencoder": "ae"}}
+    cfg = _write(tmp_path / "eval.yaml", doc)
+    proc = _run_proc(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
+    assert proc.returncode == 3
+    assert "numeric failure" in proc.stderr and "descent starts failed" in proc.stderr
 
 
 def test_sample_snapshot_count(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from aimrom import dmaps
 from aimrom.dmaps import (
     DiffusionMap,
     GeometricHarmonics,
@@ -246,3 +249,149 @@ def test_double_dmaps_lift_requires_selection():
     dm = dmaps_fit(pts, n_eigs=3)
     with pytest.raises(ValueError, match="select_independent"):
         double_dmaps_lift(dm, pts)
+
+
+# ---------------------------------------------------------------- kernels
+
+
+def full_eigh_fit(points, n_eigs):
+    """The diffusion map from a full eigh of the symmetric conjugate."""
+    d2 = dmaps._sq_dists(points, points)
+    eps = float(np.median(d2[np.triu_indices(points.shape[0], 1)]))
+    a = np.exp(-d2 / (2.0 * eps))
+    p = a.sum(axis=1)
+    k = a / np.outer(p, p)
+    d = k.sum(axis=1)
+    vals, vecs = np.linalg.eigh(k / np.sqrt(np.outer(d, d)))
+    order = np.argsort(vals)[::-1][: n_eigs + 1]
+    return vals[order], dmaps._fix_signs(vecs[:, order] / np.sqrt(d)[:, None])
+
+
+def eigh_calls(monkeypatch):
+    """Record the matrix size of every np.linalg.eigh call."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+def test_subspace_eigenpairs_match_full_eigh(monkeypatch):
+    pts = np.random.default_rng(21).uniform(0, 1, (400, 2)) * np.array([1.7, 1.0])
+    sizes = eigh_calls(monkeypatch)
+    dm = dmaps_fit(pts, n_eigs=10)
+    assert max(sizes) == dmaps._BLOCK
+    lam, phi = full_eigh_fit(pts, 11)
+    assert np.max(np.abs(dm.eigenvalues - lam[:11])) < 1e-10
+    # an eigenvector whose residual ||S v - lambda v|| is r lies within about
+    # r / gap of the true one, gap being the distance to the nearest other
+    # eigenvalue; the iteration stops at r < 1e-13.  Both sides follow the
+    # same sign convention, so a flipped column would fail here too.
+    dist = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(dist, np.inf)
+    gap = dist.min(axis=1)[:11]
+    err = np.max(np.abs(dm.eigenvectors - phi[:, :11]), axis=0)
+    assert np.all(err * gap < 1e-12 * np.max(np.abs(phi[:, :11]), axis=0))
+    for col in dm.eigenvectors.T:
+        visible = np.abs(col) > 1e-12 * np.max(np.abs(col))
+        assert col[np.argmax(visible)] > 0
+
+
+def test_small_cloud_takes_full_eigh(monkeypatch):
+    _, pts = line_points(10 * dmaps._BLOCK - 1, seed=19)
+    sizes = eigh_calls(monkeypatch)
+    dm = dmaps_fit(pts, n_eigs=5)
+    assert sizes == [pts.shape[0]]
+    lam, phi = full_eigh_fit(pts, 5)
+    assert np.array_equal(dm.eigenvalues, lam)
+    assert np.array_equal(dm.eigenvectors, phi)
+
+
+def test_unconverged_iteration_falls_back_to_full_eigh(monkeypatch):
+    _, pts = line_points(300, seed=20)
+    monkeypatch.setattr(dmaps, "_MAX_ITERS", 1)
+    sizes = eigh_calls(monkeypatch)
+    dm = dmaps_fit(pts, n_eigs=6)
+    assert sizes == [dmaps._BLOCK, pts.shape[0]]
+    lam, phi = full_eigh_fit(pts, 6)
+    assert np.array_equal(dm.eigenvalues, lam)
+    assert np.array_equal(dm.eigenvectors, phi)
+
+
+def pair_sq_dists(basis):
+    return np.sum((basis[:, None, :] - basis[None, :, :]) ** 2, axis=2)
+
+
+def loo_weights(basis, bandwidth_factor):
+    n = basis.shape[0]
+    d2 = pair_sq_dists(basis)
+    scale = np.median(np.sqrt(d2[np.triu_indices(n, 1)])) / bandwidth_factor
+    w = np.exp(-d2 / scale**2)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def loo_residual_lstsq(basis, target, bandwidth_factor):
+    """Per-point least squares on the square-root-weighted design; returns
+    the residual and the largest condition number of those designs."""
+    n = basis.shape[0]
+    preds, conds = np.empty(n), np.empty(n)
+    for i, w in enumerate(loo_weights(basis, bandwidth_factor)):
+        sw = np.sqrt(w)
+        design = np.hstack([np.ones((n, 1)), basis - basis[i]]) * sw[:, None]
+        preds[i] = np.linalg.lstsq(design, sw * target, rcond=None)[0][0]
+        conds[i] = np.linalg.cond(design)
+    return np.sqrt(np.sum((target - preds) ** 2) / np.sum(target**2)), conds.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(30, 120),
+    p=st.integers(1, 4),
+    bandwidth_factor=st.floats(1.5, 4.0),
+    tilt=st.integers(0, 4),
+)
+def test_moment_form_matches_weighted_least_squares(seed, n, p, bandwidth_factor, tilt):
+    rng = np.random.default_rng(seed)
+    basis = rng.uniform(-1.0, 1.0, size=(n, p))
+    if p > 1:
+        # the last coordinate leans onto the first, which takes the normal
+        # matrices past the condition number where the re-solve starts
+        basis[:, -1] = basis[:, 0] + 10.0**-tilt * basis[:, -1]
+    target = np.sin(3.0 * basis @ rng.normal(size=p)) + 0.1 * rng.normal(size=n)
+    expected, design_cond = loo_residual_lstsq(basis, target, bandwidth_factor)
+    # least squares itself fixes a prediction to 1e-9 only where the weighted
+    # design is well conditioned; a point with fewer effective neighbours
+    # than coefficients has no answer to that accuracy
+    assume(design_cond < 1e6)
+    got = dmaps._loo_linear_residual(basis, target, pair_sq_dists(basis), bandwidth_factor)
+    assert abs(got - expected) < 1e-9
+
+
+def test_moment_form_solves_nearly_collinear_fits():
+    # the target is (b2 - b1) / 1e-6, linear in the basis, so every local
+    # linear fit recovers it; the direction lives at 1e-6 of the basis scale
+    t = np.linspace(-1.0, 1.0, 200)
+    g = np.cos(3.0 * t)
+    basis = np.column_stack([t, t + 1e-6 * g])
+    n = t.size
+    w = loo_weights(basis, 3.0)
+    old_preds, conds = np.empty(n), np.empty(n)
+    for i in range(n):
+        # the replaced solve: lstsq on each point's weighted normal matrix
+        xc = np.hstack([np.ones((n, 1)), basis - basis[i]])
+        normal = xc.T @ (w[i][:, None] * xc)
+        conds[i] = np.linalg.cond(normal)
+        old_preds[i] = np.linalg.lstsq(normal, xc.T @ (w[i] * g), rcond=None)[0][0]
+    old = np.sqrt(np.sum((g - old_preds) ** 2) / np.sum(g**2))
+    assert conds.max() > 1e13
+    expected, _ = loo_residual_lstsq(basis, g, 3.0)
+    assert expected < 1e-9
+    got = dmaps._loo_linear_residual(basis, g, pair_sq_dists(basis), 3.0)
+    assert abs(got - expected) < 1e-9
+    assert old > 1e-3

@@ -169,6 +169,14 @@ def test_store_missing_alias_lists_known(tmp_path):
         store.resolve("absent")
 
 
+def test_store_alias_table_is_not_a_model(tmp_path):
+    store = ModelStore(tmp_path)
+    key = store.save(init_mlp((1, 4, 1), seed=0), alias="cl")
+    assert store.resolve(key) == key
+    with pytest.raises(KeyError, match="no stored model 'aliases'; available aliases: cl"):
+        store.resolve("aliases")
+
+
 def test_table_roundtrip_is_exact(tmp_path):
     rows = np.array([[np.pi, 1.0 / 3.0], [1e-17, -2.5e108]])
     path = tmp_path / "t.csv"
