@@ -119,6 +119,8 @@ class Closure:
         out = np.asarray(self.map(np.asarray(p, dtype=float)), dtype=float)
         if out.shape[-1] != self.n_high:
             raise ValueError("closure map returned the wrong number of modes")
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("closure output is not finite")
         return out
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from .dmaps import dmaps_fit, double_dmaps_lift, select_independent
 from .integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from .metrics import ensemble_histogram
-from .models import chafee_field, ks_field, toy_field
+from .models import MODELS, analytic_field
 from .nn import (
     TrainConfig,
     TrainingDivergedError,
@@ -51,14 +51,7 @@ from .serialize import (
     write_manifest,
     write_table,
 )
-from .spectral import (
-    SINE_DIRICHLET,
-    SINE_PERIODIC_ODD,
-    BasisSpec,
-    SpectralState,
-    reconstruct,
-    uniform_grid,
-)
+from .spectral import SpectralState, reconstruct, uniform_grid
 from .svg import Series, save_line_plot
 
 EXIT_CONFIG = 2
@@ -166,19 +159,6 @@ def _get(cfg, key, default=None):
 
 
 # ------------------------------------------------------------ shared pieces
-
-_BASIS_KIND = {"chafee": SINE_DIRICHLET, "ks": SINE_PERIODIC_ODD}
-
-
-def _analytic_field(model, n_modes=None, nu=None, epsilon=None):
-    if model == "chafee":
-        return chafee_field(3 if n_modes is None else n_modes, 0.16 if nu is None else nu)
-    if model == "ks":
-        return ks_field(8 if n_modes is None else n_modes, 33.0 if nu is None else nu)
-    if model == "toy":
-        return toy_field(0.01 if epsilon is None else epsilon)
-    raise ConfigError(f"unknown model {model!r}; choose chafee, ks, or toy")
-
 
 def _train_config(block, seed_override):
     schema = {
@@ -291,7 +271,8 @@ def _dispatch(body, config_path, out_dir, seed):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         body(doc, out, seed)
-    except (BlowUpError, TrainingDivergedError, np.linalg.LinAlgError) as exc:
+    except (BlowUpError, TrainingDivergedError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so this branch must come first
         click.echo(f"numeric failure: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
@@ -332,8 +313,8 @@ def simulate(config_path, out_dir, seed):
     def body(doc, out, seed):
         cfg = _check(doc, _SIM_SCHEMA, "simulate config",
                      required=("model", "ic", "final_time", "dt"))
-        field = _analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
-                                cfg.get("epsilon"))
+        field = analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
+                               cfg.get("epsilon"))
         ic = np.asarray(cfg["ic"], dtype=float)
         if ic.shape != (field.dim,):
             raise ConfigError(
@@ -341,8 +322,8 @@ def simulate(config_path, out_dir, seed):
         traj = rk4(field, ic, float(cfg["final_time"]), float(cfg["dt"]))
         outputs = ["trajectory.csv"]
         trajectory_to_csv(traj, out / "trajectory.csv")
-        if cfg["model"] in _BASIS_KIND:
-            basis = BasisSpec(_BASIS_KIND[cfg["model"]], field.dim)
+        if cfg["model"] in MODELS:
+            basis = MODELS[cfg["model"]].basis(field.dim)
             grid = uniform_grid(basis, _get(cfg, "grid_points", 65))
             sines = np.sin(np.outer(grid.points, basis.wavenumbers()))
             fields = traj.states @ sines.T
@@ -389,8 +370,8 @@ def sample(config_path, out_dir, seed):
         cfg = _check(doc, _SAMPLE_SCHEMA, "sample config",
                      required=("model", "ic_box", "n_trajectories", "transient_time",
                                "sample_time", "snapshot_stride", "dt"))
-        field = _analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
-                                cfg.get("epsilon"))
+        field = analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
+                               cfg.get("epsilon"))
         plan = SamplerConfig(
             n_trajectories=cfg["n_trajectories"],
             ic_box=np.asarray(cfg["ic_box"], dtype=float),
@@ -483,16 +464,16 @@ def _fit_model(cfg, store, seed):
 
     if kind in ("black-box", "gray-box"):
         _require(cfg, ("model", "n_low"), kind)
-        full = _analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
-                               cfg.get("epsilon"))
+        full = analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
+                              cfg.get("epsilon"))
         if states.shape[1] != full.dim:
             raise ConfigError(
                 f"train config: data width {states.shape[1]} != model dim {full.dim}")
         dataset = build_derivative_dataset(states, full, cfg["n_low"])
         base = None
         if kind == "gray-box":
-            base = _analytic_field(cfg["model"], cfg["n_low"], cfg.get("nu"),
-                                   cfg.get("epsilon"))
+            base = analytic_field(cfg["model"], cfg["n_low"], cfg.get("nu"),
+                                  cfg.get("epsilon"))
         hidden = _hidden(cfg, (64,) * 4 if base is None else (95,) * 6)
         return *learn_field(dataset, hidden, tcfg, seed=tcfg.seed, base=base), extras
 
@@ -580,7 +561,7 @@ def train_cmd(config_path, out_dir, seed):
 def _final_fields(result, artifacts):
     """(x, truth, truncated, corrected) physical fields at the final time."""
     cfg = result.config
-    basis = BasisSpec(_BASIS_KIND[cfg.model], cfg.n_full)
+    basis = cfg.basis(cfg.n_full)
     grid = uniform_grid(basis, cfg.grid_points)
     u_truth = reconstruct(SpectralState(basis, result.truth.final_state), grid)
     if cfg.latent_route == "pod":

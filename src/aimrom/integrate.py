@@ -77,13 +77,6 @@ def _rk4_step(f, a, dt, k1):
     return a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rows_eval(f, n_rows):
-    # a lone row is evaluated as a plain state, which costs small fields less
-    if n_rows == 1:
-        return lambda a: f(a[0])[None]
-    return f
-
-
 def rk4(field_, a0, t_end, dt):
     """Classical RK4 from t = 0 to t_end with step dt; the last step is shortened
     if t_end is not an integer multiple of dt.  Returns the dense trajectory.
@@ -91,7 +84,8 @@ def rk4(field_, a0, t_end, dt):
     a0 is one state (dim,) or a batch (n_traj, dim) stepped together, each
     row with the same arithmetic as a run of its own.  A single run raises
     BlowUpError when its state stops being finite; in a batch the row is
-    dropped from the stepping and its time recorded in blowup_times.
+    dropped from the stepping and its time recorded in blowup_times.  The
+    field is called on (rows, dim) arrays, a single run being one row.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.ndim not in (1, 2) or a0.shape[-1] != field_.dim:
@@ -115,13 +109,15 @@ def rk4(field_, a0, t_end, dt):
     states[0] = a
     blowup = np.full(a.shape[0], np.nan)
 
-    f = _rows_eval(field_.eval, a.shape[0])
+    f = field_.eval
     live = None  # indices of the rows still stepping; None while all are
     # overflow inside a step is handled by the finite check, keep it quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_states):
             k1 = f(a)
-            if i == 1 and np.shape(k1) != a.shape:
+            # one row may get one state's derivative back, which broadcasts
+            # to it; a batch may not
+            if i == 1 and np.shape(k1) not in (a.shape, a.shape[1:] if len(a) == 1 else None):
                 raise ValueError(f"field {field_.name!r} changed the shape of the state")
             a = _rk4_step(f, a, dt if i <= n_full else remainder, k1)
             if not np.isfinite(a).all():
@@ -132,7 +128,6 @@ def rk4(field_, a0, t_end, dt):
                 live, a = rows[finite], a[finite]
                 if live.size == 0:
                     break
-                f = _rows_eval(field_.eval, live.size)
             if live is None:
                 states[i] = a
             else:

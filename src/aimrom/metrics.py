@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralState, basis_for_grid, grid_l2_norm, reconstruct
+from .spectral import SpectralState, grid_l2_norm, reconstruct
 
 __all__ = [
     "mape",
@@ -80,12 +80,13 @@ class ErrorDecomposition:
     delta_corrected: float
 
 
-def decompose_errors(full_state, reduced_state, closure, grid):
+def decompose_errors(full_state, reduced_state, closure, grid, basis_full):
     """Split the final-time error of a reduced run with a closure.
 
     full_state and reduced_state are coefficient vectors (truth and
-    reduced run at the same final time); the closure supplies the
-    appended tail.  Field norms use trapezoid quadrature on the grid.
+    reduced run at the same final time) in basis_full and its leading
+    modes; the closure supplies the appended tail.  Field norms use
+    trapezoid quadrature on the grid.
     """
     full = np.asarray(full_state, dtype=float)
     red = np.asarray(reduced_state, dtype=float)
@@ -94,7 +95,6 @@ def decompose_errors(full_state, reduced_state, closure, grid):
     if full.shape[0] != closure.n_low + closure.n_high:
         raise ValueError("full state width does not match the closure")
 
-    basis_full = basis_for_grid(grid, full.shape[0])
     tail = closure(red)
 
     delta_low = float(np.linalg.norm(full[: closure.n_low] - red))

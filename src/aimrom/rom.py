@@ -14,10 +14,10 @@ from .aim import Closure, euler_galerkin_closure, postprocess, zero_closure
 from .dmaps import gh_extend
 from .integrate import BlowUpError, rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
-from .models import VectorField, chafee_field, ks_field
+from .models import MODELS, VectorField, analytic_field
 from .nn import decode, decoder_invert, forward, init_mlp, train
 from .pod import pod_lift, pod_project
-from .spectral import BasisSpec, SpectralState, reconstruct, uniform_grid
+from .spectral import SpectralState, reconstruct, uniform_grid
 
 __all__ = [
     "ConfigurationError",
@@ -34,12 +34,9 @@ __all__ = [
     "validate_pipeline",
 ]
 
-MODELS = {"chafee": (2, 3, 0.16), "ks": (3, 8, 33.0)}
 ROUTES = ("fourier", "pod", "autoencoder", "dmaps")
 DYNAMICS = ("truncated", "black-box", "gray-box")
 CLOSURES = ("euler-galerkin", "mlp", "double-dmaps", "decoder-inversion", "none")
-
-_BASIS_KIND = {"chafee": "sine-dirichlet", "ks": "sine-periodic-odd"}
 
 
 class ConfigurationError(ValueError):
@@ -177,7 +174,8 @@ class PipelineConfig:
             raise ConfigurationError(f"unknown dynamics: {self.dynamics!r}")
         if self.closure not in CLOSURES:
             raise ConfigurationError(f"unknown closure: {self.closure!r}")
-        n_low, n_full, nu_default = MODELS[self.model]
+        spec = MODELS[self.model]
+        n_low, n_full = spec.n_low, spec.n_full
         ic = tuple(float(v) for v in np.atleast_1d(np.asarray(self.ic, dtype=float)))
         if len(ic) == n_low:
             ic = ic + (0.0,) * (n_full - n_low)
@@ -187,7 +185,7 @@ class PipelineConfig:
             )
         object.__setattr__(self, "ic", ic)
         if self.nu is None:
-            object.__setattr__(self, "nu", nu_default)
+            object.__setattr__(self, "nu", spec.nu)
         if self.final_time <= 0 or self.dt <= 0:
             raise ConfigurationError("final_time and dt must be positive")
         if self.grid_points < 2 * (2 * n_full) + 1:
@@ -195,11 +193,14 @@ class PipelineConfig:
 
     @property
     def n_low(self):
-        return MODELS[self.model][0]
+        return MODELS[self.model].n_low
 
     @property
     def n_full(self):
-        return MODELS[self.model][1]
+        return MODELS[self.model].n_full
+
+    def basis(self, n_modes):
+        return MODELS[self.model].basis(n_modes)
 
     def with_ic(self, ic, final_time=None):
         t = self.final_time if final_time is None else float(final_time)
@@ -259,21 +260,9 @@ def validate_pipeline(cfg, artifacts):
                     raise MissingArtifactError(f"pipeline needs artifact {name!r}")
 
 
-def _full_field(cfg):
-    if cfg.model == "chafee":
-        return chafee_field(3, cfg.nu)
-    return ks_field(8, cfg.nu)
-
-
-def _truncated_field(cfg):
-    if cfg.model == "chafee":
-        return chafee_field(2, cfg.nu)
-    return ks_field(3, cfg.nu)
-
-
 def _reduced_field(cfg, artifacts, dim):
     if cfg.dynamics == "truncated":
-        return _truncated_field(cfg)
+        return analytic_field(cfg.model, cfg.n_low, cfg.nu)
     net = artifacts["dynamics-net"]
     if not isinstance(net, LearnedField):
         raise ConfigurationError("artifact 'dynamics-net' must be a LearnedField")
@@ -355,10 +344,11 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
     truths = {} if truths is None else truths
     key = (cfg.model, cfg.nu, cfg.final_time, cfg.dt, ic_full.tobytes())
     if key not in truths:
-        truths[key] = rk4(_full_field(cfg), ic_full, cfg.final_time, cfg.dt)
+        truths[key] = rk4(analytic_field(cfg.model, cfg.n_full, cfg.nu), ic_full,
+                          cfg.final_time, cfg.dt)
     truth = truths[key]
 
-    basis_full = BasisSpec(_BASIS_KIND[cfg.model], cfg.n_full)
+    basis_full = cfg.basis(cfg.n_full)
     grid = uniform_grid(basis_full, cfg.grid_points)
     sines = np.sin(np.outer(grid.points, basis_full.wavenumbers()))
     pod = artifacts["pod"] if cfg.latent_route == "pod" else None
@@ -390,20 +380,21 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
         except BlowUpError as exc:
             yield exc
             continue
-        yield _score(run_cfg, truth_k, reduced_k, closure, grid, sines, pod)
+        yield _score(run_cfg, truth_k, reduced_k, closure, basis_full, grid, sines, pod)
 
 
-def _score(cfg, truth, reduced, closure, grid, sines, pod):
+def _score(cfg, truth, reduced, closure, basis_full, grid, sines, pod):
     """Close the reduced run at its final time and score it against the truth."""
     u_truth = truth.states @ sines.T
     if pod is None:
         n_low = reduced.dim
-        low_final = SpectralState(BasisSpec(_BASIS_KIND[cfg.model], n_low), reduced.final_state)
+        low_final = SpectralState(cfg.basis(n_low), reduced.final_state)
         corrected = postprocess(low_final, closure)
         coeffs = corrected.coeffs
         u_raw = reduced.states @ sines[:, :n_low].T
         u_corr_final = reconstruct(corrected, grid)
-        decomp = decompose_errors(truth.final_state, reduced.final_state, closure, grid)
+        decomp = decompose_errors(truth.final_state, reduced.final_state, closure, grid,
+                                  basis_full)
     else:
         # reduced dynamics in POD coefficient space, lifted back to the grid
         coeffs = np.concatenate([reduced.final_state, closure(reduced.final_state)])

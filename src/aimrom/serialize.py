@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .dmaps import DiffusionMap, GeometricHarmonics
-from .models import chafee_field, ks_field, toy_field
+from .models import field_from_name
 from .nn import Autoencoder, Mlp
 from .pod import PodModel
 from .rom import LearnedField
@@ -127,24 +127,6 @@ def _autoencoder_from_dict(doc):
     return Autoencoder(_mlp_from_dict(doc["encoder"]), _mlp_from_dict(doc["decoder"]))
 
 
-_FIELD_NAME = re.compile(
-    r"^(chafee|ks)-(\d+)\(nu=([^)]+)\)$|^toy\(eps=([^)]+)\)$"
-)
-
-
-def _field_from_name(name):
-    """Rebuild an analytic vector field from its canonical name string."""
-    m = _FIELD_NAME.match(name)
-    if m is None:
-        raise ValueError(f"cannot rebuild analytic field from name {name!r}")
-    if m.group(4) is not None:
-        return toy_field(float(m.group(4)))
-    family, n_modes, nu = m.group(1), int(m.group(2)), float(m.group(3))
-    if family == "chafee":
-        return chafee_field(n_modes, nu)
-    return ks_field(n_modes, nu)
-
-
 def _learned_field_to_dict(lf):
     return {
         "format": "learned-field-v1",
@@ -157,7 +139,7 @@ def _learned_field_to_dict(lf):
 
 def _learned_field_from_dict(doc):
     _expect_format(doc, "learned-field-v1")
-    base = None if doc["base"] is None else _field_from_name(doc["base"])
+    base = None if doc["base"] is None else field_from_name(doc["base"])
     return LearnedField(
         kind=doc["kind"], dim=int(doc["dim"]), net=_mlp_from_dict(doc["net"]), base=base
     )
@@ -318,8 +300,13 @@ class ModelStore:
         raise KeyError(f"no stored model {name!r}; available aliases: {known}")
 
     def load(self, name):
+        """Load a stored model; KeyError if its file no longer hashes to its key."""
         key = self.resolve(name)
-        return model_from_dict(json.loads((self.root / f"{key}.json").read_text())["model"])
+        text = (self.root / f"{key}.json").read_text()
+        if hashlib.sha256(text.removesuffix("\n").encode()).hexdigest() != key:
+            raise KeyError(f"stored model {key} does not match its hash; "
+                           "the file was truncated or edited")
+        return model_from_dict(json.loads(text)["model"])
 
 
 # ---------------------------------------------------------------- tables

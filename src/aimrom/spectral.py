@@ -168,16 +168,6 @@ def grid_l2_norm(values, grid):
     return math.sqrt(float(np.trapezoid(v * v, grid.points)))
 
 
-def basis_for_grid(grid, n_modes):
-    """Infer the basis kind from the grid domain (pi -> Dirichlet, 2 pi -> odd periodic)."""
-    hi = grid.domain[1]
-    if abs(hi - math.pi) < 1e-9:
-        return BasisSpec(SINE_DIRICHLET, n_modes)
-    if abs(hi - 2.0 * math.pi) < 1e-9:
-        return BasisSpec(SINE_PERIODIC_ODD, n_modes)
-    raise ValueError(f"cannot infer basis for domain ending at {hi}")
-
-
 def _check_same_domain(basis, grid):
     blo, bhi = basis.domain
     glo, ghi = grid.domain

@@ -20,7 +20,7 @@ from aimrom.dmaps import (
 )
 from aimrom.integrate import SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import mape
-from aimrom.models import VectorField, ks_field, ks_rhs_8, toy_field
+from aimrom.models import VectorField, ks_field, ks_rhs, toy_field
 from aimrom.nn import (
     Mlp,
     TrainConfig,
@@ -278,7 +278,7 @@ def test_04_ks_galerkin_against_quadrature_oracle():
     worst = 0.0
     for _ in range(20):
         a = rng.uniform(-0.5, 0.5, size=8)
-        direct = ks_rhs_8(a, NU_KS)
+        direct = ks_rhs(a, NU_KS)
         oracle = _ks_rhs_quadrature(a, NU_KS)
         worst = max(worst, float(np.max(np.abs(direct - oracle))))
 
@@ -288,7 +288,7 @@ def test_04_ks_galerkin_against_quadrature_oracle():
     for k in range(1, 9):
         e = np.zeros(8)
         e[k - 1] = 1.0
-        exact = exact and (ks_rhs_8(e, NU_KS)[k - 1] == NU_KS * k**2 - 4.0 * k**4)
+        exact = exact and (ks_rhs(e, NU_KS)[k - 1] == NU_KS * k**2 - 4.0 * k**4)
 
     msg = _line(
         "04",

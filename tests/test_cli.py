@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import aimrom
 from aimrom.cli import main
-from aimrom.nn import init_autoencoder
+from aimrom.nn import init_autoencoder, init_mlp
 from aimrom.serialize import ModelStore, read_table
 
 
@@ -360,3 +360,35 @@ def test_bool_keys_still_accept_booleans(tmp_path):
     res = _invoke(["ensemble", "--config", cfg, "--out", tmp_path / "out"])
     assert res.exit_code == 0, res.output
     assert not (tmp_path / "out" / "histogram.svg").exists()
+
+
+def test_overflowing_closure_exits_3(tmp_path):
+    # a closure net whose output overflows: a numerical failure, not a config error
+    net = init_mlp((2, 4, 1), seed=0)
+    net = dataclasses.replace(net, weights=(net.weights[0], np.full_like(net.weights[1], 1e300)),
+                              y_scale=np.full(1, 1e300))
+    ModelStore(tmp_path / "store").save(net, alias="cl")
+    doc = {"pipeline": dict(EVAL_PIPELINE, closure="mlp", final_time=0.01),
+           "store": str(tmp_path / "store"), "artifacts": {"closure-net": "cl"}}
+    cfg = _write(tmp_path / "eval.yaml", doc)
+    proc = _run_proc(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure" in proc.stderr and "not finite" in proc.stderr
+
+
+def test_edited_stored_model_exits_4(tmp_path):
+    store = ModelStore(tmp_path / "store")
+    key = store.save(init_mlp((2, 4, 1), seed=0), alias="cl")
+    doc = {"pipeline": dict(EVAL_PIPELINE, closure="mlp", final_time=0.01),
+           "store": str(tmp_path / "store"), "artifacts": {"closure-net": "cl"}}
+    cfg = _write(tmp_path / "eval.yaml", doc)
+    assert _invoke(["evaluate", "--config", cfg, "--out", tmp_path / "ok"]).exit_code == 0
+    # one digit of the first weight changes: still a valid model document
+    path = tmp_path / "store" / f"{key}.json"
+    text = path.read_text()
+    i = text.index('"weights":[[[') + len('"weights":[[[')
+    i += next(j for j, c in enumerate(text[i:]) if c in "123456789")
+    path.write_text(text[:i] + ("2" if text[i] == "1" else "1") + text[i + 1:])
+    proc = _run_proc(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
+    assert proc.returncode == 4, proc.stderr
+    assert key in proc.stderr and "does not match its hash" in proc.stderr

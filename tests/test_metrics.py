@@ -47,11 +47,12 @@ def test_mape_series_row_wise():
 def test_decomposition_matches_parseval():
     # truth (1.1, 0.2, 0.15) vs reduced (1.0, 0.25) under the analytic closure:
     # grid L2 norms must reproduce the exact (pi/2)-weighted coefficient norms
-    grid = uniform_grid(BasisSpec(SINE_DIRICHLET, 3), 65)
+    basis = BasisSpec(SINE_DIRICHLET, 3)
+    grid = uniform_grid(basis, 65)
     closure = euler_galerkin_closure(NU)
     full = np.array([1.1, 0.2, 0.15])
     red = np.array([1.0, 0.25])
-    d = decompose_errors(full, red, closure, grid)
+    d = decompose_errors(full, red, closure, grid, basis)
 
     alpha3 = chafee_aim_alpha3(1.0, 0.25, NU)
     w = math.pi / 2
@@ -66,20 +67,22 @@ def test_decomposition_matches_parseval():
 
 
 def test_zero_closure_decomposition_collapses():
-    grid = uniform_grid(BasisSpec(SINE_DIRICHLET, 3), 65)
+    basis = BasisSpec(SINE_DIRICHLET, 3)
+    grid = uniform_grid(basis, 65)
     closure = zero_closure(2, 1)
     full = np.array([1.0, 0.2, 0.1])
     red = np.array([1.0, 0.2])
-    d = decompose_errors(full, red, closure, grid)
+    d = decompose_errors(full, red, closure, grid, basis)
     assert d.delta_low == 0.0
     assert d.delta_closure_mass == 0.0
     assert d.delta_corrected == pytest.approx(d.delta_truncated, abs=1e-14)
 
 
 def test_decomposition_validates_widths():
-    grid = uniform_grid(BasisSpec(SINE_DIRICHLET, 3), 65)
+    basis = BasisSpec(SINE_DIRICHLET, 3)
+    grid = uniform_grid(basis, 65)
     closure = euler_galerkin_closure(NU)
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros(3), np.zeros(3), closure, grid)
+        decompose_errors(np.zeros(3), np.zeros(3), closure, grid, basis)
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros(4), np.zeros(2), closure, grid)
+        decompose_errors(np.zeros(4), np.zeros(2), closure, grid, basis)

@@ -51,7 +51,8 @@ def test_autoencoder_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "base", [chafee_field(2, 0.16), ks_field(3, 33.0), toy_field(0.01), None]
+    "base", [chafee_field(2, 0.16), chafee_field(5, 0.2), ks_field(3, 33.0), ks_field(11, 30.0),
+             toy_field(0.01), None]
 )
 def test_learned_field_rebuilds_base_by_name(base):
     dim = 2 if base is None else base.dim
@@ -141,6 +142,19 @@ def test_store_save_repairs_a_truncated_model_file(tmp_path):
     assert store.save(net, alias="cl") == key
     assert path.read_bytes() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"{key}.json", "aliases.json"])
+
+
+def test_store_load_rejects_a_file_that_does_not_hash_to_its_key(tmp_path):
+    store = ModelStore(tmp_path)
+    key = store.save(init_mlp((2, 8, 1), seed=1), alias="cl")
+    path = tmp_path / f"{key}.json"
+    good = path.read_text()
+    for bad in (good[: len(good) // 2], good.replace("[[", "[[1", 1), good + "\n"):
+        path.write_text(bad)
+        with pytest.raises(KeyError, match=key):
+            store.load("cl")
+    path.write_text(good)
+    assert store.load(key).layer_sizes == (2, 8, 1)
 
 
 def test_store_alias_update_failure_keeps_old_table(tmp_path, monkeypatch):

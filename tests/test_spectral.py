@@ -11,7 +11,6 @@ from aimrom.spectral import (
     BasisSpec,
     Grid,
     SpectralState,
-    basis_for_grid,
     grid_l2_norm,
     project,
     reconstruct,
@@ -120,10 +119,3 @@ def test_projection_rejects_domain_mismatch():
     g = uniform_grid(BasisSpec(SINE_PERIODIC_ODD, 3), 65)
     with pytest.raises(ValueError):
         reconstruct(SpectralState(b, np.zeros(3)), g)
-
-
-def test_basis_for_grid_inference():
-    g1 = uniform_grid(BasisSpec(SINE_DIRICHLET, 3), 65)
-    assert basis_for_grid(g1, 3).kind == SINE_DIRICHLET
-    g2 = uniform_grid(BasisSpec(SINE_PERIODIC_ODD, 8), 65)
-    assert basis_for_grid(g2, 8).kind == SINE_PERIODIC_ODD
