@@ -11,6 +11,7 @@ diverged training), 4 missing stored model.
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import click
@@ -30,7 +31,7 @@ from .nn import (
     train,
     train_autoencoder,
 )
-from .pod import pod_fit, pod_lift
+from .pod import pod_fit
 from .rom import (
     ConfigurationError,
     MissingArtifactError,
@@ -51,7 +52,7 @@ from .serialize import (
     write_manifest,
     write_table,
 )
-from .spectral import SpectralState, reconstruct, uniform_grid
+from .spectral import uniform_grid
 from .svg import Series, save_line_plot
 
 EXIT_CONFIG = 2
@@ -160,18 +161,18 @@ def _get(cfg, key, default=None):
 
 # ------------------------------------------------------------ shared pieces
 
+def _dataclass_schema(cls):
+    """(schema, required keys) of a config dataclass: a float field also takes
+    an int, a tuple field takes a YAML list; fields without a default are required."""
+    schema = {f.name: {float: _NUM, tuple: list}.get(f.type, f.type) for f in fields(cls)}
+    required = tuple(f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING)
+    return schema, required
+
+
 def _train_config(block, seed_override):
-    schema = {
-        "learning_rate": _NUM,
-        "beta1": _NUM,
-        "beta2": _NUM,
-        "eps_hat": _NUM,
-        "epochs": int,
-        "batch_size": int,
-        "seed": int,
-        "validation_fraction": _NUM,
-    }
-    block = _check(block, schema, "train block")
+    schema, required = _dataclass_schema(TrainConfig)
+    block = _check(block, schema, "train block", required=required)
     if seed_override is not None:
         block["seed"] = seed_override
     kwargs = {k: v for k, v in block.items() if v is not None}
@@ -216,26 +217,8 @@ def _load_artifacts(doc, out_dir, seed):
 
 
 def _pipeline_config(doc, section, seed_override):
-    schema = {
-        "model": str,
-        "latent_route": str,
-        "dynamics": str,
-        "closure": str,
-        "ic": list,
-        "final_time": _NUM,
-        "dt": _NUM,
-        "seed": int,
-        "nu": _NUM,
-        "grid_points": int,
-        "pod_rank_low": int,
-        "pod_rank_full": int,
-    }
-    cfg = _check(
-        doc,
-        schema,
-        section,
-        required=("model", "latent_route", "dynamics", "closure", "ic", "final_time", "dt"),
-    )
+    schema, required = _dataclass_schema(PipelineConfig)
+    cfg = _check(doc, schema, section, required=required)
     if seed_override is not None:
         cfg["seed"] = seed_override
     kwargs = {k: v for k, v in cfg.items() if v is not None}
@@ -472,6 +455,9 @@ def _fit_model(cfg, store, seed):
         dataset = build_derivative_dataset(states, full, cfg["n_low"])
         base = None
         if kind == "gray-box":
+            if cfg["model"] not in MODELS:
+                raise ConfigError("train config: gray-box needs a Galerkin base model, "
+                                  f"one of {', '.join(MODELS)}")
             base = analytic_field(cfg["model"], cfg["n_low"], cfg.get("nu"),
                                   cfg.get("epsilon"))
         hidden = _hidden(cfg, (64,) * 4 if base is None else (95,) * 6)
@@ -558,24 +544,6 @@ def train_cmd(config_path, out_dir, seed):
 
 # ------------------------------------------------------------ evaluate
 
-def _final_fields(result, artifacts):
-    """(x, truth, truncated, corrected) physical fields at the final time."""
-    cfg = result.config
-    basis = cfg.basis(cfg.n_full)
-    grid = uniform_grid(basis, cfg.grid_points)
-    u_truth = reconstruct(SpectralState(basis, result.truth.final_state), grid)
-    if cfg.latent_route == "pod":
-        pod = artifacts["pod"]
-        u_raw = pod_lift(pod, result.reduced.final_state, cfg.pod_rank_low)
-        u_corr = pod_lift(pod, result.corrected_coeffs, cfg.pod_rank_full)
-        return grid.points, u_truth, u_raw, u_corr
-    padded = np.zeros(cfg.n_full)
-    padded[: cfg.n_low] = result.reduced.final_state
-    u_raw = reconstruct(SpectralState(basis, padded), grid)
-    u_corr = reconstruct(SpectralState(basis, result.corrected_coeffs), grid)
-    return grid.points, u_truth, u_raw, u_corr
-
-
 def _metrics_document(result, hashes):
     doc = {
         "label": result.config.label(),
@@ -610,17 +578,16 @@ def _run_configured_pipeline(doc, out, seed):
     pipeline = _pipeline_config(doc["pipeline"], "pipeline block", seed)
     artifacts, hashes = _load_artifacts(doc, out, seed)
     result = run_pipeline(pipeline, artifacts)
-    return cfg, pipeline, result, artifacts, hashes
+    return cfg, pipeline, result, hashes
 
 
-def _write_overlay(out, result, artifacts):
-    x, u_truth, u_raw, u_corr = _final_fields(result, artifacts)
+def _write_overlay(out, result):
     t_final = result.config.final_time
     save_line_plot(
         out / "overlay.svg",
-        [Series(x, u_truth, "truth"),
-         Series(x, u_raw, "truncated"),
-         Series(x, u_corr, "corrected")],
+        [Series(result.x, result.u_truth, "truth"),
+         Series(result.x, result.u_raw, "truncated"),
+         Series(result.x, result.u_corrected, "corrected")],
         title=f"u(x, T={t_final:g})", x_label="x", y_label="u",
         provenance=result.config.label(),
     )
@@ -642,12 +609,12 @@ def postprocess(config_path, out_dir, seed):
     """Run a pipeline and write the post-processed state plus overlay plot."""
 
     def body(doc, out, seed):
-        cfg, pipeline, result, artifacts, hashes = _run_configured_pipeline(doc, out, seed)
+        cfg, pipeline, result, hashes = _run_configured_pipeline(doc, out, seed)
         header = [f"a{k}" for k in range(1, result.corrected_coeffs.shape[0] + 1)]
         write_table(out / "corrected.csv", header, result.corrected_coeffs)
         outputs = ["corrected.csv", "metrics.json"]
         if _get(cfg, "plots", True):
-            outputs.append(_write_overlay(out, result, artifacts))
+            outputs.append(_write_overlay(out, result))
         _emit_metrics(out, result, hashes)
         write_manifest(out, {
             "command": "postprocess", "config": _strip_lines(doc),
@@ -663,13 +630,13 @@ def evaluate(config_path, out_dir, seed):
     """Run a pipeline and write its metrics, error series, and plots."""
 
     def body(doc, out, seed):
-        cfg, pipeline, result, artifacts, hashes = _run_configured_pipeline(doc, out, seed)
+        cfg, pipeline, result, hashes = _run_configured_pipeline(doc, out, seed)
         write_table(out / "error_series.csv", ["t", "percent_error"],
                     np.column_stack([result.raw_metrics.times,
                                      result.raw_metrics.percent_error_series]))
         outputs = ["metrics.json", "error_series.csv"]
         if _get(cfg, "plots", True):
-            outputs.append(_write_overlay(out, result, artifacts))
+            outputs.append(_write_overlay(out, result))
             save_line_plot(
                 out / "error_series.svg",
                 [Series(result.raw_metrics.times,

@@ -160,11 +160,16 @@ def toy_rhs(z, epsilon):
 
 def analytic_field(model, n_modes=None, nu=None, epsilon=None):
     """The field a config names: MODELS[model] on its first n_modes sines
-    (n_modes and nu default to the model's), or toy (epsilon)."""
+    (n_modes and nu default to the model's), or toy (epsilon).  A parameter
+    the model does not take raises ValueError."""
     if model == "toy":
+        if n_modes is not None or nu is not None:
+            raise ValueError("model 'toy' takes epsilon, not n_modes or nu")
         return toy_field(0.01 if epsilon is None else epsilon)
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose {', '.join(MODELS)}, or toy")
+    if epsilon is not None:
+        raise ValueError(f"model {model!r} takes n_modes and nu, not epsilon")
     spec = MODELS[model]
     n_modes = spec.n_full if n_modes is None else n_modes
     nu = spec.nu if nu is None else nu

@@ -15,7 +15,7 @@ from .dmaps import gh_extend
 from .integrate import BlowUpError, rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import MODELS, VectorField, analytic_field
-from .nn import decode, decoder_invert, forward, init_mlp, train
+from .nn import Mlp, decode, decoder_invert, forward, init_mlp, train
 from .pod import pod_lift, pod_project
 from .spectral import SpectralState, reconstruct, uniform_grid
 
@@ -107,7 +107,7 @@ class LearnedField:
 
     kind: str
     dim: int
-    net: object
+    net: Mlp
     base: VectorField = None
 
     def __post_init__(self):
@@ -212,10 +212,17 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """A scored run; u_truth, u_raw and u_corrected are the final-time fields
+    at the grid points x."""
+
     config: PipelineConfig
     truth: object
     reduced: object
     corrected_coeffs: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    u_truth: np.ndarray = field(repr=False)
+    u_raw: np.ndarray = field(repr=False)
+    u_corrected: np.ndarray = field(repr=False)
     raw_metrics: MetricsBundle = None
     corrected_metrics: MetricsBundle = None
     decomposition: object = None
@@ -419,6 +426,11 @@ def _score(cfg, truth, reduced, closure, basis_full, grid, sines, pod):
         truth=truth,
         reduced=reduced,
         corrected_coeffs=coeffs,
+        x=grid.points,
+        # copies, so a kept result does not hold the whole field series
+        u_truth=u_truth_final.copy(),
+        u_raw=u_raw[-1].copy(),
+        u_corrected=u_corr_final,
         raw_metrics=raw_metrics,
         corrected_metrics=corr_metrics,
         decomposition=decomp,

@@ -1,6 +1,8 @@
 """Artifact persistence: canonical JSON model files, CSV tables, manifests.
 
-Model files are plain JSON with a "format" tag and the numeric payload.
+A model file is {"model": {"format": tag, <each dataclass field>: value},
+"meta": ...}, with the tag from _FORMATS; model_to_dict and model_from_dict
+derive both directions from the model's dataclass fields.
 Floats go through repr / %.17g everywhere, so a reload is bit-identical
 and a retrain under the same seed lands on the same content hash.  No
 file carries a timestamp; reproducibility is checked by byte comparison.
@@ -10,13 +12,14 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dmaps import DiffusionMap, GeometricHarmonics
-from .models import field_from_name
+from .models import VectorField, field_from_name
 from .nn import Autoencoder, Mlp
 from .pod import PodModel
 from .rom import LearnedField
@@ -39,12 +42,16 @@ __all__ = [
 
 
 def _jsonify(x):
+    """JSON-native form: arrays by tolist, numpy scalars by item, tuples
+    element-wise, a stored model type as its document, a field by its name."""
+    if type(x) in _FORMATS:
+        return model_to_dict(x)
+    if isinstance(x, VectorField):
+        return x.name
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
+    if isinstance(x, np.generic):
+        return x.item()
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
     if isinstance(x, dict):
@@ -79,177 +86,49 @@ def _write_atomic(path, text):
 
 # ---------------------------------------------------------------- models
 
-def _arr(x):
-    return np.asarray(x, dtype=float)
-
-
-def _expect_format(doc, fmt):
-    if doc.get("format") != fmt:
-        raise ValueError(f"expected a {fmt!r} document, got {doc.get('format')!r}")
-
-
-def _mlp_to_dict(m):
-    return {
-        "format": "mlp-v1",
-        "layer_sizes": list(m.layer_sizes),
-        "weights": [w.tolist() for w in m.weights],
-        "biases": [b.tolist() for b in m.biases],
-        "x_shift": m.x_shift.tolist(),
-        "x_scale": m.x_scale.tolist(),
-        "y_shift": m.y_shift.tolist(),
-        "y_scale": m.y_scale.tolist(),
-    }
-
-
-def _mlp_from_dict(doc):
-    _expect_format(doc, "mlp-v1")
-    return Mlp(
-        layer_sizes=tuple(int(n) for n in doc["layer_sizes"]),
-        weights=tuple(_arr(w) for w in doc["weights"]),
-        biases=tuple(_arr(b) for b in doc["biases"]),
-        x_shift=_arr(doc["x_shift"]),
-        x_scale=_arr(doc["x_scale"]),
-        y_shift=_arr(doc["y_shift"]),
-        y_scale=_arr(doc["y_scale"]),
-    )
-
-
-def _autoencoder_to_dict(ae):
-    return {
-        "format": "autoencoder-v1",
-        "encoder": _mlp_to_dict(ae.encoder),
-        "decoder": _mlp_to_dict(ae.decoder),
-    }
-
-
-def _autoencoder_from_dict(doc):
-    _expect_format(doc, "autoencoder-v1")
-    return Autoencoder(_mlp_from_dict(doc["encoder"]), _mlp_from_dict(doc["decoder"]))
-
-
-def _learned_field_to_dict(lf):
-    return {
-        "format": "learned-field-v1",
-        "kind": lf.kind,
-        "dim": lf.dim,
-        "net": _mlp_to_dict(lf.net),
-        "base": None if lf.base is None else lf.base.name,
-    }
-
-
-def _learned_field_from_dict(doc):
-    _expect_format(doc, "learned-field-v1")
-    base = None if doc["base"] is None else field_from_name(doc["base"])
-    return LearnedField(
-        kind=doc["kind"], dim=int(doc["dim"]), net=_mlp_from_dict(doc["net"]), base=base
-    )
-
-
-def _dmap_to_dict(dm):
-    return {
-        "format": "dmap-v1",
-        "epsilon": float(dm.epsilon),
-        "alpha_density": float(dm.alpha_density),
-        "train_points": dm.train_points.tolist(),
-        "eigenvalues": dm.eigenvalues.tolist(),
-        "eigenvectors": dm.eigenvectors.tolist(),
-        "point_density": dm.point_density.tolist(),
-        "kept_indices": list(dm.kept_indices),
-    }
-
-
-def _dmap_from_dict(doc):
-    _expect_format(doc, "dmap-v1")
-    return DiffusionMap(
-        epsilon=float(doc["epsilon"]),
-        alpha_density=float(doc["alpha_density"]),
-        train_points=_arr(doc["train_points"]),
-        eigenvalues=_arr(doc["eigenvalues"]),
-        eigenvectors=_arr(doc["eigenvectors"]),
-        point_density=_arr(doc["point_density"]),
-        kept_indices=tuple(int(i) for i in doc["kept_indices"]),
-    )
-
-
-def _gh_to_dict(gh):
-    return {
-        "format": "gh-v1",
-        "epsilon_star": float(gh.epsilon_star),
-        "delta": float(gh.delta),
-        "inputs": gh.inputs.tolist(),
-        "eigenvalues": gh.eigenvalues.tolist(),
-        "eigenvectors": gh.eigenvectors.tolist(),
-        "coefficients": gh.coefficients.tolist(),
-        "in_sample_mse": float(gh.in_sample_mse),
-    }
-
-
-def _gh_from_dict(doc):
-    _expect_format(doc, "gh-v1")
-    return GeometricHarmonics(
-        epsilon_star=float(doc["epsilon_star"]),
-        delta=float(doc["delta"]),
-        inputs=_arr(doc["inputs"]),
-        eigenvalues=_arr(doc["eigenvalues"]),
-        eigenvectors=_arr(doc["eigenvectors"]),
-        coefficients=_arr(doc["coefficients"]),
-        in_sample_mse=float(doc["in_sample_mse"]),
-    )
-
-
-def _pod_to_dict(p):
-    return {
-        "format": "pod-v1",
-        "mean": p.mean.tolist(),
-        "modes": p.modes.tolist(),
-        "singular_values": p.singular_values.tolist(),
-        "energy_fractions": p.energy_fractions.tolist(),
-        "centered": bool(p.centered),
-    }
-
-
-def _pod_from_dict(doc):
-    _expect_format(doc, "pod-v1")
-    return PodModel(
-        mean=_arr(doc["mean"]),
-        modes=_arr(doc["modes"]),
-        singular_values=_arr(doc["singular_values"]),
-        energy_fractions=_arr(doc["energy_fractions"]),
-        centered=bool(doc["centered"]),
-    )
-
-
-_TO_DICT = (
-    (LearnedField, _learned_field_to_dict),
-    (Autoencoder, _autoencoder_to_dict),
-    (Mlp, _mlp_to_dict),
-    (DiffusionMap, _dmap_to_dict),
-    (GeometricHarmonics, _gh_to_dict),
-    (PodModel, _pod_to_dict),
-)
-
-_FROM_DICT = {
-    "learned-field-v1": _learned_field_from_dict,
-    "autoencoder-v1": _autoencoder_from_dict,
-    "mlp-v1": _mlp_from_dict,
-    "dmap-v1": _dmap_from_dict,
-    "gh-v1": _gh_from_dict,
-    "pod-v1": _pod_from_dict,
+# the stored format tag of each model type
+_FORMATS = {
+    Mlp: "mlp-v1",
+    Autoencoder: "autoencoder-v1",
+    LearnedField: "learned-field-v1",
+    DiffusionMap: "dmap-v1",
+    GeometricHarmonics: "gh-v1",
+    PodModel: "pod-v1",
 }
+_CLASSES = {fmt: cls for cls, fmt in _FORMATS.items()}
 
 
 def model_to_dict(obj):
-    for cls, to_dict in _TO_DICT:
-        if isinstance(obj, cls):
-            return to_dict(obj)
-    raise TypeError(f"no serializer for {type(obj).__name__}")
+    """{"format": tag, <each dataclass field>: value} for a _FORMATS type."""
+    fmt = _FORMATS.get(type(obj))
+    if fmt is None:
+        raise TypeError(f"no serializer for {type(obj).__name__}")
+    return {"format": fmt, **{f.name: _jsonify(getattr(obj, f.name)) for f in fields(obj)}}
 
 
 def model_from_dict(doc):
-    fmt = doc.get("format")
-    if fmt not in _FROM_DICT:
-        raise ValueError(f"unknown model format {fmt!r}")
-    return _FROM_DICT[fmt](doc)
+    cls = _CLASSES.get(doc.get("format"))
+    if cls is None:
+        raise ValueError(f"unknown model format {doc.get('format')!r}")
+    return cls(**{f.name: _decode(f.type, doc[f.name]) for f in fields(cls)})
+
+
+def _decode(kind, value):
+    """A stored field value rebuilt as the type its annotation names."""
+    if value is None:
+        return None
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=float)
+    if kind is tuple:
+        return tuple(np.asarray(v, dtype=float) if isinstance(v, list) else v for v in value)
+    if kind is VectorField:
+        return field_from_name(value)
+    if isinstance(value, dict):
+        obj = model_from_dict(value)
+        if not isinstance(obj, kind):
+            raise ValueError(f"expected a {_FORMATS[kind]!r} document, got {value['format']!r}")
+        return obj
+    return value
 
 
 # a stored model's key: the sha256 of its file's text

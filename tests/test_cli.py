@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import aimrom
 from aimrom.cli import main
 from aimrom.nn import init_autoencoder, init_mlp
-from aimrom.serialize import ModelStore, read_table
+from aimrom.serialize import ModelStore, read_table, write_table
 
 
 def _write(path, doc):
@@ -87,6 +87,17 @@ def test_simulate_toy_writes_no_field(tmp_path):
     assert res.exit_code == 0, res.output
     assert (tmp_path / "out" / "trajectory.csv").exists()
     assert not (tmp_path / "out" / "field.csv").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"model": "toy", "n_modes": 5, "nu": 3.0, "ic": [1.5, 0.5]}, "'toy' takes epsilon"),
+    (dict(SIM_DOC, epsilon=3.0), "'chafee' takes n_modes and nu, not epsilon"),
+])
+def test_model_keys_the_model_does_not_take_exit_2(tmp_path, doc, message):
+    cfg = _write(tmp_path / "sim.yaml", {"final_time": 0.5, "dt": 0.001, **doc})
+    res = _invoke(["simulate", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2
+    assert message in res.output
 
 
 def test_unknown_model_exits_2(tmp_path):
@@ -195,6 +206,15 @@ def test_train_closure_reruns_reuse_hash(tmp_path):
     assert (tmp_path / "t1" / "loss.csv").exists()
     aliases = json.loads((tmp_path / "store" / "aliases.json").read_text())
     assert aliases["cl"] == _hash_from(res1.output)
+
+
+def test_gray_box_on_toy_names_the_missing_base(tmp_path):
+    data = tmp_path / "toy.csv"
+    write_table(data, ["a1", "a2"], [[1.0, 1.0], [1.2, 1.4], [0.9, 0.8]])
+    doc = {"kind": "gray-box", "alias": "gb", "data": str(data), "model": "toy", "n_low": 1}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path])
+    assert res.exit_code == 2
+    assert "gray-box needs a Galerkin base model, one of chafee, ks" in res.output
 
 
 def test_seed_override_changes_hash(tmp_path):

@@ -1,14 +1,25 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aimrom import __version__, serialize
-from aimrom.dmaps import dmaps_fit, gh_extend, gh_fit, nystrom_restrict
+from aimrom.dmaps import (
+    DiffusionMap,
+    GeometricHarmonics,
+    dmaps_fit,
+    gh_extend,
+    gh_fit,
+    nystrom_restrict,
+)
 from aimrom.integrate import rk4
-from aimrom.models import chafee_field, ks_field, toy_field
-from aimrom.nn import TrainHistory, init_autoencoder, init_mlp
-from aimrom.pod import pod_fit
+from aimrom.models import VectorField, analytic_field, chafee_field, ks_field, toy_field
+from aimrom.nn import Autoencoder, Mlp, TrainHistory, init_autoencoder, init_mlp
+from aimrom.pod import PodModel, pod_fit
 from aimrom.rom import LearnedField
 from aimrom.serialize import (
     ModelStore,
@@ -98,6 +109,143 @@ def test_pod_roundtrip():
     assert np.array_equal(back.modes, pod.modes)
     assert np.array_equal(back.energy_fractions, pod.energy_fractions)
     assert back.centered is True
+
+
+def _mlp(sizes, array):
+    """An Mlp of the given layer sizes whose arrays come from array(*shape)."""
+    return Mlp(
+        layer_sizes=tuple(sizes),
+        weights=tuple(array(o, i) for i, o in zip(sizes, sizes[1:])),
+        biases=tuple(array(o) for o in sizes[1:]),
+        x_shift=array(sizes[0]), x_scale=array(sizes[0]),
+        y_shift=array(sizes[-1]), y_scale=array(sizes[-1]),
+    )
+
+
+def _pinned_models():
+    """One tiny instance of each stored type, built from seeded draws; some
+    fields hold numpy scalars, as fitted models do."""
+    rng = np.random.default_rng(20240611)
+
+    def normal(*shape):
+        return rng.standard_normal(shape)
+
+    return {
+        "mlp-v1": _mlp((2, 3, 1), normal),
+        "autoencoder-v1": Autoencoder(_mlp((3, 2, 1), normal), _mlp((1, 2, 3), normal)),
+        "learned-field-v1": LearnedField(kind="gray-box", dim=2, net=_mlp((2, 3, 2), normal),
+                                         base=chafee_field(2, 0.16)),
+        "dmap-v1": DiffusionMap(
+            epsilon=np.float64(0.37), alpha_density=1.0, train_points=rng.random((4, 2)),
+            eigenvalues=np.array([1.0, 0.5, 0.25]), eigenvectors=rng.random((4, 3)),
+            point_density=rng.random(4), kept_indices=tuple(np.arange(1, 3))),
+        "gh-v1": GeometricHarmonics(
+            epsilon_star=0.81, delta=1e-6, inputs=rng.random((3, 1)),
+            eigenvalues=np.array([0.9, 0.3]), eigenvectors=rng.random((3, 2)),
+            coefficients=rng.random((2, 2))),
+        "pod-v1": PodModel(
+            mean=rng.random(3), modes=rng.random((3, 2)), singular_values=np.array([2.0, 1.0]),
+            energy_fractions=np.array([0.8, 1.0]), centered=np.False_),
+    }
+
+
+# sha256 keys of the _pinned_models files in the v1 formats: any change to a
+# stored byte moves them
+PINNED_KEYS = {
+    "mlp-v1": "45d2426b0795f7cc4bc600d94f7e9515450d988c11c2403c7048f64d3462e61c",
+    "autoencoder-v1": "db3b3d40ca62ab75bb1bb19bd815f925af7a9c59711cdfc2d29e09759569c3be",
+    "learned-field-v1": "be585d2ca88e8580d646325c53ae68d3dac95d1c5f225b35b7522d6a6ac161c1",
+    "dmap-v1": "8fc0a959675efc9a960bdcabb3ecb03ed58be3166faafba33f5a386935119e25",
+    "gh-v1": "1b786247c1bc1c761f1fa866a3ddc0151f6ac58bce62a59ca17eb986164ed228",
+    "pod-v1": "0476980d05480d65f35b1da0ab449d56f7343d71b66dd5cd0d0305bebebe5fa8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_KEYS))
+def test_store_keys_are_pinned(tmp_path, fmt):
+    obj = _pinned_models()[fmt]
+    key = ModelStore(tmp_path).save(obj, alias=fmt, meta={"seed": 0})
+    assert key == PINNED_KEYS[fmt]
+    assert json.loads((tmp_path / f"{key}.json").read_text())["model"]["format"] == fmt
+    assert canonical_json(model_to_dict(ModelStore(tmp_path).load(key))) == \
+        canonical_json(model_to_dict(obj))
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SIZE = st.integers(1, 4)
+
+
+@st.composite
+def _models(draw):
+    """A random instance of one stored type: random widths, shapes and values."""
+    fmt = draw(st.sampled_from(sorted(PINNED_KEYS)))
+
+    def array(*shape):
+        return draw(arrays(np.float64, shape, elements=_FLOATS))
+
+    hidden = draw(st.lists(_SIZE, max_size=2))
+    if fmt == "mlp-v1":
+        return _mlp([draw(_SIZE), *hidden, draw(_SIZE)], array)
+    if fmt == "autoencoder-v1":
+        d, k = draw(_SIZE), draw(_SIZE)
+        return Autoencoder(_mlp([d, *hidden, k], array), _mlp([k, *hidden[::-1], d], array))
+    if fmt == "learned-field-v1":
+        nu = draw(st.floats(0.01, 100.0))
+        base = draw(st.sampled_from([None, "chafee", "ks", "toy"]))
+        dim = 2 if base == "toy" else draw(_SIZE)
+        if base is not None:
+            base = toy_field(nu) if base == "toy" else analytic_field(base, dim, nu)
+        return LearnedField(kind="black-box" if base is None else "gray-box", dim=dim,
+                            net=_mlp([dim, *hidden, dim], array), base=base)
+    n, d, m = draw(_SIZE), draw(_SIZE), draw(_SIZE)
+    if fmt == "dmap-v1":
+        return DiffusionMap(
+            epsilon=draw(_FLOATS), alpha_density=draw(_FLOATS), train_points=array(n, d),
+            eigenvalues=array(m), eigenvectors=array(n, m),
+            point_density=array(n),
+            kept_indices=tuple(draw(st.lists(st.integers(1, 9), unique=True, max_size=4))))
+    if fmt == "gh-v1":
+        return GeometricHarmonics(
+            epsilon_star=draw(_FLOATS), delta=draw(_FLOATS), inputs=array(n, d),
+            eigenvalues=array(m), eigenvectors=array(n, m),
+            coefficients=array(m, draw(_SIZE)), in_sample_mse=draw(st.floats()))
+    return PodModel(mean=array(n), modes=array(n, m),
+                    singular_values=array(m), energy_fractions=array(m),
+                    centered=draw(st.booleans()))
+
+
+def _assert_bitwise_equal(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_bitwise_equal(x, y)
+    elif isinstance(a, VectorField):
+        assert a.name == b.name
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b or (a != a and b != b)  # NaN stays NaN
+
+
+@settings(max_examples=80, deadline=None)
+@given(_models())
+def test_model_documents_round_trip_bitwise(obj):
+    text = canonical_json(model_to_dict(obj))
+    back = model_from_dict(json.loads(text))
+    assert canonical_json(model_to_dict(back)) == text
+    _assert_bitwise_equal(obj, back)
+
+
+def test_nested_document_of_the_wrong_format_is_rejected():
+    models = _pinned_models()
+    doc = model_to_dict(models["autoencoder-v1"])
+    doc["encoder"] = model_to_dict(models["pod-v1"])
+    with pytest.raises(ValueError, match="expected a 'mlp-v1' document, got 'pod-v1'"):
+        model_from_dict(doc)
 
 
 def test_unknown_format_rejected():
