@@ -10,7 +10,13 @@ the leading ones are computed, by block subspace iteration.
 New points enter by Nystrom restriction; functions defined on the latent
 coordinates extend back to ambient space by geometric harmonics (the
 double-diffusion-maps lift) using a second, symmetric kernel on the
-latent training coordinates.
+latent training coordinates, whose pairs above the delta cut come from the
+same subspace iteration.
+
+Each n x n stage holds at most two n x n arrays at a time, about 2 n^2
+doubles for n points: the kernel arithmetic runs in place, a block of _ROWS
+rows at a time wherever it needs a temporary.  Where that arithmetic is
+elementwise, blocking leaves every bit unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +26,6 @@ import numpy as np
 __all__ = [
     "DiffusionMap",
     "GeometricHarmonics",
-    "median_epsilon",
     "dmaps_fit",
     "select_independent",
     "nystrom_restrict",
@@ -30,42 +35,67 @@ __all__ = [
 ]
 
 
-# Block width of the subspace iteration in dmaps_fit, its stopping residual
-# max ||S v - lambda v|| (S has spectral norm 1, its trivial eigenvalue), and
-# the step count after which it gives way to a full eigh
+# Block width of the subspace iteration (and the step by which gh_fit grows
+# it), its stopping residual max ||S v - lambda v|| relative to the largest
+# eigenvalue, and the step count after which it gives way to a full eigh.
+# Under a delta cut the residual must be ten times smaller: the extension
+# divides by eigenvalues down to delta sigma_0.  On a ks-dmaps lift, 1e-13
+# moved the corrected coefficients 37 times as far from the full eigh's as
+# a full eigh of the reordered kernel moves them; 1e-14, 3 times.
 _BLOCK = 20
 _EIG_TOL = 1e-13
+_CUT_EIG_TOL = 1e-14
 _MAX_ITERS = 100
+# Rows per block of the kernel arithmetic's temporaries
+_ROWS = 256
 # Condition number past which an equilibrated leave-one-out normal matrix is
 # not solved, and that point's fit is solved by least squares on its weighted
 # design: below it one refinement step makes the solve as accurate
 _COND_RESOLVE = 1e8
 
 
+def _row_blocks(n, m):
+    """(rows, scratch) for each block of at most _ROWS of n rows: the slice,
+    and a view of as many rows of one (_ROWS, m) buffer that every block
+    shares.  The buffer lives while the caller holds its last view."""
+    scratch = np.empty((min(n, _ROWS), m))
+    for start in range(0, n, _ROWS):
+        rows = slice(start, min(start + _ROWS, n))
+        yield rows, scratch[: rows.stop - start]
+
+
 def _sq_dists(a, b):
-    # ||a_i - b_j||^2 without forming the difference tensor
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d = aa + bb - 2.0 * (a @ b.T)
+    """||a_i - b_j||^2 as aa + bb - 2ab, built in place over the product."""
+    aa = np.sum(a * a, axis=1)
+    bb = np.sum(b * b, axis=1)
+    d = a @ b.T
+    for rows, tmp in _row_blocks(*d.shape):
+        block = d[rows]
+        block *= 2.0
+        np.subtract(np.add(aa[rows, None], bb, out=tmp), block, out=block)
     np.maximum(d, 0.0, out=d)
     return d
 
 
-def _upper(d2):
-    """Entries above the diagonal of a square matrix, row by row, as a copy."""
-    return d2[np.triu(np.ones(d2.shape, dtype=bool), 1)]
+def _upper_median(d2, g=None):
+    """Median of g (increasing; the identity by default) over the entries
+    above the diagonal of the square matrix d2, as np.median gives it: the
+    mean of g at the two middle order statistics, which one partition finds.
+    """
+    upper = np.concatenate([row[i + 1 :] for i, row in enumerate(d2[:-1])])
+    half = upper.size // 2
+    kth = [half] if upper.size % 2 else [half - 1, half]
+    upper.partition(kth)
+    lo, hi = upper[kth[0]], upper[half]
+    if g is not None:
+        lo, hi = g(lo), g(hi)
+    return (lo + hi) / 2
 
 
 def _gaussian(d2, epsilon):
     """exp(-d2 / (2 epsilon)), overwriting the squared distances d2."""
     np.divide(d2, -2.0 * epsilon, out=d2)
     return np.exp(d2, out=d2)
-
-
-def median_epsilon(points):
-    """Median squared pairwise distance, the default kernel scale."""
-    x = np.asarray(points, dtype=float)
-    return float(np.median(_upper(_sq_dists(x, x)), overwrite_input=True))
 
 
 @dataclass(frozen=True)
@@ -114,30 +144,53 @@ def _fix_signs(vecs):
     return out
 
 
-def _leading_eigh(sym, k):
-    """Leading k eigenpairs of a symmetric positive semi-definite matrix of
-    spectral norm 1, by descending eigenvalue.
+def _leading_eigh(sym, k=None, cut=None):
+    """Leading eigenpairs of a symmetric positive semi-definite matrix, by
+    descending eigenvalue: the k leading ones, or, given cut instead of k,
+    every one above cut times the largest eigenvalue sigma_0.
 
     Block subspace iteration from a seeded random block (Halko, Martinsson
     and Tropp, SIAM Review 2011): each step multiplies the block by sym,
     takes the Rayleigh-Ritz pairs on it and orthonormalizes by one QR.  It
-    stops once every wanted pair has max ||S v - lambda v|| < _EIG_TOL.  A
-    full eigh serves instead when the block is not much smaller than the
-    matrix, or when the iteration has not converged in _MAX_ITERS steps.
+    stops once every wanted pair has max ||S v - lambda v|| < _EIG_TOL *
+    sigma_0.  Under a cut the wanted pairs are those above it and the first
+    one below, which fixes where the cut falls, and the bound is
+    _CUT_EIG_TOL.  The i-th Ritz value is at most the i-th eigenvalue, so
+    while fewer than _BLOCK // 2 Ritz values lie below the cut the block is
+    too small to hold it with a margin, and it grows by _BLOCK fresh random
+    columns.  A full eigh serves instead when the block is not much smaller
+    than the matrix, or when the iteration has not converged in _MAX_ITERS
+    steps.
     """
     n = sym.shape[0]
-    if n >= 10 * _BLOCK and k < _BLOCK:
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, _BLOCK)))
+    block = _BLOCK
+    tol = _EIG_TOL if cut is None else _CUT_EIG_TOL
+    if n >= 10 * block and (cut is not None or k < block):
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((n, block)))
         for _ in range(_MAX_ITERS):
             z = sym @ q
             theta, u = np.linalg.eigh(q.T @ z)
             theta, u = theta[::-1], u[:, ::-1]
             v, z = q @ u, z @ u
-            if np.max(np.linalg.norm(z[:, :k] - v[:, :k] * theta[:k], axis=0)) < _EIG_TOL:
+            if cut is not None:
+                k = int(np.count_nonzero(theta > cut * theta[0]))
+                if block - k < _BLOCK // 2:
+                    block += _BLOCK
+                    if n < 10 * block:
+                        break
+                    q, _ = np.linalg.qr(np.hstack([z, rng.standard_normal((n, _BLOCK))]))
+                    continue
+            wanted = k + (cut is not None)
+            res = np.linalg.norm(z[:, :wanted] - v[:, :wanted] * theta[:wanted], axis=0)
+            if np.max(res) < tol * theta[0]:
                 return theta[:k], v[:, :k]
             q, _ = np.linalg.qr(z)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(eigvals)[::-1][:k]
+    order = np.argsort(eigvals)[::-1]
+    if cut is not None:
+        k = int(np.count_nonzero(eigvals[order] > cut * eigvals[order[0]]))
+    order = order[:k]
     return eigvals[order], eigvecs[:, order]
 
 
@@ -154,7 +207,7 @@ def dmaps_fit(points, epsilon=None, n_eigs=10):
         raise ValueError("n_eigs must be in [1, n_points - 2]")
     d2 = _sq_dists(x, x)
     if epsilon is None:
-        epsilon = float(np.median(_upper(d2), overwrite_input=True))
+        epsilon = float(_upper_median(d2))
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
@@ -165,9 +218,12 @@ def dmaps_fit(points, epsilon=None, n_eigs=10):
             "kernel is disconnected: some point sees no neighbors; increase epsilon"
         )
     # a becomes the symmetric conjugate D^(-1/2) K D^(-1/2) in place
-    a /= np.outer(p, p)
+    for rows, tmp in _row_blocks(*a.shape):
+        a[rows] /= np.outer(p[rows], p, out=tmp)
     d = a.sum(axis=1)
-    a /= np.sqrt(np.outer(d, d))
+    for rows, tmp in _row_blocks(*a.shape):
+        a[rows] /= np.sqrt(np.outer(d[rows], d, out=tmp), out=tmp)
+    del tmp
     lam, vecs = _leading_eigh(a, n_eigs + 1)
     phi = _fix_signs(vecs / np.sqrt(d)[:, None])
     return DiffusionMap(
@@ -208,21 +264,28 @@ def nystrom_restrict(dm, x_new):
     return coords[0] if single else coords
 
 
-def _loo_linear_residual(basis, target, d2, bandwidth_factor):
-    """Normalized leave-one-out error of local linear prediction.
+def _loo_weights(d2, bandwidth_factor):
+    """Leave-one-out regression weights exp(-d2 / scale^2), zero on the
+    diagonal, from the squared distances d2 between the basis rows.
 
-    Predicts target at each training point from a kernel-weighted linear
-    fit on basis (the earlier coordinates), excluding the point itself.
-    d2 holds the squared distances between the rows of basis.
+    The scale is the median pairwise distance shrunk by the factor, so the
+    regression stays local on the scale of the coordinate cloud.
     """
-    n, p = basis.shape
-    # bandwidth: median pairwise distance shrunk by the factor, so the
-    # regression stays local on the scale of the coordinate cloud
-    scale = np.median(np.sqrt(_upper(d2)), overwrite_input=True) / bandwidth_factor
+    scale = _upper_median(d2, np.sqrt) / bandwidth_factor
     w = np.divide(d2, -scale * scale)
     np.exp(w, out=w)
     np.fill_diagonal(w, 0.0)
+    return w
 
+
+def _loo_linear_residual(basis, target, w):
+    """Normalized leave-one-out error of local linear prediction.
+
+    Predicts target at each training point from a linear fit on basis (the
+    earlier coordinates) weighted by the rows of w, which are zero on the
+    diagonal, so the point itself is left out.  Overwrites w.
+    """
+    n, p = basis.shape
     # moment form: on the mean-shifted design x = [1, basis - mean] one
     # product with w gives every point's normal matrix sum_j w_ij x_j x_j^T
     # (its upper triangle) and right-hand side sum_j w_ij x_j target_j
@@ -233,6 +296,7 @@ def _loo_linear_residual(basis, target, d2, bandwidth_factor):
     normal[:, ia, ib] = normal[:, ib, ia] = moments[:, : ia.size]
     diag = np.einsum("nii->ni", normal)
     s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    del diag  # a view, which would keep the whole of normal past normal[good]
     normal *= s[:, :, None] * s[:, None, :]
     good = np.linalg.cond(normal) <= _COND_RESOLVE
     normal, sg = normal[good], s[good]
@@ -242,18 +306,23 @@ def _loo_linear_residual(basis, target, d2, bandwidth_factor):
 
     coef = np.zeros((n, p + 1))
     coef[good] = solve(moments[:, ia.size :])
+    bad = np.flatnonzero(~good)
+    sqrt_w_bad = np.sqrt(w[bad])
     # forming the normal matrix squares the design's condition number; one
     # step of iterative refinement, its residual w_ij (target_j - x_j coef_i)
-    # taken on the data, brings the fit to the accuracy of least squares
-    r = coef @ x.T
-    np.subtract(target, r, out=r)
-    r *= w
-    coef[good] += solve(r @ x)
+    # taken on the data and written over w, brings the fit to the accuracy
+    # of least squares.  Blocked, coef @ x.T may round apart from the whole
+    # product in the last place, as the BLAS picks its kernel by shape (not
+    # at 2 080 rows); r @ x stays whole
+    for rows, r in _row_blocks(n, n):
+        np.matmul(coef[rows], x.T, out=r)
+        w[rows] *= np.subtract(target, r, out=r)
+    del r
+    coef[good] += solve(w @ x)
     preds = np.einsum("ni,ni->n", x, coef)
     # past the cut, least squares on the square-root-weighted design centred
     # on the point itself, whose intercept is the prediction
-    bad = np.flatnonzero(~good)
-    for i, sw in zip(bad, np.sqrt(w[bad])):
+    for i, sw in zip(bad, sqrt_w_bad):
         design = np.hstack([np.ones((n, 1)), basis - basis[i]]) * sw[:, None]
         preds[i] = np.linalg.lstsq(design, sw * target, rcond=None)[0][0]
     return float(np.sqrt(np.sum((target - preds) ** 2) / np.sum(target**2)))
@@ -279,11 +348,17 @@ def select_independent(dm, regression_bandwidth_factor=3.0, residual_threshold=0
     kept = [1]
     # squared distances over phi_1 .. phi_(k-1), one coordinate added per fit
     d2 = np.zeros((dm.n_train, dm.n_train))
-    step = np.empty_like(d2)
     for k in range(2, dm.n_pairs):
-        np.subtract.outer(phi[:, k - 1], phi[:, k - 1], out=step)
-        d2 += np.square(step, out=step)
-        r = _loo_linear_residual(phi[:, 1:k], phi[:, k], d2, regression_bandwidth_factor)
+        c = phi[:, k - 1]
+        for rows, step in _row_blocks(*d2.shape):
+            np.subtract.outer(c[rows], c, out=step)
+            d2[rows] += np.square(step, out=step)
+        del step
+        # no name holds the weights, so the last fit's are freed before the
+        # next are built
+        r = _loo_linear_residual(
+            phi[:, 1:k], phi[:, k], _loo_weights(d2, regression_bandwidth_factor)
+        )
         residuals.append(r)
         if r > residual_threshold:
             kept.append(k)
@@ -325,29 +400,31 @@ class GeometricHarmonics:
 
 
 def gh_fit(inputs, f_values, epsilon_star=None, delta=1e-6):
-    """Project f onto the leading kernel eigenspace over the input cloud."""
+    """Project f onto the leading kernel eigenspace over the input cloud.
+
+    The kernel is exp(-||xi - xj||^2 / (2 epsilon_star)), epsilon_star
+    defaulting to the median squared distance; its eigenpairs with sigma_i >
+    delta * sigma_0 come from _leading_eigh, by subspace iteration whose
+    block grows until it holds the cut, or by a full eigh for clouds under
+    200 points or when that does not converge.
+    """
     x = np.asarray(inputs, dtype=float)
     f = np.asarray(f_values, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     if x.ndim != 2 or f.shape[0] != x.shape[0]:
         raise ValueError("inputs (n, d) and f_values (n, k) must align")
+    d2 = _sq_dists(x, x)
     if epsilon_star is None:
-        epsilon_star = median_epsilon(x)
+        epsilon_star = float(_upper_median(d2))
     if epsilon_star <= 0 or delta <= 0:
         raise ValueError("epsilon_star and delta must be positive")
 
-    a = _gaussian(_sq_dists(x, x), epsilon_star)
-    sigma, psi = np.linalg.eigh(a)
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    psi = psi[:, order]
-    keep = sigma > delta * sigma[0]
-    if not np.any(keep):
+    sigma, psi = _leading_eigh(_gaussian(d2, epsilon_star), cut=delta)
+    if sigma.size == 0:
         raise ValueError("no eigenpairs above the delta cut; decrease delta")
-    sigma = sigma[keep]
     # contiguous copy so a reloaded model reproduces extensions bit for bit
-    psi = np.ascontiguousarray(psi[:, keep])
+    psi = np.ascontiguousarray(psi)
     coeffs = psi.T @ f
     in_sample = psi @ coeffs
     mse = float(np.mean((in_sample - f) ** 2))
