@@ -1,110 +1,33 @@
-"""Approximate inertial manifolds: backward-Euler closure and post-processing.
+"""Approximate inertial manifolds: the backward-Euler slaving map and post-processing.
 
-For an evolution equation du/dt + A u + F(u) = 0 split into low modes p
-(first n_low) and high modes q, one backward Euler step of the high-mode
-equation from q = 0 gives the slaving map
+Every Galerkin model of models.MODELS is split as da/dt + A a + F(a) = 0,
+with A the dissipative diagonal the model declares (its `dissipation`) and
+F(a) = -rhs(a) - A a the rest.  Split the first n_low modes p from the high
+modes q; one backward Euler step of length tau of the high-mode equation
+from q = 0 gives the slaving map
 
     phi(p) = -tau * (I + tau * A_q)^(-1) * Q F(p),
 
 where A_q is the diagonal high-mode block of A and Q F(p) the high-mode
-components of the nonlinearity evaluated on the zero-padded low state.
-Post-processing integrates the truncated low system as usual and applies
-the slaving map once, at the final time, to append the high modes.
+components of F on the zero-padded low state.  A_q must be positive: a
+slaved mode has to be linearly damped.  Post-processing (Garcia-Archilla,
+Novo & Titi) integrates the truncated low system as usual and applies the
+slaving map once, at the final time, to append the high modes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import chafee_rhs_3
+from .models import MODELS, analytic_field
 from .spectral import SpectralState
 
 __all__ = [
-    "EulerGalerkinConfig",
     "Closure",
-    "euler_galerkin_phi",
-    "chafee_aim_alpha3",
-    "chafee_nonlinearity",
-    "chafee_euler_galerkin_config",
     "euler_galerkin_closure",
     "zero_closure",
     "postprocess",
 ]
-
-
-@dataclass(frozen=True)
-class EulerGalerkinConfig:
-    """Data for the backward-Euler slaving map.
-
-    lam: all m_total eigenvalues of the (positive) dissipative operator A.
-    nonlinearity: maps a full m_total coefficient vector to the coefficients
-    of F(u), with the sign convention du/dt + A u + F(u) = 0.
-    """
-
-    lam: np.ndarray = field(repr=False)
-    n_low: int = 2
-    m_total: int = 3
-    tau: float = 1.0
-    nonlinearity: callable = None
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim != 1 or lam.shape[0] != self.m_total:
-            raise ValueError("lam must hold m_total eigenvalues")
-        if np.any(lam <= 0):
-            raise ValueError("dissipative operator eigenvalues must be positive")
-        if not (1 <= self.n_low < self.m_total):
-            raise ValueError("need 1 <= n_low < m_total")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.nonlinearity is None:
-            raise ValueError("nonlinearity is required")
-        object.__setattr__(self, "lam", lam)
-
-
-def euler_galerkin_phi(p, cfg):
-    """Backward-Euler slaving map: high-mode coefficients slaved to p.
-
-    Accepts a single low state (n_low,) or a batch (..., n_low).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] != cfg.n_low:
-        raise ValueError(f"low state must have {cfg.n_low} components")
-    padded = np.zeros(p.shape[:-1] + (cfg.m_total,))
-    padded[..., : cfg.n_low] = p
-    f_high = np.asarray(cfg.nonlinearity(padded), dtype=float)[..., cfg.n_low :]
-    lam_high = cfg.lam[cfg.n_low :]
-    return -cfg.tau * f_high / (1.0 + cfg.tau * lam_high)
-
-
-def chafee_aim_alpha3(a1, a2, nu):
-    """Closed-form slaved third mode for the cubic reaction-diffusion model.
-
-    alpha3 = (a1^3 - 3 a1 a2^2) / (4 (1 + 9 nu)); identical to the
-    backward-Euler map with tau = 1 and three retained modes.
-    """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    return (a1**3 - 3.0 * a1 * a2**2) / (4.0 * (1.0 + 9.0 * nu))
-
-
-def chafee_nonlinearity(a, nu):
-    """F coefficients for the 3-mode cubic model: F(a) = -rhs(a) - diag(nu k^2) a."""
-    a = np.asarray(a, dtype=float)
-    lam = nu * np.arange(1, 4) ** 2
-    return -chafee_rhs_3(a, nu) - lam * a
-
-
-def chafee_euler_galerkin_config(nu, tau=1.0):
-    """Two low modes, one slaved mode, A = -nu * d2/dx2 on the sine basis."""
-    lam = nu * np.arange(1, 4) ** 2
-    return EulerGalerkinConfig(
-        lam=lam,
-        n_low=2,
-        m_total=3,
-        tau=tau,
-        nonlinearity=lambda a: chafee_nonlinearity(a, nu),
-    )
 
 
 @dataclass(frozen=True)
@@ -124,13 +47,35 @@ class Closure:
         return out
 
 
-def euler_galerkin_closure(nu, tau=1.0):
-    cfg = chafee_euler_galerkin_config(nu, tau)
-    return Closure(
-        n_low=cfg.n_low,
-        n_high=cfg.m_total - cfg.n_low,
-        map=lambda p: euler_galerkin_phi(p, cfg),
-    )
+def euler_galerkin_closure(model, n_low, n_full, nu, tau=1.0):
+    """The slaving map of MODELS[model] from its first n_low of n_full modes.
+
+    Raises ValueError for an n_low outside 1..n_full-1, a tau <= 0, or a
+    slaved mode whose A is not positive.
+    """
+    if model not in MODELS:
+        raise ValueError(f"the slaving map needs a Galerkin model: one of {', '.join(MODELS)}")
+    if not 1 <= n_low < n_full:
+        raise ValueError(f"need 1 <= n_low < n_full, got n_low {n_low} and n_full {n_full}")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    field = analytic_field(model, n_full, nu)
+    lam = MODELS[model].dissipation(np.arange(1, n_full + 1), nu)
+    lam_high = lam[n_low:]
+    for k, a in zip(range(n_low + 1, n_full + 1), lam_high):
+        if a <= 0:
+            raise ValueError(f"{model}: slaved mode k = {k} has A = {a:g}, not positive; "
+                             "the slaving map needs every slaved mode linearly damped")
+
+    def phi(p):
+        if p.shape[-1] != n_low:
+            raise ValueError(f"low state must have {n_low} components")
+        padded = np.zeros(p.shape[:-1] + (n_full,))
+        padded[..., :n_low] = p
+        f_high = (-field.eval(padded) - lam * padded)[..., n_low:]
+        return -tau * f_high / (1.0 + tau * lam_high)
+
+    return Closure(n_low=n_low, n_high=n_full - n_low, map=phi)
 
 
 def zero_closure(n_low, n_high):

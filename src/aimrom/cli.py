@@ -62,10 +62,6 @@ EXIT_MISSING = 4
 _NUM = (int, float)
 
 
-class ConfigError(Exception):
-    """Schema or value problem in a run config."""
-
-
 # ------------------------------------------------------------ yaml loading
 
 class _LineLoader(yaml.SafeLoader):
@@ -88,13 +84,13 @@ def _load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ConfigurationError(f"cannot read config {path}: {exc}")
     try:
         doc = yaml.load(text, Loader=_LineLoader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}")
+        raise ConfigurationError(f"{path}: invalid YAML: {exc}")
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        raise ConfigurationError(f"{path}: top level must be a mapping")
     return doc
 
 
@@ -119,20 +115,20 @@ def _check(doc, schema, section, required=()):
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
-        raise ConfigError(f"{section}: expected a mapping")
+        raise ConfigurationError(f"{section}: expected a mapping")
     line = doc.get("__line__")
     unknown = sorted(k for k in doc if k != "__line__" and k not in schema)
     if unknown:
-        raise ConfigError(f"{_where(section, line)}: unknown keys {unknown}")
+        raise ConfigurationError(f"{_where(section, line)}: unknown keys {unknown}")
     missing = sorted(k for k in required if doc.get(k) is None)
     if missing:
-        raise ConfigError(f"{_where(section, line)}: missing required keys {missing}")
+        raise ConfigurationError(f"{_where(section, line)}: missing required keys {missing}")
     out = {}
     for key, value in doc.items():
         if key == "__line__":
             continue
         if value is not None and not _is_type(value, schema[key]):
-            raise ConfigError(
+            raise ConfigurationError(
                 f"{_where(section, line)}: key {key!r} expects "
                 f"{_type_name(schema[key])}, got {type(value).__name__}"
             )
@@ -179,7 +175,7 @@ def _train_config(block, seed_override):
     try:
         return TrainConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"train block: {exc}")
+        raise ConfigurationError(f"train block: {exc}")
 
 
 def _read_snapshots(path):
@@ -187,10 +183,10 @@ def _read_snapshots(path):
     try:
         header, data, _ = read_table(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}")
+        raise ConfigurationError(f"cannot read data file {path}: {exc}")
     skip = sum(1 for name in header if name in ("traj_id", "t"))
     if data.shape[0] == 0 or data.shape[1] - skip < 1:
-        raise ConfigError(f"{path}: no snapshot columns found")
+        raise ConfigurationError(f"{path}: no snapshot columns found")
     return data[:, skip:]
 
 
@@ -262,7 +258,8 @@ def _dispatch(body, config_path, out_dir, seed):
     except MissingArtifactError as exc:
         click.echo(f"missing artifact: {exc}", err=True)
         sys.exit(EXIT_MISSING)
-    except (ConfigError, ConfigurationError, ValueError) as exc:
+    except ValueError as exc:
+        # every config check raises ConfigurationError, a ValueError
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     _echo_kv("wall time", f"{time.perf_counter() - t_start:.2f} s")
@@ -300,7 +297,7 @@ def simulate(config_path, out_dir, seed):
                                cfg.get("epsilon"))
         ic = np.asarray(cfg["ic"], dtype=float)
         if ic.shape != (field.dim,):
-            raise ConfigError(
+            raise ConfigurationError(
                 f"simulate config: ic needs {field.dim} entries for {field.name}")
         traj = rk4(field, ic, float(cfg["final_time"]), float(cfg["dt"]))
         outputs = ["trajectory.csv"]
@@ -364,7 +361,7 @@ def sample(config_path, out_dir, seed):
             sample_time=float(cfg["sample_time"]),
         )
         if plan.ic_box.shape != (field.dim, 2):
-            raise ConfigError(
+            raise ConfigurationError(
                 f"sample config: ic_box must be {field.dim} rows of [low, high]")
         snaps = sample_attractor(field, plan, dt=float(cfg["dt"]))
         header = ["traj_id", "t"] + [f"a{k}" for k in range(1, field.dim + 1)]
@@ -414,13 +411,13 @@ _TRAIN_KINDS = ("closure", "black-box", "gray-box", "latent-map", "autoencoder",
 def _require(cfg, keys, kind):
     missing = sorted(k for k in keys if cfg.get(k) is None)
     if missing:
-        raise ConfigError(f"train config: kind {kind!r} needs keys {missing}")
+        raise ConfigurationError(f"train config: kind {kind!r} needs keys {missing}")
 
 
 def _hidden(cfg, default):
     h = _get(cfg, "hidden", list(default))
     if not all(isinstance(n, int) and n > 0 for n in h):
-        raise ConfigError("train config: hidden must be positive integers")
+        raise ConfigurationError("train config: hidden must be positive integers")
     return tuple(h)
 
 
@@ -439,7 +436,7 @@ def _fit_model(cfg, store, seed):
         _require(cfg, ("n_low",), kind)
         n_low = cfg["n_low"]
         if not 1 <= n_low < states.shape[1]:
-            raise ConfigError("train config: n_low must leave at least one tail mode")
+            raise ConfigurationError("train config: n_low must leave at least one tail mode")
         x, y = make_closure_dataset(states, n_low)
         net = init_mlp((n_low, *_hidden(cfg, (24, 24)), states.shape[1] - n_low),
                        seed=tcfg.seed)
@@ -450,13 +447,13 @@ def _fit_model(cfg, store, seed):
         full = analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
                               cfg.get("epsilon"))
         if states.shape[1] != full.dim:
-            raise ConfigError(
+            raise ConfigurationError(
                 f"train config: data width {states.shape[1]} != model dim {full.dim}")
         dataset = build_derivative_dataset(states, full, cfg["n_low"])
         base = None
         if kind == "gray-box":
             if cfg["model"] not in MODELS:
-                raise ConfigError("train config: gray-box needs a Galerkin base model, "
+                raise ConfigurationError("train config: gray-box needs a Galerkin base model, "
                                   f"one of {', '.join(MODELS)}")
             base = analytic_field(cfg["model"], cfg["n_low"], cfg.get("nu"),
                                   cfg.get("epsilon"))
@@ -495,7 +492,7 @@ def _fit_model(cfg, store, seed):
         except KeyError as exc:
             raise MissingArtifactError(exc.args[0])
         if not dm.kept_indices:
-            raise ConfigError("train config: stored dmap has no kept coordinates")
+            raise ConfigurationError("train config: stored dmap has no kept coordinates")
         if kind == "lift":
             gh = double_dmaps_lift(dm, dm.train_points,
                                    epsilon_star=cfg.get("epsilon_star"),
@@ -508,7 +505,7 @@ def _fit_model(cfg, store, seed):
                        seed=tcfg.seed)
         return *train(net, lead, latents, tcfg), extras
 
-    raise ConfigError(f"train config: unknown kind {kind!r}; one of {_TRAIN_KINDS}")
+    raise ConfigurationError(f"train config: unknown kind {kind!r}; one of {_TRAIN_KINDS}")
 
 
 @main.command(name="train")
@@ -678,7 +675,7 @@ def ensemble(config_path, out_dir, seed):
         cfg = _check(doc, _ENSEMBLE_SCHEMA, "ensemble config",
                      required=("pipelines", "ic_box", "n_ic"))
         if not cfg["pipelines"]:
-            raise ConfigError("ensemble config: pipelines list is empty")
+            raise ConfigurationError("ensemble config: pipelines list is empty")
         configs = [
             _pipeline_config(p, f"pipelines[{i}]", seed)
             for i, p in enumerate(cfg["pipelines"])

@@ -1,8 +1,9 @@
 """Galerkin vector fields: reaction-diffusion (cubic), flame-front (quadratic), toy two-scale.
 
 Each Galerkin model is declared once, in MODELS: its sine basis, default
-parameter nu, default mode counts, linear diagonal and polynomial
-nonlinearity.  One evaluator serves every model at any mode count:
+parameter nu, default mode counts, linear diagonal, polynomial
+nonlinearity and the dissipative diagonal the slaving map inverts.  One
+evaluator serves every model at any mode count:
 
     da/dt = lam * a + weight * T(a, ..., a),
 
@@ -41,7 +42,8 @@ class GalerkinModel:
     """A PDE projected onto sin(kx), k = 1..n: da_k/dt = linear(k, nu) a_k +
     weight(k, nu) T_k(a), T_k the degree-`degree` form of _sign_counts with
     test function `test`: "sin" for a power of u, "cos" for the x-derivative
-    of one, moved onto sin(kx) by parts.
+    of one, moved onto sin(kx) by parts.  dissipation(k, nu) is the diagonal
+    A of the split da/dt + A a + F(a) = 0 that aim's slaving map inverts.
     """
 
     basis_kind: str
@@ -52,6 +54,7 @@ class GalerkinModel:
     weight: callable
     degree: int
     test: str
+    dissipation: callable
 
     def basis(self, n_modes):
         return BasisSpec(self.basis_kind, n_modes)
@@ -65,6 +68,9 @@ MODELS = {
         linear=lambda k, nu: 1.0 - nu * k**2,
         weight=lambda k, nu: -0.125,
         degree=3, test="sin",
+        # A = -nu d2/dx2 only: the growth term u joins F, which fixes the
+        # closed form alpha3 = (a1^3 - 3 a1 a2^2) / (4 (1 + 9 nu))
+        dissipation=lambda k, nu: nu * k**2,
     ),
     # u_t = -nu (u u_x + u_xx) - 4 u_xxxx, odd-periodic on [0, 2 pi]:
     # -nu u u_x = -(nu/2) (u^2)_x projects to -(nu k/8) times the count
@@ -73,6 +79,10 @@ MODELS = {
         linear=lambda k, nu: nu * k**2 - 4.0 * k**4,
         weight=lambda k, nu: -nu * k / 8.0,
         degree=2, test="cos",
+        # A = -linear, the whole linear operator (Foias, Jolly, Kevrekidis,
+        # Sell & Titi 1988), so A > 0 on the slaved block says each slaved
+        # mode is linearly damped; at nu = 33 that holds from k = 3
+        dissipation=lambda k, nu: 4.0 * k**4 - nu * k**2,
     ),
 }
 

@@ -239,11 +239,8 @@ _ARTIFACT_NEEDS = {
 
 def validate_pipeline(cfg, artifacts):
     """Reject incompatible configurations before any computation runs."""
-    if cfg.closure == "euler-galerkin":
-        if cfg.model != "chafee" or cfg.latent_route != "fourier":
-            raise ConfigurationError(
-                "euler-galerkin closure requires the chafee model on the fourier route"
-            )
+    if cfg.closure == "euler-galerkin" and cfg.latent_route != "fourier":
+        raise ConfigurationError("euler-galerkin closure requires the fourier route")
     if cfg.closure == "double-dmaps" and cfg.latent_route != "dmaps":
         raise ConfigurationError("double-dmaps closure requires the dmaps route")
     if cfg.closure == "decoder-inversion" and cfg.latent_route != "autoencoder":
@@ -288,7 +285,7 @@ def _build_closure(cfg, artifacts, n_low, n_high):
     if cfg.closure == "none":
         return zero_closure(n_low, n_high)
     if cfg.closure == "euler-galerkin":
-        return euler_galerkin_closure(cfg.nu)
+        return euler_galerkin_closure(cfg.model, n_low, n_low + n_high, cfg.nu)
     if cfg.closure == "mlp":
         net = artifacts["closure-net"]
         if net.d_in != n_low or net.d_out != n_high:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from aimrom.aim import chafee_aim_alpha3, chafee_euler_galerkin_config, euler_galerkin_phi
+from aimrom.aim import euler_galerkin_closure
 from aimrom.dmaps import (
     dmaps_fit,
     double_dmaps_lift,
@@ -45,6 +45,7 @@ from aimrom.rom import (
     run_pipeline,
 )
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, SpectralState, reconstruct, uniform_grid
+from oracles import alpha3, ks_rhs_quadrature
 
 NU_CHAFEE = 0.16
 NU_KS = 33.0
@@ -173,7 +174,7 @@ def test_01_postprocessed_field_accuracy():
     a1_gap = 100.0 * abs(low[0] - truth[0]) / abs(truth[0])
 
     tails = {
-        "closed-form": (res_cf, lambda p: chafee_aim_alpha3(p[0], p[1], NU_CHAFEE)),
+        "closed-form": (res_cf, lambda p: alpha3(p[0], p[1], NU_CHAFEE)),
         "mlp": (res_mlp, lambda p: forward(net, p)),
         "none": (res_none, lambda p: 0.0),
     }
@@ -217,11 +218,11 @@ def test_02_slaving_map_matches_closed_form():
     pts = np.stack([p1.ravel(), p2.ravel()], axis=1)
     assert pts.shape[0] == 400
 
-    cfg = chafee_euler_galerkin_config(NU_CHAFEE)
-    phi = euler_galerkin_phi(pts, cfg)[:, 0]
-    closed = chafee_aim_alpha3(pts[:, 0], pts[:, 1], NU_CHAFEE)
+    closure = euler_galerkin_closure("chafee", 2, 3, NU_CHAFEE)
+    phi = closure(pts)[:, 0]
+    closed = alpha3(pts[:, 0], pts[:, 1], NU_CHAFEE)
     diff = float(np.max(np.abs(phi - closed)))
-    again = euler_galerkin_phi(pts, cfg)[:, 0]
+    again = closure(pts)[:, 0]
     deterministic = np.array_equal(phi, again)
     elapsed = time.perf_counter() - t0
 
@@ -258,28 +259,13 @@ def test_03_pod_energy_capture():
     assert elapsed < 10.0, msg
 
 
-def _ks_rhs_quadrature(a, nu, n_nodes=8193):
-    # independent route: evaluate the PDE right side pointwise and project
-    # by composite trapezoid quadrature; norm of sin(kx) on [0, 2 pi] is pi
-    x = np.linspace(0.0, 2.0 * np.pi, n_nodes)
-    k = np.arange(1, a.shape[0] + 1)
-    sines = np.sin(np.outer(x, k))
-    cosines = np.cos(np.outer(x, k))
-    u = sines @ a
-    u_x = cosines @ (k * a)
-    u_xx = -(sines @ (k**2 * a))
-    u_xxxx = sines @ (k**4 * a)
-    rhs = -nu * (u * u_x + u_xx) - 4.0 * u_xxxx
-    return np.trapezoid(rhs[:, None] * sines, x, axis=0) / np.pi
-
-
 def test_04_ks_galerkin_against_quadrature_oracle():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
         a = rng.uniform(-0.5, 0.5, size=8)
         direct = ks_rhs(a, NU_KS)
-        oracle = _ks_rhs_quadrature(a, NU_KS)
+        oracle = ks_rhs_quadrature(a, NU_KS)
         worst = max(worst, float(np.max(np.abs(direct - oracle))))
 
     # unit-mode states: the self-interaction projects onto mode 2k only,

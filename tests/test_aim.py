@@ -3,57 +3,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aimrom.aim import (
-    Closure,
-    EulerGalerkinConfig,
-    chafee_aim_alpha3,
-    chafee_euler_galerkin_config,
-    chafee_nonlinearity,
-    euler_galerkin_closure,
-    euler_galerkin_phi,
-    postprocess,
-    zero_closure,
-)
-from aimrom.models import chafee_rhs_3
+from aimrom.aim import Closure, euler_galerkin_closure, postprocess, zero_closure
+from aimrom.models import MODELS
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, SpectralState
+from oracles import alpha3, ks_rhs_quadrature
 
 NU = 0.16
+NU_KS = 33.0
 
 
 def test_nonlinearity_recovers_cubic_part():
-    # F(a) = -rhs(a) - diag(nu k^2) a must equal the projected u^3 - u terms
-    a = np.array([0.7, -0.3, 0.2])
-    f = chafee_nonlinearity(a, NU)
-    lam = NU * np.arange(1, 4) ** 2
-    assert np.allclose(-f - lam * a, chafee_rhs_3(a, NU), atol=1e-14)
-    # on a zero-padded low state the third component collapses to the
-    # closed form -a1^3/4 + (3/4) a1 a2^2
-    fp = chafee_nonlinearity(np.array([0.7, -0.3, 0.0]), NU)
-    assert fp[2] == pytest.approx(-(0.7**3) / 4 + 0.75 * 0.7 * 0.09, abs=1e-14)
+    # chafee's A is nu k^2 alone, so on a zero-padded low state the third
+    # component of F = -rhs - A a is -a1^3/4 + (3/4) a1 a2^2, and the map
+    # divides it by -(1 + A_3) at tau = 1
+    assert np.array_equal(MODELS["chafee"].dissipation(np.arange(1, 4), NU),
+                          NU * np.arange(1, 4) ** 2)
+    phi = euler_galerkin_closure("chafee", 2, 3, NU)(np.array([0.7, -0.3]))
+    f3 = -phi[0] * (1.0 + 9.0 * NU)
+    assert f3 == pytest.approx(-(0.7**3) / 4 + 0.75 * 0.7 * 0.09, abs=1e-14)
 
 
 def test_alpha3_spot_values():
-    assert chafee_aim_alpha3(1.0, 0.0, NU) == pytest.approx(0.10245901639344263, abs=1e-15)
-    assert chafee_aim_alpha3(0.7, -0.3, NU) == pytest.approx(0.01577868852459016, abs=1e-15)
-    assert chafee_aim_alpha3(0.0, 5.0, NU) == 0.0
+    assert alpha3(1.0, 0.0, NU) == pytest.approx(0.10245901639344263, abs=1e-15)
+    assert alpha3(0.7, -0.3, NU) == pytest.approx(0.01577868852459016, abs=1e-15)
+    assert alpha3(0.0, 5.0, NU) == 0.0
 
 
 def test_alpha3_accepts_arrays():
     a1 = np.array([1.0, 0.7])
     a2 = np.array([0.0, -0.3])
-    out = chafee_aim_alpha3(a1, a2, NU)
+    out = alpha3(a1, a2, NU)
     assert np.allclose(out, [0.10245901639344263, 0.01577868852459016], atol=1e-15)
 
 
 def test_euler_galerkin_matches_closed_form_on_grid():
-    cfg = chafee_euler_galerkin_config(NU)
+    closure = euler_galerkin_closure("chafee", 2, 3, NU)
     g = np.linspace(-2.0, 2.0, 20)
     a1, a2 = np.meshgrid(g, g)
     p = np.stack([a1.ravel(), a2.ravel()], axis=-1)
-    phi = euler_galerkin_phi(p, cfg)
-    closed = chafee_aim_alpha3(p[:, 0], p[:, 1], NU)
+    phi = closure(p)
+    closed = alpha3(p[:, 0], p[:, 1], NU)
     assert phi.shape == (400, 1)
     assert np.max(np.abs(phi[:, 0] - closed)) < 1e-12
+    # a batch row is the single-state map, bit for bit
+    assert all(np.array_equal(phi[i], closure(p[i])) for i in (0, 137, 399))
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,54 +56,73 @@ def test_euler_galerkin_matches_closed_form_on_grid():
     st.floats(0.05, 0.5, allow_nan=False),
 )
 def test_euler_galerkin_matches_closed_form_any_nu(a1, a2, nu):
-    cfg = chafee_euler_galerkin_config(nu)
-    phi = euler_galerkin_phi(np.array([a1, a2]), cfg)
-    assert phi[0] == pytest.approx(chafee_aim_alpha3(a1, a2, nu), abs=1e-12)
+    phi = euler_galerkin_closure("chafee", 2, 3, nu)(np.array([a1, a2]))
+    assert phi[0] == pytest.approx(alpha3(a1, a2, nu), abs=1e-12)
 
 
 def test_phi_is_zero_at_origin():
-    cfg = chafee_euler_galerkin_config(NU)
-    assert np.allclose(euler_galerkin_phi(np.zeros(2), cfg), 0.0)
+    assert np.allclose(euler_galerkin_closure("chafee", 2, 3, NU)(np.zeros(2)), 0.0)
+    assert np.allclose(euler_galerkin_closure("ks", 3, 8, NU_KS)(np.zeros(3)), 0.0)
 
 
 def test_tau_scaling_of_slaving_map():
     # phi = -tau/(1 + tau*lam3) * F3(p): doubling tau rescales predictably
     p = np.array([0.9, 0.4])
     lam3 = NU * 9
-    phi1 = euler_galerkin_phi(p, chafee_euler_galerkin_config(NU, tau=1.0))[0]
-    phi2 = euler_galerkin_phi(p, chafee_euler_galerkin_config(NU, tau=2.0))[0]
+    phi1 = euler_galerkin_closure("chafee", 2, 3, NU, tau=1.0)(p)[0]
+    phi2 = euler_galerkin_closure("chafee", 2, 3, NU, tau=2.0)(p)[0]
     f3 = -phi1 * (1 + lam3)
     assert phi2 == pytest.approx(-2.0 * f3 / (1 + 2.0 * lam3), abs=1e-14)
 
 
 def test_config_validation():
-    lam = np.array([0.16, 0.64, 1.44])
-    nl = lambda a: np.zeros_like(a)
-    with pytest.raises(ValueError):
-        EulerGalerkinConfig(lam=lam, n_low=3, m_total=3, nonlinearity=nl)
-    with pytest.raises(ValueError):
-        EulerGalerkinConfig(lam=lam, n_low=0, m_total=3, nonlinearity=nl)
-    with pytest.raises(ValueError):
-        EulerGalerkinConfig(lam=np.array([0.16, -0.64, 1.44]), n_low=2, m_total=3, nonlinearity=nl)
-    with pytest.raises(ValueError):
-        EulerGalerkinConfig(lam=lam, n_low=2, m_total=3, tau=0.0, nonlinearity=nl)
-    with pytest.raises(ValueError):
-        EulerGalerkinConfig(lam=lam, n_low=2, m_total=3, nonlinearity=None)
+    with pytest.raises(ValueError, match="n_low"):
+        euler_galerkin_closure("chafee", 3, 3, NU)
+    with pytest.raises(ValueError, match="n_low"):
+        euler_galerkin_closure("chafee", 0, 3, NU)
+    with pytest.raises(ValueError, match="not positive"):
+        euler_galerkin_closure("chafee", 2, 3, -NU)
+    with pytest.raises(ValueError, match="tau"):
+        euler_galerkin_closure("chafee", 2, 3, NU, tau=0.0)
+    with pytest.raises(ValueError, match="Galerkin model"):
+        euler_galerkin_closure("toy", 1, 2, NU)
+
+
+def test_ks_slaved_block_must_be_damped():
+    # A = 4k^4 - nu k^2 is -29, -68, 27, 496, ... at nu = 33: only the
+    # slaved block is checked, so n_low 2 passes and n_low 1 does not
+    assert euler_galerkin_closure("ks", 2, 8, NU_KS).n_high == 6
+    with pytest.raises(ValueError, match=r"k = 2 has A = -68,"):
+        euler_galerkin_closure("ks", 1, 8, NU_KS)
+
+
+def test_ks_slaved_nonlinearity_matches_quadrature_oracle():
+    # on the zero-padded state A a has no high part, so Q F = -Q rhs; the
+    # map's Q F, recovered from phi at tau = 1, must match the trapezoid oracle
+    rng = np.random.default_rng(7)
+    closure = euler_galerkin_closure("ks", 3, 8, NU_KS)
+    a_high = MODELS["ks"].dissipation(np.arange(4, 9), NU_KS)
+    worst = 0.0
+    for _ in range(20):
+        p = rng.uniform(-0.5, 0.5, size=3)
+        qf = -closure(p) * (1.0 + a_high)
+        oracle = -ks_rhs_quadrature(np.concatenate([p, np.zeros(5)]), NU_KS)[3:]
+        worst = max(worst, float(np.max(np.abs(qf - oracle))))
+    assert worst < 1e-8
 
 
 def test_phi_rejects_wrong_width():
-    cfg = chafee_euler_galerkin_config(NU)
     with pytest.raises(ValueError):
-        euler_galerkin_phi(np.zeros(3), cfg)
+        euler_galerkin_closure("chafee", 2, 3, NU)(np.zeros(3))
 
 
 def test_postprocess_preserves_low_modes():
-    closure = euler_galerkin_closure(NU)
+    closure = euler_galerkin_closure("chafee", 2, 3, NU)
     low = SpectralState(BasisSpec(SINE_DIRICHLET, 2), np.array([0.9, -0.2]))
     full = postprocess(low, closure)
     assert full.basis.n_modes == 3
     assert np.array_equal(full.coeffs[:2], low.coeffs)
-    assert full.coeffs[2] == pytest.approx(chafee_aim_alpha3(0.9, -0.2, NU), abs=1e-14)
+    assert full.coeffs[2] == pytest.approx(alpha3(0.9, -0.2, NU), abs=1e-14)
 
 
 def test_zero_closure_pads_with_zeros():
@@ -121,7 +133,7 @@ def test_zero_closure_pads_with_zeros():
 
 
 def test_postprocess_rejects_mismatched_closure():
-    closure = euler_galerkin_closure(NU)
+    closure = euler_galerkin_closure("chafee", 2, 3, NU)
     low = SpectralState(BasisSpec(SINE_DIRICHLET, 3), np.array([0.9, -0.2, 0.0]))
     with pytest.raises(ValueError):
         postprocess(low, closure)

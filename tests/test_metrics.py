@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aimrom.aim import chafee_aim_alpha3, euler_galerkin_closure, zero_closure
+from aimrom.aim import euler_galerkin_closure, zero_closure
 from aimrom.metrics import decompose_errors, mape, mape_series, mse
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, uniform_grid
+from oracles import alpha3
 
 NU = 0.16
 
@@ -49,20 +50,20 @@ def test_decomposition_matches_parseval():
     # grid L2 norms must reproduce the exact (pi/2)-weighted coefficient norms
     basis = BasisSpec(SINE_DIRICHLET, 3)
     grid = uniform_grid(basis, 65)
-    closure = euler_galerkin_closure(NU)
+    closure = euler_galerkin_closure("chafee", 2, 3, NU)
     full = np.array([1.1, 0.2, 0.15])
     red = np.array([1.0, 0.25])
     d = decompose_errors(full, red, closure, grid, basis)
 
-    alpha3 = chafee_aim_alpha3(1.0, 0.25, NU)
+    tail = alpha3(1.0, 0.25, NU)
     w = math.pi / 2
     assert d.delta_low == pytest.approx(math.hypot(0.1, 0.05), abs=1e-12)
-    assert d.delta_closure_mass == pytest.approx(math.sqrt(w * alpha3**2), abs=1e-10)
+    assert d.delta_closure_mass == pytest.approx(math.sqrt(w * tail**2), abs=1e-10)
     assert d.delta_truncated == pytest.approx(
         math.sqrt(w * (0.1**2 + 0.05**2 + 0.15**2)), abs=1e-10
     )
     assert d.delta_corrected == pytest.approx(
-        math.sqrt(w * (0.1**2 + 0.05**2 + (0.15 - alpha3) ** 2)), abs=1e-10
+        math.sqrt(w * (0.1**2 + 0.05**2 + (0.15 - tail) ** 2)), abs=1e-10
     )
 
 
@@ -81,7 +82,7 @@ def test_zero_closure_decomposition_collapses():
 def test_decomposition_validates_widths():
     basis = BasisSpec(SINE_DIRICHLET, 3)
     grid = uniform_grid(basis, 65)
-    closure = euler_galerkin_closure(NU)
+    closure = euler_galerkin_closure("chafee", 2, 3, NU)
     with pytest.raises(ValueError):
         decompose_errors(np.zeros(3), np.zeros(3), closure, grid, basis)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aimrom.aim import chafee_aim_alpha3
+from aimrom.aim import euler_galerkin_closure
 from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram
 from aimrom.models import chafee_field, chafee_rhs_3, ks_field
@@ -24,6 +24,7 @@ from aimrom.rom import (
     validate_pipeline,
 )
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, uniform_grid
+from oracles import alpha3
 
 NU = 0.16
 
@@ -161,7 +162,7 @@ def test_pipeline_config_rejects_bad_values():
 
 def test_pipeline_compatibility_matrix():
     with pytest.raises(ConfigurationError, match="euler-galerkin"):
-        validate_pipeline(base_cfg(model="ks", ic=(1.0,) * 8), {})
+        validate_pipeline(base_cfg(latent_route="dmaps"), {})
     with pytest.raises(ConfigurationError, match="dmaps route"):
         validate_pipeline(base_cfg(closure="double-dmaps"), {})
     with pytest.raises(ConfigurationError, match="autoencoder route"):
@@ -189,12 +190,23 @@ def test_truncated_euler_galerkin_pipeline_end_to_end():
     # low modes pass through untouched; the tail is the analytic slaving map
     assert np.array_equal(res.corrected_coeffs[:2], res.reduced.final_state)
     p = res.reduced.final_state
-    assert res.corrected_coeffs[2] == pytest.approx(chafee_aim_alpha3(p[0], p[1], NU), abs=1e-12)
+    assert res.corrected_coeffs[2] == pytest.approx(alpha3(p[0], p[1], NU), abs=1e-12)
     # the correction must beat plain truncation at the final time
     assert res.corrected_metrics.mape_final < res.raw_metrics.mape_final
     assert res.decomposition.delta_corrected < res.decomposition.delta_truncated
     assert res.raw_metrics.percent_error_series.shape == res.reduced.times.shape
     assert res.truth.states.shape == (5001, 3)
+
+
+def test_ks_euler_galerkin_pipeline_appends_the_slaved_tail():
+    ic = (0.5, -0.4, 0.3, 0.1, -0.1, 0.05, 0.0, 0.0)
+    res = run_pipeline(PipelineConfig("ks", "fourier", "truncated", "euler-galerkin", ic,
+                                      0.01, 1e-4), {})
+    low = res.reduced.final_state
+    assert np.array_equal(res.corrected_coeffs[:3], low)
+    tail = euler_galerkin_closure("ks", 3, 8, 33.0)(low)
+    assert tail.shape == (5,)
+    assert np.array_equal(res.corrected_coeffs[3:], tail)
 
 
 def test_pipeline_is_deterministic():

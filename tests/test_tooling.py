@@ -9,6 +9,7 @@ import pytest
 
 import aimrom.cli  # noqa: F401  (imports every module the tracer patches)
 from aimrom import models
+from aimrom.aim import euler_galerkin_closure
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -47,3 +48,12 @@ def test_each_field_evaluation_is_one_traced_call(spans, model, n_modes, span):
         field.eval(np.zeros((4, field.dim)))
     summary = tracer.summary()
     assert {k: v[0] for k, v in summary.items() if k.startswith("models.")} == {span: 2}
+
+
+def test_one_slaving_map_call_is_one_traced_rhs_call(spans):
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        euler_galerkin_closure("chafee", 2, 3, 0.16)(np.array([0.9, -0.2]))
+    summary = tracer.summary()
+    assert {k: v[0] for k, v in summary.items() if k.startswith("models.")} == {
+        "models.chafee_rhs_3": 1}
