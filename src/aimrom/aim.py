@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import MODELS, analytic_field
-from .spectral import SpectralState
 
 __all__ = [
     "Closure",
@@ -39,7 +38,10 @@ class Closure:
     map: callable
 
     def __call__(self, p):
-        out = np.asarray(self.map(np.asarray(p, dtype=float)), dtype=float)
+        p = np.asarray(p, dtype=float)
+        if p.shape[-1] != self.n_low:
+            raise ValueError(f"low state must have {self.n_low} components")
+        out = np.asarray(self.map(p), dtype=float)
         if out.shape[-1] != self.n_high:
             raise ValueError("closure map returned the wrong number of modes")
         if not np.all(np.isfinite(out)):
@@ -68,8 +70,6 @@ def euler_galerkin_closure(model, n_low, n_full, nu, tau=1.0):
                              "the slaving map needs every slaved mode linearly damped")
 
     def phi(p):
-        if p.shape[-1] != n_low:
-            raise ValueError(f"low state must have {n_low} components")
         padded = np.zeros(p.shape[:-1] + (n_full,))
         padded[..., :n_low] = p
         f_high = (-field.eval(padded) - lam * padded)[..., n_low:]
@@ -82,23 +82,15 @@ def zero_closure(n_low, n_high):
     """Plain truncation control arm: appended modes are identically zero."""
 
     def zeros(p):
-        p = np.asarray(p, dtype=float)
         return np.zeros(p.shape[:-1] + (n_high,))
 
     return Closure(n_low=n_low, n_high=n_high, map=zeros)
 
 
-def postprocess(low_state, closure):
-    """Append slaved high modes to an integrated low-mode state.
+def postprocess(p, closure):
+    """Append the closure's slaved high modes to an integrated low state p.
 
     The low coefficients pass through untouched; only the tail is new.
     """
-    if low_state.basis.n_modes != closure.n_low:
-        raise ValueError("low state mode count does not match the closure")
-    high = closure(low_state.coeffs)
-    if high.ndim != 1:
-        raise ValueError("postprocess expects a single state, not a batch")
-    basis = type(low_state.basis)(
-        kind=low_state.basis.kind, n_modes=closure.n_low + closure.n_high
-    )
-    return SpectralState(basis=basis, coeffs=np.concatenate([low_state.coeffs, high]))
+    p = np.asarray(p, dtype=float)
+    return np.concatenate([p, closure(p)], axis=-1)

@@ -52,7 +52,7 @@ from .serialize import (
     write_manifest,
     write_table,
 )
-from .spectral import uniform_grid
+from .spectral import reconstruct, uniform_grid
 from .svg import Series, save_line_plot
 
 EXIT_CONFIG = 2
@@ -305,8 +305,7 @@ def simulate(config_path, out_dir, seed):
         if cfg["model"] in MODELS:
             basis = MODELS[cfg["model"]].basis(field.dim)
             grid = uniform_grid(basis, _get(cfg, "grid_points", 65))
-            sines = np.sin(np.outer(grid.points, basis.wavenumbers()))
-            fields = traj.states @ sines.T
+            fields = reconstruct(traj.states, grid)
             header = ["t"] + [f"u{i}" for i in range(grid.points.shape[0])]
             write_table(
                 out / "field.csv", header,
@@ -628,16 +627,15 @@ def evaluate(config_path, out_dir, seed):
 
     def body(doc, out, seed):
         cfg, pipeline, result, hashes = _run_configured_pipeline(doc, out, seed)
+        times = result.reduced.times
         write_table(out / "error_series.csv", ["t", "percent_error"],
-                    np.column_stack([result.raw_metrics.times,
-                                     result.raw_metrics.percent_error_series]))
+                    np.column_stack([times, result.error_series]))
         outputs = ["metrics.json", "error_series.csv"]
         if _get(cfg, "plots", True):
             outputs.append(_write_overlay(out, result))
             save_line_plot(
                 out / "error_series.svg",
-                [Series(result.raw_metrics.times,
-                        result.raw_metrics.percent_error_series, "truncated")],
+                [Series(times, result.error_series, "truncated")],
                 title="leading-mode percent error", x_label="t", y_label="% error",
                 provenance=pipeline.label(),
             )

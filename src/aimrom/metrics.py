@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import SpectralState, grid_l2_norm, reconstruct
+from .spectral import grid_l2_norm, reconstruct
 
 __all__ = [
     "mape",
@@ -54,12 +54,10 @@ def mape_series(pred_rows, truth_rows):
 
 @dataclass(frozen=True)
 class MetricsBundle:
-    """Final-time scores plus the raw-truncation percent error over time."""
+    """Final-time field scores of one reduced run."""
 
     mape_final: float
     mse_final: float
-    percent_error_series: np.ndarray = field(repr=False)
-    times: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -80,33 +78,31 @@ class ErrorDecomposition:
     delta_corrected: float
 
 
-def decompose_errors(full_state, reduced_state, closure, grid, basis_full):
-    """Split the final-time error of a reduced run with a closure.
+def decompose_errors(full_state, corrected_state, n_low, grid):
+    """Split the final-time error of a post-processed reduced run.
 
-    full_state and reduced_state are coefficient vectors (truth and
-    reduced run at the same final time) in basis_full and its leading
-    modes; the closure supplies the appended tail.  Field norms use
-    trapezoid quadrature on the grid.
+    full_state is the truth and corrected_state the reduced run with its
+    closure's tail appended, both sine coefficient vectors at the same final
+    time; the first n_low entries of corrected_state are the reduced run.
+    Field norms use trapezoid quadrature on the grid.
     """
     full = np.asarray(full_state, dtype=float)
-    red = np.asarray(reduced_state, dtype=float)
-    if red.shape[0] != closure.n_low:
-        raise ValueError("reduced state width does not match the closure")
-    if full.shape[0] != closure.n_low + closure.n_high:
-        raise ValueError("full state width does not match the closure")
+    corrected = np.asarray(corrected_state, dtype=float)
+    if full.shape != corrected.shape or full.ndim != 1:
+        raise ValueError("truth and corrected state must be matching coefficient vectors")
+    if not 1 <= n_low < full.shape[0]:
+        raise ValueError(f"need 1 <= n_low < {full.shape[0]}, got {n_low}")
+    red, tail = corrected[:n_low], corrected[n_low:]
 
-    tail = closure(red)
+    delta_low = float(np.linalg.norm(full[:n_low] - red))
 
-    delta_low = float(np.linalg.norm(full[: closure.n_low] - red))
+    tail_only = np.concatenate([np.zeros(n_low), tail])
+    delta_mass = grid_l2_norm(reconstruct(tail_only, grid), grid)
 
-    tail_only = np.concatenate([np.zeros(closure.n_low), tail])
-    delta_mass = grid_l2_norm(reconstruct(SpectralState(basis_full, tail_only), grid), grid)
-
-    u_full = reconstruct(SpectralState(basis_full, full), grid)
-    padded = np.concatenate([red, np.zeros(closure.n_high)])
-    u_trunc = reconstruct(SpectralState(basis_full, padded), grid)
-    corrected = np.concatenate([red, tail])
-    u_corr = reconstruct(SpectralState(basis_full, corrected), grid)
+    u_full = reconstruct(full, grid)
+    padded = np.concatenate([red, np.zeros(tail.shape[0])])
+    u_trunc = reconstruct(padded, grid)
+    u_corr = reconstruct(corrected, grid)
 
     return ErrorDecomposition(
         delta_low=delta_low,
@@ -135,7 +131,7 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     is recorded under failed and skipped in the histogram.  Each distinct
     truth is integrated once for all pipelines and initial conditions.
     """
-    # local import: the pipeline runner builds MetricsBundles from this module
+    # local import: the pipeline runner scores with this module
     from .integrate import BlowUpError
     from .rom import run_pipeline_batch
 

@@ -7,6 +7,7 @@ same initial condition.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import MODELS, VectorField, analytic_field
 from .nn import Mlp, decode, decoder_invert, forward, init_mlp, train
 from .pod import pod_lift, pod_project
-from .spectral import SpectralState, reconstruct, uniform_grid
+from .spectral import reconstruct, uniform_grid
 
 __all__ = [
     "ConfigurationError",
@@ -53,7 +54,6 @@ class DerivativeDataset:
 
     inputs: np.ndarray = field(repr=False)
     derivs: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=float)
@@ -63,18 +63,12 @@ class DerivativeDataset:
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "derivs", y)
 
-    @property
-    def n_samples(self):
-        return self.inputs.shape[0]
 
-
-def build_derivative_dataset(states, full_field, n_lead, lead_inputs=None):
+def build_derivative_dataset(states, full_field, n_lead):
     """Leading-block derivative targets from full snapshots.
 
-    Targets are the first n_lead components of the full analytic
-    right-hand side evaluated on each snapshot; inputs default to the
-    snapshots' own leading coefficients.  Passing lead_inputs swaps in
-    reconstructed coordinates while keeping the analytic targets.
+    Inputs are the snapshots' leading n_lead coefficients, targets the first
+    n_lead components of the full analytic right-hand side on each snapshot.
     """
     s = np.asarray(states, dtype=float)
     if s.ndim != 2 or s.shape[1] != full_field.dim:
@@ -82,11 +76,7 @@ def build_derivative_dataset(states, full_field, n_lead, lead_inputs=None):
     if not (1 <= n_lead < full_field.dim):
         raise ValueError("n_lead must be below the full dimension")
     derivs = np.asarray(full_field.eval(s), dtype=float)[:, :n_lead]
-    inputs = s[:, :n_lead] if lead_inputs is None else np.asarray(lead_inputs, dtype=float)
-    if inputs.shape != derivs.shape:
-        raise ValueError("lead_inputs must be (n, n_lead)")
-    source = "analytic-full-rhs" if lead_inputs is None else "analytic-full-rhs/reconstructed-inputs"
-    return DerivativeDataset(inputs=inputs, derivs=derivs, meta={"derivative_source": source, "n_lead": n_lead})
+    return DerivativeDataset(inputs=s[:, :n_lead], derivs=derivs)
 
 
 def make_closure_dataset(states, n_low):
@@ -213,7 +203,8 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class PipelineResult:
     """A scored run; u_truth, u_raw and u_corrected are the final-time fields
-    at the grid points x."""
+    at the grid points x, error_series the raw run's percent error at each of
+    reduced.times."""
 
     config: PipelineConfig
     truth: object
@@ -223,12 +214,14 @@ class PipelineResult:
     u_truth: np.ndarray = field(repr=False)
     u_raw: np.ndarray = field(repr=False)
     u_corrected: np.ndarray = field(repr=False)
+    error_series: np.ndarray = field(repr=False)
     raw_metrics: MetricsBundle = None
     corrected_metrics: MetricsBundle = None
     decomposition: object = None
 
 
 _ARTIFACT_NEEDS = {
+    ("latent_route", "pod"): ("pod",),
     ("dynamics", "black-box"): ("dynamics-net",),
     ("dynamics", "gray-box"): ("dynamics-net",),
     ("closure", "mlp"): ("closure-net",),
@@ -253,15 +246,15 @@ def validate_pipeline(cfg, artifacts):
         raise ConfigurationError("pod route requires learned dynamics")
     if cfg.latent_route == "pod" and cfg.closure not in ("mlp", "none"):
         raise ConfigurationError("pod route supports the mlp closure or none")
-    if cfg.latent_route == "pod" and "pod" not in artifacts:
-        raise MissingArtifactError("pipeline needs artifact 'pod'")
 
     for (slot, value), names in _ARTIFACT_NEEDS.items():
-        chosen = cfg.dynamics if slot == "dynamics" else cfg.closure
-        if chosen == value:
+        if getattr(cfg, slot) == value:
             for name in names:
                 if name not in artifacts:
                     raise MissingArtifactError(f"pipeline needs artifact {name!r}")
+    if cfg.closure == "euler-galerkin":
+        # building the slaving map checks that every slaved mode is damped
+        euler_galerkin_closure(cfg.model, cfg.n_low, cfg.n_full, cfg.nu)
 
 
 def _reduced_field(cfg, artifacts, dim):
@@ -352,30 +345,28 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
                           cfg.final_time, cfg.dt)
     truth = truths[key]
 
-    basis_full = cfg.basis(cfg.n_full)
-    grid = uniform_grid(basis_full, cfg.grid_points)
-    sines = np.sin(np.outer(grid.points, basis_full.wavenumbers()))
-    pod = artifacts["pod"] if cfg.latent_route == "pod" else None
+    grid = uniform_grid(cfg.basis(cfg.n_full), cfg.grid_points)
+    # the route's reduced width and its lift from coefficients to the grid
+    if cfg.latent_route == "pod":
+        pod = artifacts["pod"]
+        n_low, n_full, lift = cfg.pod_rank_low, cfg.pod_rank_full, partial(pod_lift, pod)
+    else:
+        n_low, n_full, lift = cfg.n_low, cfg.n_full, partial(reconstruct, grid=grid)
     # as in one run per initial condition, the reduced field and the closure
     # are built, and can raise, only once some run has got that far
     reduced = closure = None
     live = np.flatnonzero(np.isnan(truth.blowup_times))
     if live.size:
-        if pod is None:
-            n_low, n_high = cfg.n_low, cfg.n_full - cfg.n_low
-            starts = ic_full[live, :n_low]
-        else:
+        starts = ic_full[live, :n_low]
+        if cfg.latent_route == "pod":
             if pod.ambient_dim != grid.n_points:
                 raise ConfigurationError("pod artifact was fitted on a different grid")
-            if pod.rank < cfg.pod_rank_full:
+            if pod.rank < n_full:
                 raise ConfigurationError("pod artifact rank is below pod_rank_full")
-            n_low, n_high = cfg.pod_rank_low, cfg.pod_rank_full - cfg.pod_rank_low
-            starts = np.array([
-                pod_project(pod, (truth.row(k).states @ sines.T)[0], n_low) for k in live
-            ])
+            starts = pod_project(pod, reconstruct(ic_full[live], grid), n_low)
         reduced = rk4(_reduced_field(cfg, artifacts, n_low), starts, cfg.final_time, cfg.dt)
         if np.isnan(reduced.blowup_times).any():
-            closure = _build_closure(cfg, artifacts, n_low, n_high)
+            closure = _build_closure(cfg, artifacts, n_low, n_full - n_low)
 
     for k, run_cfg in enumerate(cfgs):
         try:
@@ -384,40 +375,22 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
         except BlowUpError as exc:
             yield exc
             continue
-        yield _score(run_cfg, truth_k, reduced_k, closure, basis_full, grid, sines, pod)
+        yield _score(run_cfg, truth_k, reduced_k, closure, lift, grid)
 
 
-def _score(cfg, truth, reduced, closure, basis_full, grid, sines, pod):
+def _field_scores(u, u_truth):
+    return MetricsBundle(mape_final=mape(u, u_truth), mse_final=mse(u, u_truth))
+
+
+def _score(cfg, truth, reduced, closure, lift, grid):
     """Close the reduced run at its final time and score it against the truth."""
-    u_truth = truth.states @ sines.T
-    if pod is None:
-        n_low = reduced.dim
-        low_final = SpectralState(cfg.basis(n_low), reduced.final_state)
-        corrected = postprocess(low_final, closure)
-        coeffs = corrected.coeffs
-        u_raw = reduced.states @ sines[:, :n_low].T
-        u_corr_final = reconstruct(corrected, grid)
-        decomp = decompose_errors(truth.final_state, reduced.final_state, closure, grid,
-                                  basis_full)
-    else:
-        # reduced dynamics in POD coefficient space, lifted back to the grid
-        coeffs = np.concatenate([reduced.final_state, closure(reduced.final_state)])
-        u_raw = pod_lift(pod, reduced.states, cfg.pod_rank_low)
-        u_corr_final = pod_lift(pod, coeffs, cfg.pod_rank_full)
-        decomp = None
-
-    u_truth_final = u_truth[-1]
-    raw_metrics = MetricsBundle(
-        mape_final=mape(u_raw[-1], u_truth_final),
-        mse_final=mse(u_raw[-1], u_truth_final),
-        percent_error_series=mape_series(u_raw, u_truth),
-        times=reduced.times,
-    )
-    corr_metrics = replace(
-        raw_metrics,
-        mape_final=mape(u_corr_final, u_truth_final),
-        mse_final=mse(u_corr_final, u_truth_final),
-    )
+    u_truth = reconstruct(truth.states, grid)
+    u_raw = lift(reduced.states)
+    coeffs = postprocess(reduced.final_state, closure)
+    u_corrected = lift(coeffs)
+    # the four-part split is in sine coefficients, which pod coordinates are not
+    decomposition = None if cfg.latent_route == "pod" else decompose_errors(
+        truth.final_state, coeffs, reduced.dim, grid)
     return PipelineResult(
         config=cfg,
         truth=truth,
@@ -425,10 +398,11 @@ def _score(cfg, truth, reduced, closure, basis_full, grid, sines, pod):
         corrected_coeffs=coeffs,
         x=grid.points,
         # copies, so a kept result does not hold the whole field series
-        u_truth=u_truth_final.copy(),
+        u_truth=u_truth[-1].copy(),
         u_raw=u_raw[-1].copy(),
-        u_corrected=u_corr_final,
-        raw_metrics=raw_metrics,
-        corrected_metrics=corr_metrics,
-        decomposition=decomp,
+        u_corrected=u_corrected,
+        error_series=mape_series(u_raw, u_truth),
+        raw_metrics=_field_scores(u_raw[-1], u_truth[-1]),
+        corrected_metrics=_field_scores(u_corrected, u_truth[-1]),
+        decomposition=decomposition,
     )

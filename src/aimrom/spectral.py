@@ -25,7 +25,6 @@ __all__ = [
     "SINE_DIRICHLET",
     "SINE_PERIODIC_ODD",
     "BasisSpec",
-    "SpectralState",
     "Grid",
     "uniform_grid",
     "reconstruct",
@@ -74,26 +73,6 @@ class BasisSpec:
 
 
 @dataclass(frozen=True)
-class SpectralState:
-    """Coefficient vector attached to its basis."""
-
-    basis: BasisSpec
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("coeffs must be one-dimensional")
-        if c.shape[0] != self.basis.n_modes:
-            raise ValueError(
-                f"coefficient length {c.shape[0]} does not match basis n_modes {self.basis.n_modes}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", c.copy())
-
-
-@dataclass(frozen=True)
 class Grid:
     """Strictly increasing evaluation nodes inside a domain."""
 
@@ -129,12 +108,15 @@ def uniform_grid(basis, n_points=65):
     return Grid(domain=(lo, hi), points=np.linspace(lo, hi, n_points))
 
 
-def reconstruct(state, grid):
-    """Evaluate sum_k a_k sin(k x) at the grid nodes."""
-    _check_same_domain(state.basis, grid)
-    k = state.basis.wavenumbers()
-    # (n_points, n_modes) @ (n_modes,)
-    return np.sin(np.outer(grid.points, k)) @ state.coeffs
+def reconstruct(coeffs, grid):
+    """Evaluate sum_k a_k sin(k x), k = 1..n, at the grid nodes.
+
+    coeffs is one state (n,) or a batch (..., n) of sine coefficients on the
+    grid's domain; the result is (..., n_points).
+    """
+    c = np.asarray(coeffs, dtype=float)
+    sines = np.sin(np.outer(grid.points, np.arange(1, c.shape[-1] + 1)))
+    return c @ sines.T
 
 
 def project(values, grid, basis):
@@ -156,8 +138,7 @@ def project(values, grid, basis):
         )
     k = basis.wavenumbers()
     sines = np.sin(np.outer(grid.points, k))  # (n_points, n_modes)
-    coeffs = np.trapezoid(v[:, None] * sines, grid.points, axis=0) / basis.norm_const
-    return SpectralState(basis=basis, coeffs=coeffs)
+    return np.trapezoid(v[:, None] * sines, grid.points, axis=0) / basis.norm_const
 
 
 def grid_l2_norm(values, grid):

@@ -44,7 +44,7 @@ from aimrom.rom import (
     make_closure_dataset,
     run_pipeline,
 )
-from aimrom.spectral import SINE_DIRICHLET, BasisSpec, SpectralState, reconstruct, uniform_grid
+from aimrom.spectral import SINE_DIRICHLET, BasisSpec, reconstruct, uniform_grid
 from oracles import alpha3, ks_rhs_quadrature
 
 NU_CHAFEE = 0.16
@@ -163,11 +163,11 @@ def test_01_postprocessed_field_accuracy():
     grid = uniform_grid(basis, base.grid_points)
     truth = res_cf.truth.final_state
     low = res_cf.reduced.final_state
-    u_truth = reconstruct(SpectralState(basis, truth), grid)
+    u_truth = reconstruct(truth, grid)
 
     def field_mape(lead, tail):
         coeffs = np.concatenate([lead, np.atleast_1d(tail)])
-        return mape(reconstruct(SpectralState(basis, coeffs), grid), u_truth)
+        return mape(reconstruct(coeffs, grid), u_truth)
 
     raw = res_cf.raw_metrics.mape_final
     oracle = field_mape(low, truth[2:])
@@ -241,7 +241,7 @@ def test_03_pod_energy_capture():
     states = _sample_chafee(10)
     basis = BasisSpec(kind=SINE_DIRICHLET, n_modes=3)
     grid = uniform_grid(basis, 65)
-    fields = np.stack([reconstruct(SpectralState(basis, a), grid) for a in states])
+    fields = reconstruct(states, grid)
 
     pod = pod_fit(fields)
     energy3 = float(pod.energy_fractions[2])

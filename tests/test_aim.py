@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from aimrom.aim import Closure, euler_galerkin_closure, postprocess, zero_closure
 from aimrom.models import MODELS
-from aimrom.spectral import SINE_DIRICHLET, BasisSpec, SpectralState
 from oracles import alpha3, ks_rhs_quadrature
 
 NU = 0.16
@@ -118,28 +117,46 @@ def test_phi_rejects_wrong_width():
 
 def test_postprocess_preserves_low_modes():
     closure = euler_galerkin_closure("chafee", 2, 3, NU)
-    low = SpectralState(BasisSpec(SINE_DIRICHLET, 2), np.array([0.9, -0.2]))
+    low = np.array([0.9, -0.2])
     full = postprocess(low, closure)
-    assert full.basis.n_modes == 3
-    assert np.array_equal(full.coeffs[:2], low.coeffs)
-    assert full.coeffs[2] == pytest.approx(alpha3(0.9, -0.2, NU), abs=1e-14)
+    assert full.shape == (3,)
+    assert np.array_equal(full[:2], low)
+    assert full[2] == pytest.approx(alpha3(0.9, -0.2, NU), abs=1e-14)
 
 
 def test_zero_closure_pads_with_zeros():
     closure = zero_closure(2, 1)
-    low = SpectralState(BasisSpec(SINE_DIRICHLET, 2), np.array([0.9, -0.2]))
-    full = postprocess(low, closure)
-    assert full.coeffs[2] == 0.0
+    full = postprocess(np.array([0.9, -0.2]), closure)
+    assert full[2] == 0.0
 
 
 def test_postprocess_rejects_mismatched_closure():
     closure = euler_galerkin_closure("chafee", 2, 3, NU)
-    low = SpectralState(BasisSpec(SINE_DIRICHLET, 3), np.array([0.9, -0.2, 0.0]))
     with pytest.raises(ValueError):
-        postprocess(low, closure)
+        postprocess(np.array([0.9, -0.2, 0.0]), closure)
+    with pytest.raises(ValueError):
+        postprocess(np.array([0.9, -0.2, 0.0]), zero_closure(2, 1))
+
+
+def test_postprocess_calls_the_closure_once():
+    calls = []
+
+    def tail(p):
+        calls.append(p)
+        return p[..., :1] ** 2
+
+    full = postprocess([0.9, -0.2], Closure(n_low=2, n_high=1, map=tail))
+    assert len(calls) == 1
+    assert np.array_equal(full, [0.9, -0.2, 0.9**2])
 
 
 def test_closure_checks_output_width():
     bad = Closure(n_low=2, n_high=2, map=lambda p: np.zeros(p.shape[:-1] + (1,)))
     with pytest.raises(ValueError):
         bad(np.zeros(2))
+
+
+def test_closure_rejects_a_non_finite_tail():
+    bad = Closure(n_low=2, n_high=1, map=lambda p: np.full(p.shape[:-1] + (1,), np.nan))
+    with pytest.raises(FloatingPointError):
+        postprocess(np.array([0.9, -0.2]), bad)

@@ -292,6 +292,7 @@ def test_evaluate_writes_metrics_and_plots(tmp_path):
     assert ("MAPE corrected: %.17g" % doc["corrected"]["mape_final"]) in res.output
     _, series, _ = read_table(tmp_path / "out" / "error_series.csv")
     assert series.shape == (1001, 2)
+    assert series[0, 0] == 0.0 and series[-1, 0] == pytest.approx(1.0, abs=1e-12)
     for name in ("overlay.svg", "error_series.svg"):
         text = (tmp_path / "out" / name).read_text()
         assert text.startswith("<svg") and "provenance" in text
@@ -318,6 +319,16 @@ def test_evaluate_missing_artifact_exits_4(tmp_path):
     proc = _run_proc(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
     assert proc.returncode == 4
     assert "typo" in proc.stderr and "cl" in proc.stderr
+
+
+def test_an_undamped_slaved_mode_exits_2(tmp_path):
+    # KS at nu = 70: the first slaved mode has A_4 = 4 * 4**4 - 70 * 4**2 = -96
+    pipeline = dict(EVAL_PIPELINE, model="ks", ic=[0.1] * 8, final_time=0.01, dt=1e-4,
+                    nu=70.0)
+    cfg = _write(tmp_path / "eval.yaml", {"pipeline": pipeline})
+    res = _invoke(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output and "k = 4 has A = -96" in res.output
 
 
 def test_ensemble_outputs_and_determinism(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aimrom.aim import euler_galerkin_closure, zero_closure
+from aimrom.aim import euler_galerkin_closure, postprocess, zero_closure
 from aimrom.metrics import decompose_errors, mape, mape_series, mse
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, uniform_grid
 from oracles import alpha3
@@ -53,7 +53,7 @@ def test_decomposition_matches_parseval():
     closure = euler_galerkin_closure("chafee", 2, 3, NU)
     full = np.array([1.1, 0.2, 0.15])
     red = np.array([1.0, 0.25])
-    d = decompose_errors(full, red, closure, grid, basis)
+    d = decompose_errors(full, postprocess(red, closure), 2, grid)
 
     tail = alpha3(1.0, 0.25, NU)
     w = math.pi / 2
@@ -73,7 +73,7 @@ def test_zero_closure_decomposition_collapses():
     closure = zero_closure(2, 1)
     full = np.array([1.0, 0.2, 0.1])
     red = np.array([1.0, 0.2])
-    d = decompose_errors(full, red, closure, grid, basis)
+    d = decompose_errors(full, postprocess(red, closure), 2, grid)
     assert d.delta_low == 0.0
     assert d.delta_closure_mass == 0.0
     assert d.delta_corrected == pytest.approx(d.delta_truncated, abs=1e-14)
@@ -82,8 +82,11 @@ def test_zero_closure_decomposition_collapses():
 def test_decomposition_validates_widths():
     basis = BasisSpec(SINE_DIRICHLET, 3)
     grid = uniform_grid(basis, 65)
-    closure = euler_galerkin_closure("chafee", 2, 3, NU)
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros(3), np.zeros(3), closure, grid, basis)
+        decompose_errors(np.zeros(3), np.zeros(3), 3, grid)
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros(4), np.zeros(2), closure, grid, basis)
+        decompose_errors(np.zeros(3), np.zeros(3), 0, grid)
+    with pytest.raises(ValueError):
+        decompose_errors(np.zeros(4), np.zeros(3), 2, grid)
+    with pytest.raises(ValueError):
+        decompose_errors(np.zeros((2, 3)), np.zeros((2, 3)), 2, grid)

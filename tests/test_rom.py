@@ -9,7 +9,8 @@ from aimrom.aim import euler_galerkin_closure
 from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram
 from aimrom.models import chafee_field, chafee_rhs_3, ks_field
-from aimrom.nn import TrainConfig, forward, init_mlp, train
+from aimrom import rom
+from aimrom.nn import TrainConfig, forward, init_autoencoder, init_mlp, train
 from aimrom.pod import pod_fit
 from aimrom.rom import (
     ConfigurationError,
@@ -17,10 +18,12 @@ from aimrom.rom import (
     LearnedField,
     MissingArtifactError,
     PipelineConfig,
+    PipelineResult,
     build_derivative_dataset,
     learn_field,
     make_closure_dataset,
     run_pipeline,
+    run_pipeline_batch,
     validate_pipeline,
 )
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, uniform_grid
@@ -72,16 +75,6 @@ def test_derivative_dataset_targets_are_analytic():
     ds = build_derivative_dataset(states, field, 2)
     assert np.array_equal(ds.inputs, states[:, :2])
     assert np.allclose(ds.derivs, chafee_rhs_3(states, NU)[:, :2], atol=1e-14)
-    assert ds.meta["derivative_source"] == "analytic-full-rhs"
-
-
-def test_derivative_dataset_reconstructed_inputs():
-    field = chafee_field(3, NU)
-    states = np.tile(np.array([[1.0, 0.5, 0.1]]), (4, 1))
-    lead = states[:, :2] + 0.01
-    ds = build_derivative_dataset(states, field, 2, lead_inputs=lead)
-    assert np.array_equal(ds.inputs, lead)
-    assert "reconstructed" in ds.meta["derivative_source"]
 
 
 def test_make_closure_dataset_splits():
@@ -173,6 +166,32 @@ def test_pipeline_compatibility_matrix():
         validate_pipeline(base_cfg(dynamics="black-box"), {})
     with pytest.raises(MissingArtifactError):
         validate_pipeline(base_cfg(closure="mlp"), {})
+    # the pod artifact is asked for first, before the nets the route also needs
+    with pytest.raises(MissingArtifactError, match="artifact 'pod'"):
+        validate_pipeline(base_cfg(latent_route="pod", dynamics="black-box", closure="mlp"), {})
+
+
+def _counting(monkeypatch, name):
+    """Replace rom.<name> by a wrapper that records each call."""
+    calls = []
+    real = getattr(rom, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rom, name, counted)
+    return calls
+
+
+def test_an_undamped_slaved_mode_fails_before_any_integration(monkeypatch):
+    # at nu = 70 the first slaved KS mode has A_4 = 4 * 4**4 - 70 * 4**2 = -96
+    calls = _counting(monkeypatch, "rk4")
+    cfg = PipelineConfig("ks", "fourier", "truncated", "euler-galerkin", (0.1,) * 8,
+                         0.01, 1e-4, nu=70.0)
+    with pytest.raises(ValueError, match="k = 4 has A = -96"):
+        run_pipeline(cfg, {})
+    assert calls == []
 
 
 def test_pipeline_label_and_with_ic():
@@ -194,8 +213,23 @@ def test_truncated_euler_galerkin_pipeline_end_to_end():
     # the correction must beat plain truncation at the final time
     assert res.corrected_metrics.mape_final < res.raw_metrics.mape_final
     assert res.decomposition.delta_corrected < res.decomposition.delta_truncated
-    assert res.raw_metrics.percent_error_series.shape == res.reduced.times.shape
+    assert res.error_series.shape == res.reduced.times.shape
     assert res.truth.states.shape == (5001, 3)
+
+
+def test_decoder_inversion_runs_once_per_scored_run(monkeypatch):
+    calls = _counting(monkeypatch, "decoder_invert")
+    cfg = base_cfg(latent_route="autoencoder", closure="decoder-inversion", final_time=0.1,
+                   dt=1e-2)
+    artifacts = {"autoencoder": init_autoencoder(3, 2, (8,), seed=0)}
+    res = run_pipeline(cfg, artifacts)
+    assert len(calls) == 1
+    assert res.decomposition is not None
+    calls.clear()
+    ics = [(1.0, 0.5, 0.1), (0.5, -0.3, 0.0), (-0.8, 0.2, 0.1)]
+    results = list(run_pipeline_batch([cfg.with_ic(ic) for ic in ics], artifacts))
+    assert all(isinstance(r, PipelineResult) for r in results)
+    assert len(calls) == 3
 
 
 def test_ks_euler_galerkin_pipeline_appends_the_slaved_tail():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import aimrom.cli  # noqa: F401  (imports every module the tracer patches)
-from aimrom import models
+from aimrom import models, rom
 from aimrom.aim import euler_galerkin_closure
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -57,3 +57,16 @@ def test_one_slaving_map_call_is_one_traced_rhs_call(spans):
     summary = tracer.summary()
     assert {k: v[0] for k, v in summary.items() if k.startswith("models.")} == {
         "models.chafee_rhs_3": 1}
+
+
+def test_one_pipeline_run_records_its_postprocess_and_reconstruct_spans(spans):
+    cfg = rom.PipelineConfig("chafee", "fourier", "truncated", "euler-galerkin",
+                             (1.0, 0.5, 0.1), 0.1, 1e-2)
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        # through the module attribute, which install replaces
+        rom.run_pipeline(cfg, {})
+    summary = tracer.summary()
+    assert summary["rom.run_pipeline"][0] == 1
+    assert summary["aim.postprocess"][0] == 1
+    assert summary["spectral.reconstruct"][0] >= 1
