@@ -166,16 +166,38 @@ def _dataclass_schema(cls):
     return schema, required
 
 
-def _train_config(block, seed_override):
-    schema, required = _dataclass_schema(TrainConfig)
-    block = _check(block, schema, "train block", required=required)
-    if seed_override is not None:
-        block["seed"] = seed_override
+def _from_dataclass(cls, block, section, seed):
+    """cls built from a config block checked against its fields; an unset key
+    takes the field's default and seed, when given, replaces the block's.
+    A plain ValueError from the dataclass's own checks is reported under
+    section; a ConfigurationError already names what is wrong."""
+    schema, required = _dataclass_schema(cls)
+    block = _check(block, schema, section, required=required)
     kwargs = {k: v for k, v in block.items() if v is not None}
+    if seed is not None:
+        kwargs["seed"] = seed
     try:
-        return TrainConfig(**kwargs)
+        return cls(**kwargs)
+    except ConfigurationError:
+        raise
     except ValueError as exc:
-        raise ConfigurationError(f"train block: {exc}")
+        raise ConfigurationError(f"{section}: {exc}")
+
+
+def _given(cfg, *keys, **renamed):
+    """Keyword arguments from the keys cfg sets (renamed maps a parameter to
+    its config key); an unset key is left out, so the callee's default holds."""
+    names = dict(zip(keys, keys), **renamed)
+    return {param: cfg[key] for param, key in names.items() if cfg.get(key) is not None}
+
+
+# the parameters of analytic_field, under the same names
+_MODEL_SCHEMA = {"model": str, "n_modes": int, "nu": _NUM, "epsilon": _NUM}
+
+
+def _field(cfg):
+    """The analytic field that the model keys of cfg name."""
+    return analytic_field(**{key: cfg.get(key) for key in _MODEL_SCHEMA})
 
 
 def _read_snapshots(path):
@@ -193,15 +215,15 @@ def _read_snapshots(path):
 _ARTIFACT_ROLES = ("dynamics-net", "closure-net", "latent-map", "lift", "autoencoder", "pod")
 
 
-def _load_artifacts(doc, out_dir, seed):
+def _load_artifacts(cfg, out_dir):
     """Resolve the artifacts block to loaded models plus their hashes."""
     block = _check(
-        doc.get("artifacts"), {role: str for role in _ARTIFACT_ROLES}, "artifacts block"
+        cfg.get("artifacts"), {role: str for role in _ARTIFACT_ROLES}, "artifacts block"
     )
     roles = {k: v for k, v in block.items() if v is not None}
     if not roles:
         return {}, {}
-    store = ModelStore(_get(doc, "store", out_dir / "models"))
+    store = ModelStore(_get(cfg, "store", out_dir / "models"))
     artifacts, hashes = {}, {}
     for role, alias in sorted(roles.items()):
         try:
@@ -212,58 +234,11 @@ def _load_artifacts(doc, out_dir, seed):
     return artifacts, hashes
 
 
-def _pipeline_config(doc, section, seed_override):
-    schema, required = _dataclass_schema(PipelineConfig)
-    cfg = _check(doc, schema, section, required=required)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
-    kwargs = {k: v for k, v in cfg.items() if v is not None}
-    kwargs["ic"] = tuple(float(v) for v in kwargs["ic"])
-    return PipelineConfig(**kwargs)
-
-
 def _echo_kv(label, value):
     click.echo(f"{label}: {value}")
 
 
-# ------------------------------------------------------------ entry point
-
-def _common_options(fn):
-    fn = click.option(
-        "--seed", type=int, default=None, help="Override every seed in the config."
-    )(fn)
-    fn = click.option(
-        "--out", "out_dir", default="out", show_default=True,
-        type=click.Path(file_okay=False), help="Output directory.",
-    )(fn)
-    fn = click.option(
-        "--config", "config_path", required=True,
-        type=click.Path(dir_okay=False), help="YAML run config.",
-    )(fn)
-    return fn
-
-
-def _dispatch(body, config_path, out_dir, seed):
-    t_start = time.perf_counter()
-    try:
-        doc = _load_config(config_path)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        body(doc, out, seed)
-    except (BlowUpError, TrainingDivergedError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, so this branch must come first
-        click.echo(f"numeric failure: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    except MissingArtifactError as exc:
-        click.echo(f"missing artifact: {exc}", err=True)
-        sys.exit(EXIT_MISSING)
-    except ValueError as exc:
-        # every config check raises ConfigurationError, a ValueError
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _echo_kv("wall time", f"{time.perf_counter() - t_start:.2f} s")
-
+# ------------------------------------------------------------ command frame
 
 @click.group()
 @click.version_option(__version__, prog_name="aimrom")
@@ -271,140 +246,133 @@ def main():
     """Reduced-order modeling of dissipative PDEs via inertial-manifold closures."""
 
 
+def _command(name, schema, required=()):
+    """Register fn(cfg, out, seed) as the command `name`.
+
+    The command takes --config, --out and --seed.  It loads the YAML,
+    creates --out, checks the config against schema and calls fn with the
+    checked mapping, the output directory and the --seed override.  fn
+    returns its manifest entries (seed, outputs, ...), written here with the
+    command name and the config; each failure maps to its exit code.
+    """
+
+    def register(fn):
+        @main.command(name=name, help=fn.__doc__)
+        @click.option("--config", "config_path", required=True,
+                      type=click.Path(dir_okay=False), help="YAML run config.")
+        @click.option("--out", "out_dir", default="out", show_default=True,
+                      type=click.Path(file_okay=False), help="Output directory.")
+        @click.option("--seed", type=int, default=None,
+                      help="Override every seed in the config.")
+        def command(config_path, out_dir, seed):
+            t_start = time.perf_counter()
+            try:
+                doc = _load_config(config_path)
+                out = Path(out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                entries = fn(_check(doc, schema, f"{name} config", required), out, seed)
+                write_manifest(out, {"command": name, "config": _strip_lines(doc), **entries})
+            except (BlowUpError, TrainingDivergedError, FloatingPointError,
+                    np.linalg.LinAlgError) as exc:
+                # LinAlgError subclasses ValueError, so this branch must come first
+                click.echo(f"numeric failure: {type(exc).__name__}: {exc}", err=True)
+                sys.exit(EXIT_NUMERIC)
+            except MissingArtifactError as exc:
+                click.echo(f"missing artifact: {exc}", err=True)
+                sys.exit(EXIT_MISSING)
+            except ValueError as exc:
+                # every config check raises ConfigurationError, a ValueError
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(EXIT_CONFIG)
+            _echo_kv("wall time", f"{time.perf_counter() - t_start:.2f} s")
+
+        return command
+
+    return register
+
+
 # ------------------------------------------------------------ simulate
 
-_SIM_SCHEMA = {
-    "model": str,
-    "n_modes": int,
-    "nu": _NUM,
-    "epsilon": _NUM,
-    "ic": list,
-    "final_time": _NUM,
-    "dt": _NUM,
-    "grid_points": int,
-}
+_SIM_SCHEMA = {**_MODEL_SCHEMA, "ic": list, "final_time": _NUM, "dt": _NUM,
+               "grid_points": int}
 
 
-@main.command()
-@_common_options
-def simulate(config_path, out_dir, seed):
+@_command("simulate", _SIM_SCHEMA, required=("model", "ic", "final_time", "dt"))
+def simulate(cfg, out, seed):
     """Integrate one trajectory; write trajectory and field CSVs."""
-
-    def body(doc, out, seed):
-        cfg = _check(doc, _SIM_SCHEMA, "simulate config",
-                     required=("model", "ic", "final_time", "dt"))
-        field = analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
-                               cfg.get("epsilon"))
-        ic = np.asarray(cfg["ic"], dtype=float)
-        if ic.shape != (field.dim,):
-            raise ConfigurationError(
-                f"simulate config: ic needs {field.dim} entries for {field.name}")
-        traj = rk4(field, ic, float(cfg["final_time"]), float(cfg["dt"]))
-        outputs = ["trajectory.csv"]
-        trajectory_to_csv(traj, out / "trajectory.csv")
-        if cfg["model"] in MODELS:
-            basis = MODELS[cfg["model"]].basis(field.dim)
-            grid = uniform_grid(basis, _get(cfg, "grid_points", 65))
-            fields = reconstruct(traj.states, grid)
-            header = ["t"] + [f"u{i}" for i in range(grid.points.shape[0])]
-            write_table(
-                out / "field.csv", header,
-                np.column_stack([traj.times, fields]),
-                comments=["x: " + ",".join("%.17g" % x for x in grid.points)],
-            )
-            outputs.append("field.csv")
-        write_manifest(out, {
-            "command": "simulate", "config": _strip_lines(doc), "seed": seed,
-            "outputs": outputs,
-        })
-        _echo_kv("rows", traj.times.shape[0])
-        _echo_kv("final state", np.array2string(traj.final_state, precision=6))
-
-    _dispatch(body, config_path, out_dir, seed)
+    field = _field(cfg)
+    ic = np.asarray(cfg["ic"], dtype=float)
+    if ic.shape != (field.dim,):
+        raise ConfigurationError(
+            f"simulate config: ic needs {field.dim} entries for {field.name}")
+    traj = rk4(field, ic, float(cfg["final_time"]), float(cfg["dt"]))
+    outputs = ["trajectory.csv"]
+    trajectory_to_csv(traj, out / "trajectory.csv")
+    if cfg["model"] in MODELS:
+        basis = MODELS[cfg["model"]].basis(field.dim)
+        grid = uniform_grid(basis, **_given(cfg, n_points="grid_points"))
+        values = reconstruct(traj.states, grid)
+        header = ["t"] + [f"u{i}" for i in range(grid.points.shape[0])]
+        write_table(
+            out / "field.csv", header,
+            np.column_stack([traj.times, values]),
+            comments=["x: " + ",".join("%.17g" % x for x in grid.points)],
+        )
+        outputs.append("field.csv")
+    _echo_kv("rows", traj.times.shape[0])
+    _echo_kv("final state", np.array2string(traj.final_state, precision=6))
+    return {"seed": seed, "outputs": outputs}
 
 
 # ------------------------------------------------------------ sample
 
-_SAMPLE_SCHEMA = {
-    "model": str,
-    "n_modes": int,
-    "nu": _NUM,
-    "epsilon": _NUM,
-    "ic_box": list,
-    "n_trajectories": int,
-    "transient_time": _NUM,
-    "sample_time": _NUM,
-    "snapshot_stride": int,
-    "dt": _NUM,
-    "seed": int,
-}
+_SAMPLE_SCHEMA = {**_MODEL_SCHEMA, "ic_box": list, "n_trajectories": int,
+                  "transient_time": _NUM, "sample_time": _NUM, "snapshot_stride": int,
+                  "dt": _NUM, "seed": int}
 
 
-@main.command()
-@_common_options
-def sample(config_path, out_dir, seed):
+@_command("sample", _SAMPLE_SCHEMA,
+          required=("model", "ic_box", "n_trajectories", "transient_time",
+                    "sample_time", "snapshot_stride", "dt"))
+def sample(cfg, out, seed):
     """Sample attractor snapshots from random initial conditions."""
-
-    def body(doc, out, seed):
-        cfg = _check(doc, _SAMPLE_SCHEMA, "sample config",
-                     required=("model", "ic_box", "n_trajectories", "transient_time",
-                               "sample_time", "snapshot_stride", "dt"))
-        field = analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
-                               cfg.get("epsilon"))
-        plan = SamplerConfig(
-            n_trajectories=cfg["n_trajectories"],
-            ic_box=np.asarray(cfg["ic_box"], dtype=float),
-            transient_time=float(cfg["transient_time"]),
-            snapshot_stride=cfg["snapshot_stride"],
-            seed=seed if seed is not None else _get(cfg, "seed", 0),
-            sample_time=float(cfg["sample_time"]),
-        )
-        if plan.ic_box.shape != (field.dim, 2):
-            raise ConfigurationError(
-                f"sample config: ic_box must be {field.dim} rows of [low, high]")
-        snaps = sample_attractor(field, plan, dt=float(cfg["dt"]))
-        header = ["traj_id", "t"] + [f"a{k}" for k in range(1, field.dim + 1)]
-        write_table(out / "snapshots.csv", header,
-                    np.column_stack([snaps.traj_ids, snaps.times, snaps.states]))
-        write_manifest(out, {
-            "command": "sample", "config": _strip_lines(doc), "seed": plan.seed,
-            "outputs": ["snapshots.csv"], "n_snapshots": snaps.states.shape[0],
-            "failed_trajectories": list(snaps.failed_ids),
-        })
-        _echo_kv("snapshots", snaps.states.shape[0])
-        _echo_kv("failed trajectories", len(snaps.failed_ids))
-
-    _dispatch(body, config_path, out_dir, seed)
+    field = _field(cfg)
+    plan = SamplerConfig(
+        n_trajectories=cfg["n_trajectories"],
+        ic_box=np.asarray(cfg["ic_box"], dtype=float),
+        transient_time=float(cfg["transient_time"]),
+        snapshot_stride=cfg["snapshot_stride"],
+        seed=seed if seed is not None else _get(cfg, "seed", 0),
+        sample_time=float(cfg["sample_time"]),
+    )
+    if plan.ic_box.shape != (field.dim, 2):
+        raise ConfigurationError(
+            f"sample config: ic_box must be {field.dim} rows of [low, high]")
+    snaps = sample_attractor(field, plan, dt=float(cfg["dt"]))
+    header = ["traj_id", "t"] + [f"a{k}" for k in range(1, field.dim + 1)]
+    write_table(out / "snapshots.csv", header,
+                np.column_stack([snaps.traj_ids, snaps.times, snaps.states]))
+    _echo_kv("snapshots", snaps.states.shape[0])
+    _echo_kv("failed trajectories", len(snaps.failed_ids))
+    return {"seed": plan.seed, "outputs": ["snapshots.csv"],
+            "n_snapshots": snaps.states.shape[0],
+            "failed_trajectories": list(snaps.failed_ids)}
 
 
 # ------------------------------------------------------------ train
 
 _TRAIN_SCHEMA = {
-    "kind": str,
-    "alias": str,
-    "store": str,
-    "data": str,
-    "model": str,
-    "n_modes": int,
-    "nu": _NUM,
-    "epsilon": _NUM,
-    "n_low": int,
-    "hidden": list,
-    "latent_dim": int,
-    "center": bool,
-    "dmap": str,
-    "n_eigs": int,
-    "kernel_epsilon": _NUM,
-    "prune": bool,
-    "residual_threshold": _NUM,
-    "bandwidth_factor": _NUM,
-    "epsilon_star": _NUM,
-    "delta": _NUM,
-    "train": dict,
+    "kind": str, "alias": str, "store": str, "data": str, **_MODEL_SCHEMA,
+    "n_low": int, "hidden": list, "latent_dim": int, "train": dict,  # networks
+    "center": bool,  # pod
+    "n_eigs": int, "kernel_epsilon": _NUM, "prune": bool,  # dmap
+    "residual_threshold": _NUM, "bandwidth_factor": _NUM,
+    "dmap": str, "epsilon_star": _NUM, "delta": _NUM,  # lift, latent-map
 }
 
-_TRAIN_KINDS = ("closure", "black-box", "gray-box", "latent-map", "autoencoder",
-                "pod", "dmap", "lift")
+# the kinds that train a network, and so read the train block
+_NET_KINDS = ("closure", "black-box", "gray-box", "latent-map", "autoencoder")
+_TRAIN_KINDS = _NET_KINDS + ("pod", "dmap", "lift")
 
 
 def _require(cfg, keys, kind):
@@ -415,7 +383,7 @@ def _require(cfg, keys, kind):
 
 def _hidden(cfg, default):
     h = _get(cfg, "hidden", list(default))
-    if not all(isinstance(n, int) and n > 0 for n in h):
+    if not all(_is_type(n, int) and n > 0 for n in h):
         raise ConfigurationError("train config: hidden must be positive integers")
     return tuple(h)
 
@@ -423,7 +391,13 @@ def _hidden(cfg, default):
 def _fit_model(cfg, store, seed):
     """Run the requested fit; returns (object, history|None, meta extras)."""
     kind = cfg["kind"]
-    tcfg = _train_config(cfg.get("train"), seed)
+    if kind not in _TRAIN_KINDS:
+        raise ConfigurationError(f"train config: unknown kind {kind!r}; one of {_TRAIN_KINDS}")
+    if kind in _NET_KINDS:
+        tcfg = _from_dataclass(TrainConfig, cfg.get("train"), "train block", seed)
+    elif cfg.get("train") is not None:
+        raise ConfigurationError(
+            f"train config: kind {kind!r} trains no network and takes no train block")
     extras = {}
 
     if kind in ("closure", "black-box", "gray-box", "autoencoder", "pod", "dmap"):
@@ -443,8 +417,7 @@ def _fit_model(cfg, store, seed):
 
     if kind in ("black-box", "gray-box"):
         _require(cfg, ("model", "n_low"), kind)
-        full = analytic_field(cfg["model"], cfg.get("n_modes"), cfg.get("nu"),
-                              cfg.get("epsilon"))
+        full = _field(cfg)
         if states.shape[1] != full.dim:
             raise ConfigurationError(
                 f"train config: data width {states.shape[1]} != model dim {full.dim}")
@@ -454,8 +427,7 @@ def _fit_model(cfg, store, seed):
             if cfg["model"] not in MODELS:
                 raise ConfigurationError("train config: gray-box needs a Galerkin base model, "
                                   f"one of {', '.join(MODELS)}")
-            base = analytic_field(cfg["model"], cfg["n_low"], cfg.get("nu"),
-                                  cfg.get("epsilon"))
+            base = _field(dict(cfg, n_modes=cfg["n_low"]))
         hidden = _hidden(cfg, (64,) * 4 if base is None else (95,) * 6)
         return *learn_field(dataset, hidden, tcfg, seed=tcfg.seed, base=base), extras
 
@@ -466,79 +438,61 @@ def _fit_model(cfg, store, seed):
         return *train_autoencoder(ae, states, tcfg), extras
 
     if kind == "pod":
-        model = pod_fit(states, center=_get(cfg, "center", True))
+        model = pod_fit(states, **_given(cfg, "center"))
         extras["energy_fractions"] = model.energy_fractions.tolist()
         return model, None, extras
 
     if kind == "dmap":
-        dm = dmaps_fit(states, epsilon=cfg.get("kernel_epsilon"),
-                       n_eigs=_get(cfg, "n_eigs", 10))
+        dm = dmaps_fit(states, **_given(cfg, "n_eigs", epsilon="kernel_epsilon"))
         if _get(cfg, "prune", True):
             dm, residuals = select_independent(
-                dm,
-                regression_bandwidth_factor=_get(cfg, "bandwidth_factor", 3.0),
-                residual_threshold=_get(cfg, "residual_threshold", 0.2),
-            )
+                dm, **_given(cfg, "bandwidth_factor", "residual_threshold"))
             extras["kept_indices"] = list(dm.kept_indices)
             extras["residuals"] = residuals.tolist()
         return dm, None, extras
 
-    if kind in ("latent-map", "lift"):
-        _require(cfg, ("dmap",), kind)
-        try:
-            dm = store.load(cfg["dmap"])
-            extras["data_hash"] = store.resolve(cfg["dmap"])
-        except KeyError as exc:
-            raise MissingArtifactError(exc.args[0])
-        if not dm.kept_indices:
-            raise ConfigurationError("train config: stored dmap has no kept coordinates")
-        if kind == "lift":
-            gh = double_dmaps_lift(dm, dm.train_points,
-                                   epsilon_star=cfg.get("epsilon_star"),
-                                   delta=_get(cfg, "delta", 1e-6))
-            extras["in_sample_mse"] = float(gh.in_sample_mse)
-            return gh, None, extras
-        _require(cfg, ("n_low",), kind)
-        lead, latents = dm.train_points[:, : cfg["n_low"]], dm.coordinates()
-        net = init_mlp((lead.shape[1], *_hidden(cfg, (80,) * 5), latents.shape[1]),
-                       seed=tcfg.seed)
-        return *train(net, lead, latents, tcfg), extras
-
-    raise ConfigurationError(f"train config: unknown kind {kind!r}; one of {_TRAIN_KINDS}")
+    _require(cfg, ("dmap",), kind)
+    try:
+        dm = store.load(cfg["dmap"])
+        extras["data_hash"] = store.resolve(cfg["dmap"])
+    except KeyError as exc:
+        raise MissingArtifactError(exc.args[0])
+    if not dm.kept_indices:
+        raise ConfigurationError("train config: stored dmap has no kept coordinates")
+    if kind == "lift":
+        gh = double_dmaps_lift(dm, dm.train_points, **_given(cfg, "epsilon_star", "delta"))
+        extras["in_sample_mse"] = float(gh.in_sample_mse)
+        return gh, None, extras
+    _require(cfg, ("n_low",), kind)
+    lead, latents = dm.train_points[:, : cfg["n_low"]], dm.coordinates()
+    net = init_mlp((lead.shape[1], *_hidden(cfg, (80,) * 5), latents.shape[1]),
+                   seed=tcfg.seed)
+    return *train(net, lead, latents, tcfg), extras
 
 
-@main.command(name="train")
-@_common_options
-def train_cmd(config_path, out_dir, seed):
+@_command("train", _TRAIN_SCHEMA, required=("kind", "alias"))
+def train_cmd(cfg, out, seed):
     """Fit a model (closure, dynamics, latent map, autoencoder, pod, dmap)."""
-
-    def body(doc, out, seed):
-        cfg = _check(doc, _TRAIN_SCHEMA, "train config", required=("kind", "alias"))
-        store = ModelStore(_get(cfg, "store", out / "models"))
-        obj, history, extras = _fit_model(cfg, store, seed)
-        meta = {"config": _strip_lines(doc), "seed": seed, **extras}
-        key = store.save(obj, alias=cfg["alias"], meta=meta)
-        outputs = []
-        if history is not None:
-            write_loss_csv(history, out / "loss.csv")
-            outputs.append("loss.csv")
-            _echo_kv("final train mse", "%.6g" % history.train_mse[-1])
-        if cfg["kind"] == "pod":
-            fractions = np.asarray(extras["energy_fractions"])
-            write_table(out / "energy.csv", ["mode", "cumulative_energy"],
-                        np.column_stack([np.arange(1, fractions.size + 1), fractions]))
-            outputs.append("energy.csv")
-        write_manifest(out, {
-            "command": "train", "config": _strip_lines(doc), "seed": seed,
-            "outputs": outputs, "models": {cfg["alias"]: key},
-        })
-        _echo_kv("stored", f"{cfg['kind']} as {cfg['alias']}")
-        _echo_kv("model hash", key)
-
-    _dispatch(body, config_path, out_dir, seed)
+    store = ModelStore(_get(cfg, "store", out / "models"))
+    obj, history, extras = _fit_model(cfg, store, seed)
+    meta = {"config": _strip_lines(cfg), "seed": seed, **extras}
+    key = store.save(obj, alias=cfg["alias"], meta=meta)
+    outputs = []
+    if history is not None:
+        write_loss_csv(history, out / "loss.csv")
+        outputs.append("loss.csv")
+        _echo_kv("final train mse", "%.6g" % history.train_mse[-1])
+    if cfg["kind"] == "pod":
+        fractions = np.asarray(extras["energy_fractions"])
+        write_table(out / "energy.csv", ["mode", "cumulative_energy"],
+                    np.column_stack([np.arange(1, fractions.size + 1), fractions]))
+        outputs.append("energy.csv")
+    _echo_kv("stored", f"{cfg['kind']} as {cfg['alias']}")
+    _echo_kv("model hash", key)
+    return {"seed": seed, "outputs": outputs, "models": {cfg["alias"]: key}}
 
 
-# ------------------------------------------------------------ evaluate
+# ------------------------------------------------------------ postprocess, evaluate
 
 def _metrics_document(result, hashes):
     doc = {
@@ -561,78 +515,35 @@ def _metrics_document(result, hashes):
     return doc
 
 
-_EVAL_SCHEMA = {
-    "pipeline": dict,
-    "store": str,
-    "artifacts": dict,
-    "plots": bool,
-}
+_PIPELINE_SCHEMA = {"pipeline": dict, "store": str, "artifacts": dict, "plots": bool}
 
 
-def _run_configured_pipeline(doc, out, seed):
-    cfg = _check(doc, _EVAL_SCHEMA, "evaluate config", required=("pipeline",))
-    pipeline = _pipeline_config(doc["pipeline"], "pipeline block", seed)
-    artifacts, hashes = _load_artifacts(doc, out, seed)
+def _pipeline_command(cfg, out, seed, evaluate):
+    """Run the configured pipeline; write the post-processed state (postprocess)
+    or the error series (evaluate), the plots and metrics.json."""
+    pipeline = _from_dataclass(PipelineConfig, cfg["pipeline"], "pipeline block", seed)
+    artifacts, hashes = _load_artifacts(cfg, out)
     result = run_pipeline(pipeline, artifacts)
-    return cfg, pipeline, result, hashes
-
-
-def _write_overlay(out, result):
-    t_final = result.config.final_time
-    save_line_plot(
-        out / "overlay.svg",
-        [Series(result.x, result.u_truth, "truth"),
-         Series(result.x, result.u_raw, "truncated"),
-         Series(result.x, result.u_corrected, "corrected")],
-        title=f"u(x, T={t_final:g})", x_label="x", y_label="u",
-        provenance=result.config.label(),
-    )
-    return "overlay.svg"
-
-
-def _emit_metrics(out, result, hashes):
-    doc = _metrics_document(result, hashes)
-    (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _echo_kv("pipeline", doc["label"])
-    _echo_kv("MAPE corrected", "%.17g" % doc["corrected"]["mape_final"])
-    _echo_kv("MAPE raw", "%.17g" % doc["raw"]["mape_final"])
-    return doc
-
-
-@main.command()
-@_common_options
-def postprocess(config_path, out_dir, seed):
-    """Run a pipeline and write the post-processed state plus overlay plot."""
-
-    def body(doc, out, seed):
-        cfg, pipeline, result, hashes = _run_configured_pipeline(doc, out, seed)
-        header = [f"a{k}" for k in range(1, result.corrected_coeffs.shape[0] + 1)]
-        write_table(out / "corrected.csv", header, result.corrected_coeffs)
-        outputs = ["corrected.csv", "metrics.json"]
-        if _get(cfg, "plots", True):
-            outputs.append(_write_overlay(out, result))
-        _emit_metrics(out, result, hashes)
-        write_manifest(out, {
-            "command": "postprocess", "config": _strip_lines(doc),
-            "seed": pipeline.seed, "outputs": outputs, "models": hashes,
-        })
-
-    _dispatch(body, config_path, out_dir, seed)
-
-
-@main.command()
-@_common_options
-def evaluate(config_path, out_dir, seed):
-    """Run a pipeline and write its metrics, error series, and plots."""
-
-    def body(doc, out, seed):
-        cfg, pipeline, result, hashes = _run_configured_pipeline(doc, out, seed)
-        times = result.reduced.times
+    times = result.reduced.times
+    if evaluate:
         write_table(out / "error_series.csv", ["t", "percent_error"],
                     np.column_stack([times, result.error_series]))
         outputs = ["metrics.json", "error_series.csv"]
-        if _get(cfg, "plots", True):
-            outputs.append(_write_overlay(out, result))
+    else:
+        header = [f"a{k}" for k in range(1, result.corrected_coeffs.shape[0] + 1)]
+        write_table(out / "corrected.csv", header, result.corrected_coeffs)
+        outputs = ["corrected.csv", "metrics.json"]
+    if _get(cfg, "plots", True):
+        save_line_plot(
+            out / "overlay.svg",
+            [Series(result.x, result.u_truth, "truth"),
+             Series(result.x, result.u_raw, "truncated"),
+             Series(result.x, result.u_corrected, "corrected")],
+            title=f"u(x, T={result.config.final_time:g})", x_label="x", y_label="u",
+            provenance=result.config.label(),
+        )
+        outputs.append("overlay.svg")
+        if evaluate:
             save_line_plot(
                 out / "error_series.svg",
                 [Series(times, result.error_series, "truncated")],
@@ -640,77 +551,67 @@ def evaluate(config_path, out_dir, seed):
                 provenance=pipeline.label(),
             )
             outputs.append("error_series.svg")
-        _emit_metrics(out, result, hashes)
-        write_manifest(out, {
-            "command": "evaluate", "config": _strip_lines(doc),
-            "seed": pipeline.seed, "outputs": outputs, "models": hashes,
-        })
+    doc = _metrics_document(result, hashes)
+    (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _echo_kv("pipeline", doc["label"])
+    _echo_kv("MAPE corrected", "%.17g" % doc["corrected"]["mape_final"])
+    _echo_kv("MAPE raw", "%.17g" % doc["raw"]["mape_final"])
+    return {"seed": pipeline.seed, "outputs": outputs, "models": hashes}
 
-    _dispatch(body, config_path, out_dir, seed)
+
+@_command("postprocess", _PIPELINE_SCHEMA, required=("pipeline",))
+def postprocess(cfg, out, seed):
+    """Run a pipeline and write the post-processed state plus overlay plot."""
+    return _pipeline_command(cfg, out, seed, evaluate=False)
+
+
+@_command("evaluate", _PIPELINE_SCHEMA, required=("pipeline",))
+def evaluate(cfg, out, seed):
+    """Run a pipeline and write its metrics, error series, and plots."""
+    return _pipeline_command(cfg, out, seed, evaluate=True)
 
 
 # ------------------------------------------------------------ ensemble
 
-_ENSEMBLE_SCHEMA = {
-    "pipelines": list,
-    "ic_box": list,
-    "n_ic": int,
-    "seed": int,
-    "bins": int,
-    "final_time": _NUM,
-    "store": str,
-    "artifacts": dict,
-    "plots": bool,
-}
+_ENSEMBLE_SCHEMA = {"pipelines": list, "ic_box": list, "n_ic": int, "seed": int,
+                    "bins": int, "final_time": _NUM, "store": str, "artifacts": dict,
+                    "plots": bool}
 
 
-@main.command()
-@_common_options
-def ensemble(config_path, out_dir, seed):
+@_command("ensemble", _ENSEMBLE_SCHEMA, required=("pipelines", "ic_box", "n_ic"))
+def ensemble(cfg, out, seed):
     """Run pipelines over a shared random IC set; write MAPE histograms."""
-
-    def body(doc, out, seed):
-        cfg = _check(doc, _ENSEMBLE_SCHEMA, "ensemble config",
-                     required=("pipelines", "ic_box", "n_ic"))
-        if not cfg["pipelines"]:
-            raise ConfigurationError("ensemble config: pipelines list is empty")
-        configs = [
-            _pipeline_config(p, f"pipelines[{i}]", seed)
-            for i, p in enumerate(cfg["pipelines"])
-        ]
-        artifacts, hashes = _load_artifacts(doc, out, seed)
-        result = ensemble_histogram(
-            configs, artifacts, np.asarray(cfg["ic_box"], dtype=float),
-            n_ic=cfg["n_ic"],
-            seed=seed if seed is not None else _get(cfg, "seed", 0),
-            bins=_get(cfg, "bins", 20),
-            final_time=cfg.get("final_time"),
+    if not cfg["pipelines"]:
+        raise ConfigurationError("ensemble config: pipelines list is empty")
+    configs = [
+        _from_dataclass(PipelineConfig, p, f"pipelines[{i}]", seed)
+        for i, p in enumerate(cfg["pipelines"])
+    ]
+    artifacts, hashes = _load_artifacts(cfg, out)
+    seed = seed if seed is not None else _get(cfg, "seed", 0)
+    result = ensemble_histogram(
+        configs, artifacts, np.asarray(cfg["ic_box"], dtype=float),
+        n_ic=cfg["n_ic"], seed=seed, **_given(cfg, "bins", "final_time"),
+    )
+    write_long_samples(out / "samples.csv", result.labels, result.samples)
+    write_histogram_csv(out / "histogram.csv", result.labels,
+                        result.bin_edges, result.counts)
+    outputs = ["samples.csv", "histogram.csv"]
+    if _get(cfg, "plots", True):
+        centers = 0.5 * (result.bin_edges[:-1] + result.bin_edges[1:])
+        save_line_plot(
+            out / "histogram.svg",
+            [Series(centers, counts, label) for label, counts
+             in zip(result.labels, result.counts)],
+            title=f"final-time MAPE over {cfg['n_ic']} initial conditions",
+            x_label="MAPE [%]", y_label="count",
+            provenance=" vs ".join(result.labels),
         )
-        write_long_samples(out / "samples.csv", result.labels, result.samples)
-        write_histogram_csv(out / "histogram.csv", result.labels,
-                            result.bin_edges, result.counts)
-        outputs = ["samples.csv", "histogram.csv"]
-        if _get(cfg, "plots", True):
-            centers = 0.5 * (result.bin_edges[:-1] + result.bin_edges[1:])
-            save_line_plot(
-                out / "histogram.svg",
-                [Series(centers, counts, label) for label, counts
-                 in zip(result.labels, result.counts)],
-                title=f"final-time MAPE over {cfg['n_ic']} initial conditions",
-                x_label="MAPE [%]", y_label="count",
-                provenance=" vs ".join(result.labels),
-            )
-            outputs.append("histogram.svg")
-        write_manifest(out, {
-            "command": "ensemble", "config": _strip_lines(doc),
-            "seed": seed if seed is not None else _get(cfg, "seed", 0),
-            "outputs": outputs, "models": hashes,
-            "failed": {label: result.failed[i] for i, label in enumerate(result.labels)},
-        })
-        for label, samples in zip(result.labels, result.samples):
-            _echo_kv(label, f"median MAPE {np.median(samples):.4g}%")
-
-    _dispatch(body, config_path, out_dir, seed)
+        outputs.append("histogram.svg")
+    for label, samples in zip(result.labels, result.samples):
+        _echo_kv(label, f"median MAPE {np.median(samples):.4g}%")
+    return {"seed": seed, "outputs": outputs, "models": hashes,
+            "failed": {label: result.failed[i] for i, label in enumerate(result.labels)}}
 
 
 if __name__ == "__main__":

@@ -328,7 +328,7 @@ def _loo_linear_residual(basis, target, w):
     return float(np.sqrt(np.sum((target - preds) ** 2) / np.sum(target**2)))
 
 
-def select_independent(dm, regression_bandwidth_factor=3.0, residual_threshold=0.2):
+def select_independent(dm, bandwidth_factor=3.0, residual_threshold=0.2):
     """Greedy pruning of repeated eigendirections.
 
     The first nontrivial coordinate phi_1 is always kept (its residual is
@@ -357,7 +357,7 @@ def select_independent(dm, regression_bandwidth_factor=3.0, residual_threshold=0
         # no name holds the weights, so the last fit's are freed before the
         # next are built
         r = _loo_linear_residual(
-            phi[:, 1:k], phi[:, k], _loo_weights(d2, regression_bandwidth_factor)
+            phi[:, 1:k], phi[:, k], _loo_weights(d2, bandwidth_factor)
         )
         residuals.append(r)
         if r > residual_threshold:

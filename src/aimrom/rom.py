@@ -302,14 +302,9 @@ def _build_closure(cfg, artifacts, n_low, n_high):
     ae = artifacts["autoencoder"]
     if ae.decoder.d_out != n_low + n_high:
         raise ConfigurationError("autoencoder ambient width must match the full state")
-    candidates = artifacts.get("invert-candidates")
 
     def inv_map(p):
-        if candidates is None:
-            padded = np.concatenate([p, np.zeros(n_high)])
-            starts = forward(ae.encoder, padded)[None, :]
-        else:
-            starts = np.asarray(candidates, dtype=float)
+        starts = forward(ae.encoder, np.concatenate([p, np.zeros(n_high)]))[None, :]
         latent = decoder_invert(ae.decoder, p, starts)
         return decode(ae, latent)[n_low:]
 

@@ -12,8 +12,10 @@ from click.testing import CliRunner
 
 import aimrom
 from aimrom.cli import main
+from aimrom.dmaps import dmaps_fit, double_dmaps_lift, select_independent
 from aimrom.nn import init_autoencoder, init_mlp
-from aimrom.serialize import ModelStore, read_table, write_table
+from aimrom.pod import pod_fit
+from aimrom.serialize import ModelStore, canonical_json, model_to_dict, read_table, write_table
 
 
 def _write(path, doc):
@@ -423,3 +425,99 @@ def test_edited_stored_model_exits_4(tmp_path):
     proc = _run_proc(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
     assert proc.returncode == 4, proc.stderr
     assert key in proc.stderr and "does not match its hash" in proc.stderr
+
+
+def test_hidden_rejects_booleans(tmp_path):
+    # bool subclasses int: [true, 8] would otherwise build a (2, 1, 8, 1) net
+    data = _sampled(tmp_path)
+    doc = dict(_closure_doc(data, tmp_path / "store"), hidden=[True, 8])
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert "hidden must be positive integers" in res.output
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("pod", {"data": "absent.csv"}),
+    ("dmap", {"data": "absent.csv"}),
+    ("lift", {"dmap": "dm"}),
+])
+def test_kinds_without_a_network_reject_a_train_block(tmp_path, kind, keys):
+    doc = {"kind": kind, "alias": "m", "store": str(tmp_path / "store"), **keys,
+           "train": {"epochs": 5}}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert f"kind {kind!r} trains no network and takes no train block" in res.output
+
+
+COMMANDS = ("simulate", "sample", "train", "postprocess", "evaluate", "ensemble")
+
+
+@pytest.fixture(scope="module")
+def frame_runs(tmp_path_factory):
+    """Each command run once; the pipelines use a closure trained on one sample."""
+    root = tmp_path_factory.mktemp("frame")
+    store = str(root / "train" / "models")  # the train command's default store
+    train_doc = _closure_doc(root / "sample" / "snapshots.csv", store)
+    del train_doc["store"]
+    pipeline = {"pipeline": dict(EVAL_PIPELINE, closure="mlp"), "store": store,
+                "artifacts": {"closure-net": "cl"}}
+    docs = {
+        "simulate": SIM_DOC,
+        "sample": SAMPLE_DOC,
+        "train": train_doc,
+        "postprocess": pipeline,
+        "evaluate": pipeline,
+        "ensemble": dict(ENSEMBLE_DOC, pipelines=[pipeline["pipeline"]], plots=True,
+                         store=store, artifacts=pipeline["artifacts"]),
+    }
+    for command in COMMANDS:
+        cfg = _write(root / f"{command}.yaml", docs[command])
+        res = _invoke([command, "--config", cfg, "--out", root / command])
+        assert res.exit_code == 0, res.output
+    return {command: root / command for command in COMMANDS}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_names_the_command_and_every_file_written(frame_runs, command):
+    out = frame_runs[command]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = sorted(p.name for p in out.iterdir() if p.name not in ("manifest.json", "models"))
+    assert sorted(manifest["outputs"]) == written
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_takes_config_out_and_seed(command):
+    res = _invoke([command, "--help"])
+    assert res.exit_code == 0, res.output
+    for option in ("--config", "--out", "--seed"):
+        assert option in res.output
+
+
+def test_unset_train_keys_take_the_library_defaults(frame_runs, tmp_path):
+    data = frame_runs["sample"] / "snapshots.csv"
+    states = read_table(data)[1][:, 2:]
+    store = ModelStore(tmp_path / "store")
+
+    def stored(doc):
+        doc = {"alias": doc["kind"], "store": str(store.root), **doc}
+        res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc),
+                       "--out", tmp_path / doc["kind"]])
+        assert res.exit_code == 0, res.output
+        text = (store.root / f"{store.resolve(doc['alias'])}.json").read_text()
+        return json.loads(text)["model"]
+
+    def expected(obj):
+        return json.loads(canonical_json(model_to_dict(obj)))
+
+    assert stored({"kind": "pod", "data": str(data)}) == expected(pod_fit(states))
+    assert stored({"kind": "dmap", "data": str(data)}) == \
+        expected(select_independent(dmaps_fit(states))[0])
+    dm = store.load("dmap")
+    assert stored({"kind": "lift", "dmap": "dmap"}) == \
+        expected(double_dmaps_lift(dm, dm.train_points))
+
+
+def test_ensemble_without_bins_writes_twenty(frame_runs):
+    hist = (frame_runs["ensemble"] / "histogram.csv").read_text().splitlines()
+    assert len(hist) == 1 + 20  # header + one pipeline x 20 bins
