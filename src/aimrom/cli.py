@@ -169,8 +169,7 @@ def _dataclass_schema(cls):
 def _from_dataclass(cls, block, section, seed):
     """cls built from a config block checked against its fields; an unset key
     takes the field's default and seed, when given, replaces the block's.
-    A plain ValueError from the dataclass's own checks is reported under
-    section; a ConfigurationError already names what is wrong."""
+    An error from the dataclass's own checks is reported under section."""
     schema, required = _dataclass_schema(cls)
     block = _check(block, schema, section, required=required)
     kwargs = {k: v for k, v in block.items() if v is not None}
@@ -178,8 +177,6 @@ def _from_dataclass(cls, block, section, seed):
         kwargs["seed"] = seed
     try:
         return cls(**kwargs)
-    except ConfigurationError:
-        raise
     except ValueError as exc:
         raise ConfigurationError(f"{section}: {exc}")
 

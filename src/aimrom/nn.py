@@ -21,7 +21,6 @@ __all__ = [
     "IftSummary",
     "init_mlp",
     "forward",
-    "gradient",
     "jacobian",
     "train",
     "lead_submodel",
@@ -130,21 +129,20 @@ def _core_forward(weights, biases, x):
     return acts
 
 
-def _core_backprop(weights, acts, delta):
-    """Parameter gradients and input gradient for an output-side delta.
+def _core_backprop(weights, acts, delta, grads_w, grads_b):
+    """Write the parameter gradients for an output-side delta into grads_w
+    and grads_b (one array per layer) and return the input gradient.
 
     delta is dL/d(core output), shape (n, d_out).  Hidden activations are
     the stored tanh outputs, so tanh' = 1 - a^2 needs no extra state.
     """
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ acts[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         delta = delta @ weights[i]
         if i > 0:
             delta = delta * (1.0 - acts[i] ** 2)
-    return grads_w, grads_b, delta
+    return delta
 
 
 def _as_batch(x, d):
@@ -165,23 +163,6 @@ def forward(mlp, x):
     y = _core_forward(mlp.weights, mlp.biases, xs)[-1]
     y = mlp.y_shift + mlp.y_scale * y
     return y[0] if single else y
-
-
-def gradient(mlp, x, y_target):
-    """Exact parameter gradient of sum ||forward(x) - y_target||^2.
-
-    Returns a list of (dW, db) pairs, one per layer, in raw units.
-    """
-    xb, _ = _as_batch(x, mlp.d_in)
-    yb, _ = _as_batch(y_target, mlp.d_out)
-    if xb.shape[0] != yb.shape[0]:
-        raise ValueError("x and y_target must have the same batch size")
-    xs = (xb - mlp.x_shift) / mlp.x_scale
-    acts = _core_forward(mlp.weights, mlp.biases, xs)
-    y = mlp.y_shift + mlp.y_scale * acts[-1]
-    delta = 2.0 * (y - yb) * mlp.y_scale
-    gw, gb, _ = _core_backprop(mlp.weights, acts, delta)
-    return list(zip(gw, gb))
 
 
 def jacobian(mlp, x):
@@ -205,23 +186,36 @@ def _standardization(data):
 
 
 class _Adam:
-    def __init__(self, shapes, cfg):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+    """Adam on one flat parameter vector, updated in place.
+
+    Every line keeps the per-element order of v = b2 v + ((1 - b2) g) g and
+    p - (lr m^) / (sqrt(v^) + eps), so the bits match the same update run
+    array by array.
+    """
+
+    def __init__(self, size, cfg):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
         self.t = 0
         self.cfg = cfg
 
-    def step(self, params, grads):
+    def step(self, params, grad):
         c = self.cfg
         self.t += 1
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
-            self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
-            mhat = self.m[i] / (1.0 - c.beta1**self.t)
-            vhat = self.v[i] / (1.0 - c.beta2**self.t)
-            out.append(p - c.learning_rate * mhat / (np.sqrt(vhat) + c.eps_hat))
-        return out
+        num, den = self._num, self._den
+        self.m *= c.beta1
+        self.m += np.multiply(1.0 - c.beta1, grad, out=num)
+        self.v *= c.beta2
+        np.multiply(1.0 - c.beta2, grad, out=num)
+        self.v += np.multiply(num, grad, out=num)
+        np.divide(self.m, 1.0 - c.beta1**self.t, out=num)
+        num *= c.learning_rate
+        np.divide(self.v, 1.0 - c.beta2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += c.eps_hat
+        params -= np.divide(num, den, out=num)
 
 
 def _split_indices(n, cfg):
@@ -236,9 +230,11 @@ def _fit(nets, x, y, cfg):
 
     Standardization constants come from the training split and sit on the
     chain's input and output; the links between networks stay unscaled.
-    Adam updates every weight and then every bias, in chain order.  The
-    optimization runs on standardized residuals; the history is raw-unit
-    MSE.  Returns (trained networks, history).
+    The parameters, their gradient and the Adam moments are flat vectors
+    holding every weight and then every bias, in chain order; each layer
+    trains on views into them.  The optimization runs on standardized
+    residuals; the history is raw-unit MSE.  Returns (trained networks,
+    history).
     """
     train_idx, val_idx, rng = _split_indices(x.shape[0], cfg)
     if train_idx.size == 0:
@@ -253,12 +249,16 @@ def _fit(nets, x, y, cfg):
     for net in nets:
         bounds.append((n_w, n_w + len(net.weights)))
         n_w += len(net.weights)
-    params = [w for net in nets for w in net.weights] + [b for net in nets for b in net.biases]
-    opt = _Adam([p.shape for p in params], cfg)
+    arrays = [w for net in nets for w in net.weights] + [b for net in nets for b in net.biases]
+    ends = np.cumsum([a.size for a in arrays])
+    params = np.concatenate([a.ravel() for a in arrays])
+    grad = np.empty_like(params)
+    opt = _Adam(params.size, cfg)
 
     def layers(flat):
-        """Per network, its (weights, biases) from the flat parameter list."""
-        return [(flat[lo:hi], flat[n_w + lo : n_w + hi]) for lo, hi in bounds]
+        """Per network, its (weights, biases) as views into a flat vector."""
+        views = [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+        return [(views[lo:hi], views[n_w + lo : n_w + hi]) for lo, hi in bounds]
 
     def chain_forward(nets_wb, batch):
         acts = []
@@ -267,6 +267,7 @@ def _fit(nets, x, y, cfg):
             batch = acts[-1][-1]
         return acts
 
+    nets_wb, grads_wb = layers(params), layers(grad)
     n_train = train_idx.size
     train_hist = np.empty(cfg.epochs)
     val_hist = np.empty(cfg.epochs)
@@ -276,18 +277,14 @@ def _fit(nets, x, y, cfg):
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             sel = train_idx[order[start : start + cfg.batch_size]]
-            nets_wb = layers(params)
             acts = chain_forward(nets_wb, xs[sel])
             resid = acts[-1][-1] - ys[sel]
             delta = 2.0 * resid / (resid.shape[0] * resid.shape[1])
-            grads_w, grads_b = [], []
-            for (w, _), net_acts in zip(reversed(nets_wb), reversed(acts)):
-                gw, gb, delta = _core_backprop(w, net_acts, delta)
-                grads_w = gw + grads_w
-                grads_b = gb + grads_b
-            params = opt.step(params, grads_w + grads_b)
+            for (w, _), (gw, gb), net_acts in zip(reversed(nets_wb), reversed(grads_wb),
+                                                   reversed(acts)):
+                delta = _core_backprop(w, net_acts, delta, gw, gb)
+            opt.step(params, grad)
 
-        nets_wb = layers(params)
         pred = chain_forward(nets_wb, xs[train_idx])[-1][-1]
         train_hist[epoch] = float(np.mean((pred - ys[train_idx]) ** 2 * y_var))
         if val_idx.size:
@@ -300,10 +297,12 @@ def _fit(nets, x, y, cfg):
 
     last = len(nets) - 1
     trained = []
-    for k, (net, (w, b)) in enumerate(zip(nets, layers(params))):
+    for k, (net, (w, b)) in enumerate(zip(nets, nets_wb)):
         x_std = (x_shift, x_scale) if k == 0 else (np.zeros(net.d_in), np.ones(net.d_in))
         y_std = (y_shift, y_scale) if k == last else (np.zeros(net.d_out), np.ones(net.d_out))
-        trained.append(replace(net, weights=tuple(w), biases=tuple(b),
+        # copies: each model owns its arrays instead of viewing the training buffer
+        trained.append(replace(net, weights=tuple(a.copy() for a in w),
+                               biases=tuple(a.copy() for a in b),
                                x_shift=x_std[0], x_scale=x_std[1],
                                y_shift=y_std[0], y_scale=y_std[1]))
     return trained, TrainHistory(train_mse=train_hist, val_mse=val_hist)

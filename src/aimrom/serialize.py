@@ -146,7 +146,6 @@ class ModelStore:
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     @property
     def _alias_path(self):
@@ -161,6 +160,7 @@ class ModelStore:
         """Store a model, return its content-hash key."""
         text = canonical_json({"model": model_to_dict(obj), "meta": _jsonify(meta or {})})
         key = hashlib.sha256(text.encode()).hexdigest()
+        self.root.mkdir(parents=True, exist_ok=True)
         _write_atomic(self.root / f"{key}.json", text + "\n")
         if alias is not None:
             table = self.aliases()
@@ -170,6 +170,8 @@ class ModelStore:
 
     def resolve(self, name):
         """Alias or hash key -> hash key; KeyError lists known aliases."""
+        if not self.root.is_dir():
+            raise KeyError(f"no stored model {name!r}: no model store at {self.root}")
         table = self.aliases()
         if name in table:
             return table[name]

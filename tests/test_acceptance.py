@@ -27,7 +27,6 @@ from aimrom.nn import (
     decode,
     encode,
     forward,
-    gradient,
     ift_check,
     init_autoencoder,
     init_mlp,
@@ -45,7 +44,7 @@ from aimrom.rom import (
     run_pipeline,
 )
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, reconstruct, uniform_grid
-from oracles import alpha3, ks_rhs_quadrature
+from oracles import alpha3, gradient, ks_rhs_quadrature
 
 NU_CHAFEE = 0.16
 NU_KS = 33.0

@@ -323,6 +323,31 @@ def test_evaluate_missing_artifact_exits_4(tmp_path):
     assert "typo" in proc.stderr and "cl" in proc.stderr
 
 
+def test_evaluate_with_a_missing_store_exits_4_and_creates_nothing(tmp_path):
+    store = tmp_path / "typo-store"
+    doc = {"pipeline": dict(EVAL_PIPELINE, closure="mlp"), "store": str(store),
+           "artifacts": {"closure-net": "cl"}}
+    cfg = _write(tmp_path / "eval.yaml", doc)
+    res = _invoke(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 4, res.output
+    assert f"no model store at {store}" in res.output
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "postprocess", "ensemble"])
+def test_a_pipeline_check_error_names_its_block(tmp_path, command):
+    bogus = dict(EVAL_PIPELINE, closure="bogus")
+    if command == "ensemble":
+        doc = {"pipelines": [EVAL_PIPELINE, bogus], "ic_box": [[0.5, 1.2]] * 3, "n_ic": 2}
+        section = "pipelines[1]"
+    else:
+        doc, section = {"pipeline": bogus}, "pipeline block"
+    cfg = _write(tmp_path / "cfg.yaml", doc)
+    res = _invoke([command, "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert f"config error: {section}: unknown closure: 'bogus'" in res.output
+
+
 def test_an_undamped_slaved_mode_exits_2(tmp_path):
     # KS at nu = 70: the first slaved mode has A_4 = 4 * 4**4 - 70 * 4**2 = -96
     pipeline = dict(EVAL_PIPELINE, model="ks", ic=[0.1] * 8, final_time=0.01, dt=1e-4,

@@ -11,7 +11,6 @@ from aimrom.nn import (
     decoder_invert,
     encode,
     forward,
-    gradient,
     ift_check,
     init_autoencoder,
     init_mlp,
@@ -20,6 +19,8 @@ from aimrom.nn import (
     train,
     train_autoencoder,
 )
+from aimrom.nn import _Adam
+from oracles import PerArrayAdam, gradient
 
 
 def manual_mlp(weights, biases):
@@ -196,6 +197,56 @@ def test_adam_first_step_moves_by_signed_learning_rate():
     trained, _ = train(mlp, x, y, cfg)
     assert trained.weights[0][0, 0] == pytest.approx(0.5 + 0.01, rel=1e-6)
     assert trained.biases[0][0] == 0.0
+
+
+# the closure's chain and the autoencoder's, as training lays them out
+ADAM_CHAINS = {"closure": [(2, 24, 24, 1)], "autoencoder": [(8, 32, 32, 3), (3, 32, 32, 8)]}
+
+
+def _adam_runs(chain, square_first):
+    """Per step: (flat update, per-array oracle update flattened) over 50
+    steps from the same random parameters and gradients."""
+    nets = [init_mlp(sizes, seed=k) for k, sizes in enumerate(chain)]
+    shapes = [w.shape for net in nets for w in net.weights]
+    shapes += [b.shape for net in nets for b in net.biases]
+    rng = np.random.default_rng(11)
+    params = [rng.normal(size=s) for s in shapes]
+    flat = np.concatenate([p.ravel() for p in params])
+    cfg = TrainConfig(learning_rate=3e-3)
+    opt, oracle = _Adam(flat.size, cfg), PerArrayAdam(shapes, cfg, square_first)
+    for _ in range(50):
+        grads = [rng.normal(scale=rng.uniform(1e-3, 10.0), size=s) for s in shapes]
+        opt.step(flat, np.concatenate([g.ravel() for g in grads]))
+        params = oracle.step(params, grads)
+        yield flat, np.concatenate([p.ravel() for p in params])
+
+
+@pytest.mark.parametrize("chain", sorted(ADAM_CHAINS))
+def test_flat_adam_matches_the_per_array_update_bitwise(chain):
+    for step, (flat, expected) in enumerate(_adam_runs(ADAM_CHAINS[chain], False)):
+        assert np.array_equal(flat, expected), f"step {step}"
+
+
+@pytest.mark.parametrize("chain", sorted(ADAM_CHAINS))
+def test_adam_oracle_tells_the_second_moment_order_apart(chain):
+    # (g g)(1 - beta2) rounds differently from ((1 - beta2) g) g, so the
+    # bitwise test above fails if the flat update forms v in that order
+    runs = _adam_runs(ADAM_CHAINS[chain], True)
+    assert any(not np.array_equal(flat, swapped) for flat, swapped in runs)
+
+
+def test_trained_models_own_their_arrays():
+    x = np.random.default_rng(4).normal(size=(80, 4))
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
+    trained, _ = train_autoencoder(init_autoencoder(4, 2, (8,), seed=3), x, cfg)
+    arrays = [a for net in (trained.encoder, trained.decoder)
+              for a in net.weights + net.biases]
+    for i, a in enumerate(arrays):
+        # disjoint views into one training buffer would pass shares_memory
+        # but not owndata
+        assert a.flags.owndata
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 def test_train_fits_linear_map():
