@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NumericalFailure
 from .models import MODELS, analytic_field
 
 __all__ = [
@@ -45,7 +46,7 @@ class Closure:
         if out.shape[-1] != self.n_high:
             raise ValueError("closure map returned the wrong number of modes")
         if not np.all(np.isfinite(out)):
-            raise FloatingPointError("closure output is not finite")
+            raise NumericalFailure("closure output is not finite")
         return out
 
 

@@ -4,8 +4,8 @@ Every command reads a YAML config (schema-validated, unknown keys rejected,
 errors reported with the source line), writes its outputs plus a manifest
 into --out, and is bit-reproducible under a fixed seed.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (blow-up or
-diverged training), 4 missing stored model.
+Exit codes: 0 success; a failure exits with the exit_code of its
+AimromError class (2 config error, 3 numeric failure, 4 missing artifact).
 """
 
 import json
@@ -18,23 +18,14 @@ import click
 import numpy as np
 import yaml
 
-from . import __version__
+from . import AimromError, ConfigurationError, NumericalFailure, __version__
 from .dmaps import dmaps_fit, double_dmaps_lift, select_independent
-from .integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
+from .integrate import SamplerConfig, rk4, sample_attractor
 from .metrics import ensemble_histogram
 from .models import MODELS, analytic_field
-from .nn import (
-    TrainConfig,
-    TrainingDivergedError,
-    init_autoencoder,
-    init_mlp,
-    train,
-    train_autoencoder,
-)
+from .nn import TrainConfig, init_autoencoder, init_mlp, train, train_autoencoder
 from .pod import pod_fit
 from .rom import (
-    ConfigurationError,
-    MissingArtifactError,
     PipelineConfig,
     build_derivative_dataset,
     learn_field,
@@ -54,10 +45,6 @@ from .serialize import (
 )
 from .spectral import reconstruct, uniform_grid
 from .svg import Series, save_line_plot
-
-EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
-EXIT_MISSING = 4
 
 _NUM = (int, float)
 
@@ -223,11 +210,8 @@ def _load_artifacts(cfg, out_dir):
     store = ModelStore(_get(cfg, "store", out_dir / "models"))
     artifacts, hashes = {}, {}
     for role, alias in sorted(roles.items()):
-        try:
-            hashes[role] = store.resolve(alias)
-            artifacts[role] = store.load(alias)
-        except KeyError as exc:
-            raise MissingArtifactError(exc.args[0])
+        hashes[role] = store.resolve(alias)
+        artifacts[role] = store.load(alias)
     return artifacts, hashes
 
 
@@ -236,6 +220,11 @@ def _echo_kv(label, value):
 
 
 # ------------------------------------------------------------ command frame
+
+def _fail(cls, exc):
+    click.echo(f"{cls.label}: {exc}", err=True)
+    sys.exit(cls.exit_code)
+
 
 @click.group()
 @click.version_option(__version__, prog_name="aimrom")
@@ -250,7 +239,8 @@ def _command(name, schema, required=()):
     creates --out, checks the config against schema and calls fn with the
     checked mapping, the output directory and the --seed override.  fn
     returns its manifest entries (seed, outputs, ...), written here with the
-    command name and the config; each failure maps to its exit code.
+    command name and the config.  A failure exits with its AimromError class's
+    code and label; numpy's LinAlgError exits 3 and any other ValueError 2.
     """
 
     def register(fn):
@@ -269,18 +259,12 @@ def _command(name, schema, required=()):
                 out.mkdir(parents=True, exist_ok=True)
                 entries = fn(_check(doc, schema, f"{name} config", required), out, seed)
                 write_manifest(out, {"command": name, "config": _strip_lines(doc), **entries})
-            except (BlowUpError, TrainingDivergedError, FloatingPointError,
-                    np.linalg.LinAlgError) as exc:
-                # LinAlgError subclasses ValueError, so this branch must come first
-                click.echo(f"numeric failure: {type(exc).__name__}: {exc}", err=True)
-                sys.exit(EXIT_NUMERIC)
-            except MissingArtifactError as exc:
-                click.echo(f"missing artifact: {exc}", err=True)
-                sys.exit(EXIT_MISSING)
+            except AimromError as exc:
+                _fail(type(exc), exc)
+            except np.linalg.LinAlgError as exc:
+                _fail(NumericalFailure, exc)
             except ValueError as exc:
-                # every config check raises ConfigurationError, a ValueError
-                click.echo(f"config error: {exc}", err=True)
-                sys.exit(EXIT_CONFIG)
+                _fail(ConfigurationError, exc)
             _echo_kv("wall time", f"{time.perf_counter() - t_start:.2f} s")
 
         return command
@@ -449,11 +433,8 @@ def _fit_model(cfg, store, seed):
         return dm, None, extras
 
     _require(cfg, ("dmap",), kind)
-    try:
-        dm = store.load(cfg["dmap"])
-        extras["data_hash"] = store.resolve(cfg["dmap"])
-    except KeyError as exc:
-        raise MissingArtifactError(exc.args[0])
+    dm = store.load(cfg["dmap"])
+    extras["data_hash"] = store.resolve(cfg["dmap"])
     if not dm.kept_indices:
         raise ConfigurationError("train config: stored dmap has no kept coordinates")
     if kind == "lift":
@@ -608,7 +589,9 @@ def ensemble(cfg, out, seed):
     for label, samples in zip(result.labels, result.samples):
         _echo_kv(label, f"median MAPE {np.median(samples):.4g}%")
     return {"seed": seed, "outputs": outputs, "models": hashes,
-            "failed": {label: result.failed[i] for i, label in enumerate(result.labels)}}
+            "failed": {label: result.failed[i] for i, label in enumerate(result.labels)},
+            "failures": [{"pipeline": label, "ic_index": k, "error": f"{type(exc).__name__}: {exc}"}
+                         for label, k, exc in result.failures]}
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import NumericalFailure
+
 __all__ = [
     "DiffusionMap",
     "GeometricHarmonics",
@@ -198,7 +200,7 @@ def dmaps_fit(points, epsilon=None, n_eigs=10):
     """Fit a diffusion map; epsilon defaults to the median squared distance.
 
     Returns n_eigs + 1 eigenpairs including the trivial one.  Raises
-    np.linalg.LinAlgError when the kernel is disconnected at this epsilon.
+    NumericalFailure when the kernel is disconnected at this epsilon.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 3:
@@ -214,7 +216,7 @@ def dmaps_fit(points, epsilon=None, n_eigs=10):
     a = _gaussian(d2, epsilon)
     p = a.sum(axis=1)
     if np.any(p - 1.0 < 1e-14):
-        raise np.linalg.LinAlgError(
+        raise NumericalFailure(
             "kernel is disconnected: some point sees no neighbors; increase epsilon"
         )
     # a becomes the symmetric conjugate D^(-1/2) K D^(-1/2) in place

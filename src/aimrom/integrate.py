@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import NumericalFailure
+
 __all__ = [
     "BlowUpError",
     "Trajectory",
@@ -19,7 +21,7 @@ __all__ = [
 _BATCH_BYTES = 32 * 2**20
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(NumericalFailure):
     """Raised when a state stops being finite during integration."""
 
     def __init__(self, time, message=None):

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import NumericalFailure
 from .spectral import grid_l2_norm, reconstruct
 
 __all__ = [
@@ -114,25 +115,27 @@ def decompose_errors(full_state, corrected_state, n_low, grid):
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Final-time percent errors across a seeded set of initial conditions."""
+    """Final-time percent errors across a seeded set of initial conditions;
+    failures holds (label, ic index, NumericalFailure) of each failed run."""
 
     labels: tuple
     samples: tuple = field(repr=False)
     bin_edges: np.ndarray = field(repr=False)
     counts: tuple = field(repr=False)
     failed: tuple = ()
+    failures: tuple = ()
 
 
 def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_time=None):
     """Run each pipeline over one shared set of seeded initial conditions.
 
     Returns per-config final percent errors binned on a common grid.
-    Initial conditions are drawn uniformly in ic_box; a run that blows up
-    is recorded under failed and skipped in the histogram.  Each distinct
-    truth is integrated once for all pipelines and initial conditions.
+    Initial conditions are drawn uniformly in ic_box; a run that fails
+    numerically is recorded under failures and skipped in the histogram.
+    Each distinct truth is integrated once for all pipelines and initial
+    conditions.
     """
     # local import: the pipeline runner scores with this module
-    from .integrate import BlowUpError
     from .rom import run_pipeline_batch
 
     if n_ic < 1:
@@ -145,26 +148,24 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     truths = {}
     for cfg in configs:
         errs = []
-        failed = 0
-        for result in run_pipeline_batch(
+        for k, result in enumerate(run_pipeline_batch(
             [cfg.with_ic(ic, final_time) for ic in ics], artifacts, truths
-        ):
-            if isinstance(result, BlowUpError):
-                failed += 1
-                continue
-            errs.append(result.corrected_metrics.mape_final)
+        )):
+            if isinstance(result, NumericalFailure):
+                failures.append((cfg.label(), k, result))
+            else:
+                errs.append(result.corrected_metrics.mape_final)
         labels.append(cfg.label())
         samples.append(np.array(errs))
-        failures.append(failed)
 
     finite = np.concatenate([s for s in samples if s.size] or [np.array([0.0])])
-    hi = float(finite.max()) if finite.size else 1.0
-    edges = np.linspace(0.0, max(hi, 1e-12), bins + 1)
+    edges = np.linspace(0.0, max(float(finite.max()), 1e-12), bins + 1)
     counts = tuple(np.histogram(s, bins=edges)[0] for s in samples)
     return EnsembleResult(
         labels=tuple(labels),
         samples=tuple(samples),
         bin_edges=edges,
         counts=counts,
-        failed=tuple(failures),
+        failed=tuple(n_ic - s.size for s in samples),
+        failures=tuple(failures),
     )

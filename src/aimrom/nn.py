@@ -12,19 +12,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import NumericalFailure
+
 __all__ = [
     "Mlp",
     "TrainConfig",
     "TrainHistory",
     "TrainingDivergedError",
     "Autoencoder",
-    "IftSummary",
     "init_mlp",
     "forward",
     "jacobian",
     "train",
     "lead_submodel",
-    "ift_check",
     "decoder_invert",
     "init_autoencoder",
     "train_autoencoder",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(NumericalFailure):
     """Raised when the training loss stops being finite."""
 
     def __init__(self, epoch):
@@ -341,50 +341,12 @@ def lead_submodel(mlp, k):
     )
 
 
-@dataclass(frozen=True)
-class IftSummary:
-    """Jacobian determinant sweep used as an implicit-function-theorem check."""
-
-    dets: np.ndarray = field(repr=False)
-    majority_sign: float = 0.0
-    majority_fraction: float = 0.0
-
-    @property
-    def single_sign(self):
-        return self.majority_fraction == 1.0
-
-
-def ift_check(mlp, points):
-    """Determinant of the square input-output Jacobian at each point.
-
-    A consistent nonzero sign across the sampled region is the practical
-    criterion for local invertibility of the map.
-    """
-    if mlp.d_in != mlp.d_out:
-        raise ValueError("ift_check needs a square Jacobian (d_in == d_out)")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    dets = np.array([np.linalg.det(jacobian(mlp, p)) for p in pts])
-    signs = np.sign(dets)
-    n_pos = int(np.sum(signs > 0))
-    n_neg = int(np.sum(signs < 0))
-    if n_pos == 0 and n_neg == 0:
-        return IftSummary(dets=dets, majority_sign=0.0, majority_fraction=0.0)
-    majority = 1.0 if n_pos >= n_neg else -1.0
-    return IftSummary(
-        dets=dets,
-        majority_sign=majority,
-        majority_fraction=max(n_pos, n_neg) / dets.shape[0],
-    )
-
-
 def decoder_invert(decoder, target_lead, candidates, max_iters=200, tol=1e-12):
     """Solve argmin_L ||lead(decoder(L)) - target_lead||^2 by multi-start descent.
 
     candidates seeds the starts (rows are latent vectors); each start runs
     gradient descent with backtracking line search.  Returns the best latent
-    vector found.  Raises np.linalg.LinAlgError if every start ends non-finite.
+    vector found.  Raises NumericalFailure if every start ends non-finite.
     """
     target = np.asarray(target_lead, dtype=float)
     k = target.shape[0]
@@ -426,7 +388,7 @@ def decoder_invert(decoder, target_lead, candidates, max_iters=200, tol=1e-12):
         if np.isfinite(val) and val < best_val:
             best_l, best_val = latent, val
     if best_l is None:
-        raise np.linalg.LinAlgError("all descent starts failed to produce a finite objective")
+        raise NumericalFailure("all descent starts failed to produce a finite objective")
     return best_l
 
 

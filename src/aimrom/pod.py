@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["PodModel", "QuadraticFit", "pod_fit", "pod_project", "pod_lift", "quadratic_fit"]
+__all__ = ["PodModel", "pod_fit", "pod_project", "pod_lift"]
 
 
 @dataclass(frozen=True)
@@ -76,36 +76,3 @@ def pod_lift(model, coeffs, k=None):
     if k != width or not (1 <= k <= model.rank):
         raise ValueError("coefficient width must equal k and fit the model rank")
     return c @ model.modes[:, :k].T + model.mean
-
-
-@dataclass(frozen=True)
-class QuadraticFit:
-    """Least-squares parabola c2 ~ a*c1^2 + b*c1 + c with its R^2."""
-
-    coeffs: np.ndarray
-    r_squared: float
-
-    def __call__(self, c1):
-        c1 = np.asarray(c1, dtype=float)
-        a, b, c = self.coeffs
-        return a * c1**2 + b * c1 + c
-
-
-def quadratic_fit(c1, c2):
-    """Fit the second coefficient as a quadratic function of the first."""
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    if c1.shape != c2.shape or c1.ndim != 1 or c1.size < 3:
-        raise ValueError("c1 and c2 must be equal-length vectors of size >= 3")
-    design = np.stack([c1**2, c1, np.ones_like(c1)], axis=1)
-    if np.linalg.matrix_rank(design) < 3:
-        raise ValueError("degenerate abscissa: quadratic fit is not identifiable")
-    coeffs, *_ = np.linalg.lstsq(design, c2, rcond=None)
-    resid = c2 - design @ coeffs
-    total = c2 - c2.mean()
-    ss_tot = float(total @ total)
-    if ss_tot == 0.0:
-        r2 = 1.0 if float(resid @ resid) < 1e-28 else 0.0
-    else:
-        r2 = 1.0 - float(resid @ resid) / ss_tot
-    return QuadraticFit(coeffs=coeffs, r_squared=r2)

@@ -11,9 +11,10 @@ from functools import partial
 
 import numpy as np
 
+from . import ConfigurationError, MissingArtifactError, NumericalFailure
 from .aim import Closure, euler_galerkin_closure, postprocess, zero_closure
 from .dmaps import gh_extend
-from .integrate import BlowUpError, rk4
+from .integrate import rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import MODELS, VectorField, analytic_field
 from .nn import Mlp, decode, decoder_invert, forward, init_mlp, train
@@ -38,14 +39,6 @@ __all__ = [
 ROUTES = ("fourier", "pod", "autoencoder", "dmaps")
 DYNAMICS = ("truncated", "black-box", "gray-box")
 CLOSURES = ("euler-galerkin", "mlp", "double-dmaps", "decoder-inversion", "none")
-
-
-class ConfigurationError(ValueError):
-    """Invalid or incompatible pipeline configuration."""
-
-
-class MissingArtifactError(LookupError):
-    """A model referenced by the configuration is not in the store."""
 
 
 @dataclass(frozen=True)
@@ -220,18 +213,15 @@ class PipelineResult:
     decomposition: object = None
 
 
-_ARTIFACT_NEEDS = {
-    ("latent_route", "pod"): ("pod",),
-    ("dynamics", "black-box"): ("dynamics-net",),
-    ("dynamics", "gray-box"): ("dynamics-net",),
-    ("closure", "mlp"): ("closure-net",),
-    ("closure", "double-dmaps"): ("latent-map", "lift"),
-    ("closure", "decoder-inversion"): ("autoencoder",),
-}
+def _artifact(artifacts, name):
+    if name not in artifacts:
+        raise MissingArtifactError(f"pipeline needs artifact {name!r}")
+    return artifacts[name]
 
 
 def validate_pipeline(cfg, artifacts):
-    """Reject incompatible configurations before any computation runs."""
+    """Check cfg and its artifacts before any computation runs; returns the
+    reduced field and the closure, whose builds check each artifact's fit."""
     if cfg.closure == "euler-galerkin" and cfg.latent_route != "fourier":
         raise ConfigurationError("euler-galerkin closure requires the fourier route")
     if cfg.closure == "double-dmaps" and cfg.latent_route != "dmaps":
@@ -247,20 +237,24 @@ def validate_pipeline(cfg, artifacts):
     if cfg.latent_route == "pod" and cfg.closure not in ("mlp", "none"):
         raise ConfigurationError("pod route supports the mlp closure or none")
 
-    for (slot, value), names in _ARTIFACT_NEEDS.items():
-        if getattr(cfg, slot) == value:
-            for name in names:
-                if name not in artifacts:
-                    raise MissingArtifactError(f"pipeline needs artifact {name!r}")
-    if cfg.closure == "euler-galerkin":
-        # building the slaving map checks that every slaved mode is damped
-        euler_galerkin_closure(cfg.model, cfg.n_low, cfg.n_full, cfg.nu)
+    # the route's reduced width and the full width its closure completes
+    if cfg.latent_route == "pod":
+        pod = _artifact(artifacts, "pod")
+        if pod.ambient_dim != cfg.grid_points:
+            raise ConfigurationError("pod artifact was fitted on a different grid")
+        if pod.rank < cfg.pod_rank_full:
+            raise ConfigurationError("pod artifact rank is below pod_rank_full")
+        n_low, n_full = cfg.pod_rank_low, cfg.pod_rank_full
+    else:
+        n_low, n_full = cfg.n_low, cfg.n_full
+    return (_reduced_field(cfg, artifacts, n_low),
+            _build_closure(cfg, artifacts, n_low, n_full - n_low))
 
 
 def _reduced_field(cfg, artifacts, dim):
     if cfg.dynamics == "truncated":
         return analytic_field(cfg.model, cfg.n_low, cfg.nu)
-    net = artifacts["dynamics-net"]
+    net = _artifact(artifacts, "dynamics-net")
     if not isinstance(net, LearnedField):
         raise ConfigurationError("artifact 'dynamics-net' must be a LearnedField")
     if net.dim != dim:
@@ -278,15 +272,16 @@ def _build_closure(cfg, artifacts, n_low, n_high):
     if cfg.closure == "none":
         return zero_closure(n_low, n_high)
     if cfg.closure == "euler-galerkin":
+        # building the slaving map checks that every slaved mode is damped
         return euler_galerkin_closure(cfg.model, n_low, n_low + n_high, cfg.nu)
     if cfg.closure == "mlp":
-        net = artifacts["closure-net"]
+        net = _artifact(artifacts, "closure-net")
         if net.d_in != n_low or net.d_out != n_high:
             raise ConfigurationError("closure-net must map the lead block to the tail block")
         return Closure(n_low=n_low, n_high=n_high, map=lambda p: forward(net, p))
     if cfg.closure == "double-dmaps":
-        latent_map = artifacts["latent-map"]
-        lift = artifacts["lift"]
+        latent_map = _artifact(artifacts, "latent-map")
+        lift = _artifact(artifacts, "lift")
         if latent_map.d_in != n_low:
             raise ConfigurationError("latent-map input width must match the lead block")
         if lift.d_out != n_low + n_high:
@@ -299,7 +294,7 @@ def _build_closure(cfg, artifacts, n_low, n_high):
 
         return Closure(n_low=n_low, n_high=n_high, map=dd_map)
     # decoder inversion
-    ae = artifacts["autoencoder"]
+    ae = _artifact(artifacts, "autoencoder")
     if ae.decoder.d_out != n_low + n_high:
         raise ConfigurationError("autoencoder ambient width must match the full state")
 
@@ -314,7 +309,7 @@ def _build_closure(cfg, artifacts, n_low, n_high):
 def run_pipeline(cfg, artifacts):
     """Integrate, close, and score one pipeline; returns a PipelineResult."""
     (result,) = run_pipeline_batch([cfg], artifacts)
-    if isinstance(result, BlowUpError):
+    if isinstance(result, NumericalFailure):
         raise result
     return result
 
@@ -322,16 +317,16 @@ def run_pipeline(cfg, artifacts):
 def run_pipeline_batch(cfgs, artifacts, truths=None):
     """Run one pipeline from several initial conditions.
 
-    cfgs are the pipeline's configs, alike but for ic.  The truth and the
-    reduced model are each integrated once, batched over the initial
-    conditions; closures and scores then run per initial condition.  A
-    truths dict shares batched truth runs between calls, keyed by model,
-    nu, final_time, dt and the initial conditions.  Yields, in order, each
-    initial condition's PipelineResult or the BlowUpError that ended its
-    truth or reduced run.
+    cfgs are the pipeline's configs, alike but for ic; they are validated
+    before any integration.  The truth and the reduced model are each
+    integrated once, batched over the initial conditions; closures and
+    scores then run per initial condition.  A truths dict shares batched
+    truth runs between calls, keyed by model, nu, final_time, dt and the
+    initial conditions.  Yields, in order, each initial condition's
+    PipelineResult or the NumericalFailure that ended it.
     """
     cfg = cfgs[0]
-    validate_pipeline(cfg, artifacts)
+    reduced_field, closure = validate_pipeline(cfg, artifacts)
     ic_full = np.array([c.ic for c in cfgs])
     truths = {} if truths is None else truths
     key = (cfg.model, cfg.nu, cfg.final_time, cfg.dt, ic_full.tobytes())
@@ -341,36 +336,25 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
     truth = truths[key]
 
     grid = uniform_grid(cfg.basis(cfg.n_full), cfg.grid_points)
-    # the route's reduced width and its lift from coefficients to the grid
+    live = np.flatnonzero(np.isnan(truth.blowup_times))
+    # the route's lift from reduced coefficients to the grid, and its starts
     if cfg.latent_route == "pod":
         pod = artifacts["pod"]
-        n_low, n_full, lift = cfg.pod_rank_low, cfg.pod_rank_full, partial(pod_lift, pod)
+        lift = partial(pod_lift, pod)
+        starts = pod_project(pod, reconstruct(ic_full[live], grid), reduced_field.dim)
     else:
-        n_low, n_full, lift = cfg.n_low, cfg.n_full, partial(reconstruct, grid=grid)
-    # as in one run per initial condition, the reduced field and the closure
-    # are built, and can raise, only once some run has got that far
-    reduced = closure = None
-    live = np.flatnonzero(np.isnan(truth.blowup_times))
-    if live.size:
-        starts = ic_full[live, :n_low]
-        if cfg.latent_route == "pod":
-            if pod.ambient_dim != grid.n_points:
-                raise ConfigurationError("pod artifact was fitted on a different grid")
-            if pod.rank < n_full:
-                raise ConfigurationError("pod artifact rank is below pod_rank_full")
-            starts = pod_project(pod, reconstruct(ic_full[live], grid), n_low)
-        reduced = rk4(_reduced_field(cfg, artifacts, n_low), starts, cfg.final_time, cfg.dt)
-        if np.isnan(reduced.blowup_times).any():
-            closure = _build_closure(cfg, artifacts, n_low, n_full - n_low)
+        lift = partial(reconstruct, grid=grid)
+        starts = ic_full[live, :reduced_field.dim]
+    # with no live truth, each row below raises its truth's blow-up first
+    reduced = rk4(reduced_field, starts, cfg.final_time, cfg.dt) if live.size else None
 
     for k, run_cfg in enumerate(cfgs):
         try:
-            truth_k = truth.row(k)
-            reduced_k = reduced.row(int(np.searchsorted(live, k)))
-        except BlowUpError as exc:
-            yield exc
-            continue
-        yield _score(run_cfg, truth_k, reduced_k, closure, lift, grid)
+            result = _score(run_cfg, truth.row(k), reduced.row(int(np.searchsorted(live, k))),
+                            closure, lift, grid)
+        except NumericalFailure as exc:
+            result = exc
+        yield result
 
 
 def _field_scores(u, u_truth):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import MissingArtifactError, __version__
 from .dmaps import DiffusionMap, GeometricHarmonics
 from .models import VectorField, field_from_name
 from .nn import Autoencoder, Mlp
@@ -110,6 +110,8 @@ def model_from_dict(doc):
     cls = _CLASSES.get(doc.get("format"))
     if cls is None:
         raise ValueError(f"unknown model format {doc.get('format')!r}")
+    if missing := [f.name for f in fields(cls) if f.name not in doc]:
+        raise MissingArtifactError(f"stored {doc['format']!r} document lacks fields {missing}")
     return cls(**{f.name: _decode(f.type, doc[f.name]) for f in fields(cls)})
 
 
@@ -169,24 +171,24 @@ class ModelStore:
         return key
 
     def resolve(self, name):
-        """Alias or hash key -> hash key; KeyError lists known aliases."""
+        """Alias or hash key -> hash key; MissingArtifactError lists known aliases."""
         if not self.root.is_dir():
-            raise KeyError(f"no stored model {name!r}: no model store at {self.root}")
+            raise MissingArtifactError(f"no stored model {name!r}: no model store at {self.root}")
         table = self.aliases()
         if name in table:
             return table[name]
         if _KEY.fullmatch(name) and (self.root / f"{name}.json").exists():
             return name
         known = ", ".join(sorted(table)) or "(none)"
-        raise KeyError(f"no stored model {name!r}; available aliases: {known}")
+        raise MissingArtifactError(f"no stored model {name!r}; available aliases: {known}")
 
     def load(self, name):
-        """Load a stored model; KeyError if its file no longer hashes to its key."""
+        """Load a stored model; MissingArtifactError if its file no longer hashes to its key."""
         key = self.resolve(name)
         text = (self.root / f"{key}.json").read_text()
         if hashlib.sha256(text.removesuffix("\n").encode()).hexdigest() != key:
-            raise KeyError(f"stored model {key} does not match its hash; "
-                           "the file was truncated or edited")
+            raise MissingArtifactError(f"stored model {key} does not match its hash; "
+                                       "the file was truncated or edited")
         return model_from_dict(json.loads(text)["model"])
 
 

@@ -1,8 +1,11 @@
-"""Reference implementations the tests check the library against."""
+"""Reference implementations the tests check the library against, and the
+paper's explainability checks (criteria 08 and 10), which only tests run."""
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from aimrom.nn import _as_batch, _core_backprop, _core_forward
+from aimrom.nn import _as_batch, _core_backprop, _core_forward, jacobian
 
 
 def alpha3(a1, a2, nu):
@@ -75,3 +78,74 @@ class PerArrayAdam:
             vhat = self.v[i] / (1.0 - c.beta2**self.t)
             out.append(p - c.learning_rate * mhat / (np.sqrt(vhat) + c.eps_hat))
         return out
+
+
+@dataclass(frozen=True)
+class IftSummary:
+    """Jacobian determinant sweep used as an implicit-function-theorem check."""
+
+    dets: np.ndarray = field(repr=False)
+    majority_sign: float = 0.0
+    majority_fraction: float = 0.0
+
+    @property
+    def single_sign(self):
+        return self.majority_fraction == 1.0
+
+
+def ift_check(mlp, points):
+    """Determinant of the square input-output Jacobian at each point.
+
+    A consistent nonzero sign across the sampled region is the practical
+    criterion for local invertibility of the map.
+    """
+    if mlp.d_in != mlp.d_out:
+        raise ValueError("ift_check needs a square Jacobian (d_in == d_out)")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    dets = np.array([np.linalg.det(jacobian(mlp, p)) for p in pts])
+    signs = np.sign(dets)
+    n_pos = int(np.sum(signs > 0))
+    n_neg = int(np.sum(signs < 0))
+    if n_pos == 0 and n_neg == 0:
+        return IftSummary(dets=dets, majority_sign=0.0, majority_fraction=0.0)
+    majority = 1.0 if n_pos >= n_neg else -1.0
+    return IftSummary(
+        dets=dets,
+        majority_sign=majority,
+        majority_fraction=max(n_pos, n_neg) / dets.shape[0],
+    )
+
+
+@dataclass(frozen=True)
+class QuadraticFit:
+    """Least-squares parabola c2 ~ a*c1^2 + b*c1 + c with its R^2."""
+
+    coeffs: np.ndarray
+    r_squared: float
+
+    def __call__(self, c1):
+        c1 = np.asarray(c1, dtype=float)
+        a, b, c = self.coeffs
+        return a * c1**2 + b * c1 + c
+
+
+def quadratic_fit(c1, c2):
+    """Fit the second coefficient as a quadratic function of the first."""
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    if c1.shape != c2.shape or c1.ndim != 1 or c1.size < 3:
+        raise ValueError("c1 and c2 must be equal-length vectors of size >= 3")
+    design = np.stack([c1**2, c1, np.ones_like(c1)], axis=1)
+    if np.linalg.matrix_rank(design) < 3:
+        raise ValueError("degenerate abscissa: quadratic fit is not identifiable")
+    coeffs, *_ = np.linalg.lstsq(design, c2, rcond=None)
+    resid = c2 - design @ coeffs
+    total = c2 - c2.mean()
+    ss_tot = float(total @ total)
+    if ss_tot == 0.0:
+        r2 = 1.0 if float(resid @ resid) < 1e-28 else 0.0
+    else:
+        r2 = 1.0 - float(resid @ resid) / ss_tot
+    return QuadraticFit(coeffs=coeffs, r_squared=r2)

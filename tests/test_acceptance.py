@@ -27,7 +27,6 @@ from aimrom.nn import (
     decode,
     encode,
     forward,
-    ift_check,
     init_autoencoder,
     init_mlp,
     jacobian,
@@ -35,7 +34,7 @@ from aimrom.nn import (
     train,
     train_autoencoder,
 )
-from aimrom.pod import pod_fit, pod_lift, pod_project, quadratic_fit
+from aimrom.pod import pod_fit, pod_lift, pod_project
 from aimrom.rom import (
     PipelineConfig,
     build_derivative_dataset,
@@ -44,7 +43,7 @@ from aimrom.rom import (
     run_pipeline,
 )
 from aimrom.spectral import SINE_DIRICHLET, BasisSpec, reconstruct, uniform_grid
-from oracles import alpha3, gradient, ks_rhs_quadrature
+from oracles import alpha3, gradient, ift_check, ks_rhs_quadrature, quadratic_fit
 
 NU_CHAFEE = 0.16
 NU_KS = 33.0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aimrom import NumericalFailure
 from aimrom.aim import Closure, euler_galerkin_closure, postprocess, zero_closure
 from aimrom.models import MODELS
 from oracles import alpha3, ks_rhs_quadrature
@@ -158,5 +159,5 @@ def test_closure_checks_output_width():
 
 def test_closure_rejects_a_non_finite_tail():
     bad = Closure(n_low=2, n_high=1, map=lambda p: np.full(p.shape[:-1] + (1,), np.nan))
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(NumericalFailure):
         postprocess(np.array([0.9, -0.2]), bad)

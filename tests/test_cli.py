@@ -164,6 +164,22 @@ def test_decoder_inversion_failure_exits_3(tmp_path):
     assert "numeric failure" in proc.stderr and "descent starts failed" in proc.stderr
 
 
+def test_numpys_own_linalg_error_exits_3_not_2(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError, which alone would exit 2
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(aimrom.cli, "dmaps_fit", fail)
+    data = tmp_path / "pts.csv"
+    data.write_text("a1,a2\n0,0\n1,0\n0,1\n1,1\n")
+    doc = {"kind": "dmap", "alias": "dm", "data": str(data), "store": str(tmp_path / "store"),
+           "n_eigs": 1}
+    res = _invoke(["train", "--config", _write(tmp_path / "dmap.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 3, res.output
+    assert "numeric failure: Eigenvalues did not converge" in res.output
+
+
 def test_sample_snapshot_count(tmp_path):
     cfg = _write(tmp_path / "sample.yaml", SAMPLE_DOC)
     res = _invoke(["sample", "--config", cfg, "--out", tmp_path / "out"])
@@ -432,6 +448,27 @@ def test_overflowing_closure_exits_3(tmp_path):
     proc = _run_proc(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
     assert proc.returncode == 3, proc.stderr
     assert "numeric failure" in proc.stderr and "not finite" in proc.stderr
+
+
+def test_ensemble_lists_each_initial_condition_a_numeric_failure_ended(tmp_path):
+    # the same overflowing closure net: every run of its pipeline fails, the run goes on
+    net = init_mlp((2, 4, 1), seed=0)
+    net = dataclasses.replace(net, weights=(net.weights[0], np.full_like(net.weights[1], 1e300)),
+                              y_scale=np.full(1, 1e300))
+    ModelStore(tmp_path / "store").save(net, alias="cl")
+    mlp = dict(EVAL_PIPELINE, closure="mlp", final_time=0.01)
+    doc = {"pipelines": [mlp, dict(mlp, closure="none")], "ic_box": [[0.5, 1.2]] * 3,
+           "n_ic": 3, "store": str(tmp_path / "store"), "artifacts": {"closure-net": "cl"}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _invoke(["ensemble", "--config", _write(tmp_path / "ens.yaml", doc),
+                       "--out", tmp_path / "out"])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    label = "chafee/fourier/truncated/mlp"
+    assert manifest["failed"] == {label: 3, "chafee/fourier/truncated/none": 0}
+    assert manifest["failures"] == [
+        {"pipeline": label, "ic_index": k, "error": "NumericalFailure: closure output is not finite"}
+        for k in range(3)]
 
 
 def test_edited_stored_model_exits_4(tmp_path):

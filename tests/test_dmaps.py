@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aimrom import dmaps
+from aimrom import NumericalFailure, dmaps
 from aimrom.dmaps import (
     DiffusionMap,
     GeometricHarmonics,
@@ -110,7 +110,7 @@ def test_sign_convention_is_deterministic():
 
 def test_disconnected_kernel_raises():
     pts = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [50.0, 50.0]])
-    with pytest.raises(ValueError, match="disconnected"):
+    with pytest.raises(NumericalFailure, match="disconnected"):
         dmaps_fit(pts, epsilon=1e-4, n_eigs=2)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from aimrom.nn import (
     Autoencoder,
-    IftSummary,
     Mlp,
     TrainConfig,
     TrainingDivergedError,
@@ -11,7 +10,6 @@ from aimrom.nn import (
     decoder_invert,
     encode,
     forward,
-    ift_check,
     init_autoencoder,
     init_mlp,
     jacobian,
@@ -20,7 +18,7 @@ from aimrom.nn import (
     train_autoencoder,
 )
 from aimrom.nn import _Adam
-from oracles import PerArrayAdam, gradient
+from oracles import PerArrayAdam, gradient, ift_check
 
 
 def manual_mlp(weights, biases):

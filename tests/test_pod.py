@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aimrom.pod import PodModel, QuadraticFit, pod_fit, pod_lift, pod_project, quadratic_fit
+from aimrom.pod import PodModel, pod_fit, pod_lift, pod_project
+from oracles import quadratic_fit
 
 
 def rank2_snapshots(n=200, seed=0):

@@ -10,7 +10,8 @@ from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram
 from aimrom.models import chafee_field, chafee_rhs_3, ks_field
 from aimrom import rom
-from aimrom.nn import TrainConfig, forward, init_autoencoder, init_mlp, train
+from aimrom import NumericalFailure
+from aimrom.nn import Mlp, TrainConfig, forward, init_autoencoder, init_mlp, train
 from aimrom.pod import pod_fit
 from aimrom.rom import (
     ConfigurationError,
@@ -191,6 +192,26 @@ def test_an_undamped_slaved_mode_fails_before_any_integration(monkeypatch):
                          0.01, 1e-4, nu=70.0)
     with pytest.raises(ValueError, match="k = 4 has A = -96"):
         run_pipeline(cfg, {})
+    assert calls == []
+
+
+def test_a_mismatched_closure_net_fails_before_any_integration(monkeypatch):
+    calls = _counting(monkeypatch, "rk4")
+    with pytest.raises(ConfigurationError, match="closure-net must map"):
+        run_pipeline(base_cfg(closure="mlp"), {"closure-net": init_mlp((3, 8, 1), seed=0)})
+    assert calls == []
+
+
+def test_a_mismatched_closure_net_fails_an_ensemble_whose_truths_all_blow_up(monkeypatch):
+    # at dt = 0.3 every 3-mode truth from a3 in [8, 9] blows up
+    box = [[-1.0, 1.0], [-1.0, 1.0], [8.0, 9.0]]
+    ics = np.array(box)[:, 0] + np.ptp(box, axis=1) * np.random.default_rng(5).random((4, 3))
+    assert not np.isnan(rk4(chafee_field(3, NU), ics, 3.0, 0.3).blowup_times).any()
+    calls = _counting(monkeypatch, "rk4")
+    artifacts = {"closure-net": init_mlp((3, 8, 1), seed=0)}
+    with pytest.raises(ConfigurationError, match="closure-net must map"):
+        ensemble_histogram([base_cfg(final_time=3.0, dt=0.3, closure="mlp")], artifacts, box,
+                           n_ic=4, seed=5)
     assert calls == []
 
 
@@ -413,3 +434,27 @@ def test_a_truth_blowup_fails_that_initial_condition_in_every_pipeline(closure_n
     assert failed == result.failed
     for got, want in zip(result.samples, samples):
         assert got.tobytes() == want.tobytes()
+
+
+def test_an_ensemble_records_each_initial_condition_whose_closure_overflows():
+    # tanh(1e8 a1) is +-1 away from a1 = 0; the output layer then gives
+    # 1e10 * (1e300 + 1e300) = inf for a1 > 0 and 1e10 * (1e300 - 1e300) = 0 below
+    net = Mlp(layer_sizes=(2, 1, 1), weights=(np.array([[1e8, 0.0]]), np.array([[1e300]])),
+              biases=(np.zeros(1), np.array([1e300])), x_shift=np.zeros(2),
+              x_scale=np.ones(2), y_shift=np.zeros(1), y_scale=np.full(1, 1e10))
+    box = [[-1.0, 1.0], [-0.5, 0.5], [-0.2, 0.2]]
+    eg = base_cfg(final_time=1.0, dt=1e-2)
+    configs = [replace(eg, closure="mlp"), replace(eg, closure="none")]
+    with np.errstate(over="ignore"):
+        result = ensemble_histogram(configs, {"closure-net": net}, box, n_ic=8, seed=3)
+    ics = np.array(box)[:, 0] + np.ptp(box, axis=1) * np.random.default_rng(3).random((8, 3))
+    a1 = rk4(chafee_field(2, NU), ics[:, :2], 1.0, 1e-2).states[-1, :, 0]
+    overflowing = np.flatnonzero(a1 > 0)
+    assert 0 < overflowing.size < 8 and np.min(np.abs(a1)) > 1e-6
+    assert result.failed == (overflowing.size, 0)
+    assert [(label, k) for label, k, _ in result.failures] == [
+        (configs[0].label(), int(k)) for k in overflowing]
+    for _, _, exc in result.failures:
+        assert type(exc) is NumericalFailure and "not finite" in str(exc)
+    assert result.samples[0].size == 8 - overflowing.size
+    assert result.samples[1].size == 8

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aimrom import __version__, serialize
+from aimrom import MissingArtifactError, __version__, serialize
 from aimrom.dmaps import (
     DiffusionMap,
     GeometricHarmonics,
@@ -299,7 +299,7 @@ def test_store_load_rejects_a_file_that_does_not_hash_to_its_key(tmp_path):
     good = path.read_text()
     for bad in (good[: len(good) // 2], good.replace("[[", "[[1", 1), good + "\n"):
         path.write_text(bad)
-        with pytest.raises(KeyError, match=key):
+        with pytest.raises(MissingArtifactError, match=key):
             store.load("cl")
     path.write_text(good)
     assert store.load(key).layer_sizes == (2, 8, 1)
@@ -327,15 +327,23 @@ def test_store_alias_update_failure_keeps_old_table(tmp_path, monkeypatch):
 def test_store_missing_alias_lists_known(tmp_path):
     store = ModelStore(tmp_path)
     store.save(init_mlp((1, 4, 1), seed=0), alias="only-one")
-    with pytest.raises(KeyError, match="only-one"):
+    with pytest.raises(MissingArtifactError, match="only-one"):
         store.resolve("absent")
+
+
+def test_a_document_without_a_field_is_a_missing_artifact():
+    ae = model_to_dict(init_autoencoder(3, 2, (4,), seed=0))
+    del ae["decoder"]["y_scale"]
+    with pytest.raises(MissingArtifactError, match=r"'mlp-v1' document lacks fields \['y_scale'\]"):
+        model_from_dict(ae)
 
 
 def test_store_alias_table_is_not_a_model(tmp_path):
     store = ModelStore(tmp_path)
     key = store.save(init_mlp((1, 4, 1), seed=0), alias="cl")
     assert store.resolve(key) == key
-    with pytest.raises(KeyError, match="no stored model 'aliases'; available aliases: cl"):
+    with pytest.raises(MissingArtifactError,
+                       match="no stored model 'aliases'; available aliases: cl"):
         store.resolve("aliases")
 
 

@@ -1,17 +1,23 @@
-"""The benchmark's tracer (perfbench/spans.py) still finds every name it wraps."""
+"""Whole-package checks: the benchmark's tracer (perfbench/spans.py) still
+finds every name it wraps, and every exception class is an AimromError."""
 
+import importlib
 import importlib.util
 import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aimrom
 import aimrom.cli  # noqa: F401  (imports every module the tracer patches)
-from aimrom import models, rom
+from aimrom import AimromError, models, rom
 from aimrom.aim import euler_galerkin_closure
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +76,22 @@ def test_one_pipeline_run_records_its_postprocess_and_reconstruct_spans(spans):
     assert summary["rom.run_pipeline"][0] == 1
     assert summary["aim.postprocess"][0] == 1
     assert summary["spectral.reconstruct"][0] >= 1
+
+
+def test_every_exception_class_is_an_aimrom_error_with_the_readme_exit_code():
+    modules = [aimrom] + [importlib.import_module(f"aimrom.{m.name}")
+                          for m in pkgutil.iter_modules(aimrom.__path__)]
+    defined = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__]
+    assert {cls.__name__ for cls in defined} >= {
+        "AimromError", "BlowUpError", "TrainingDivergedError"}
+    bases = AimromError.__subclasses__()
+    # each class is the root or below one of its children, which carry the exit codes
+    for cls in defined:
+        assert cls is AimromError or issubclass(cls, tuple(bases)), cls.__qualname__
+    # README lists each failure class as "- <exit code> `<class>`"
+    readme = re.findall(r"^- (\d) `(\w+)`", (ROOT / "README.md").read_text(), re.M)
+    assert {cls.__name__: cls.exit_code for cls in bases} == {
+        name: int(code) for code, name in readme}
+    assert sorted(cls.exit_code for cls in bases) == [2, 3, 4]
