@@ -26,6 +26,7 @@ from .models import MODELS, analytic_field
 from .nn import TrainConfig, init_autoencoder, init_mlp, train, train_autoencoder
 from .pod import pod_fit
 from .rom import (
+    ARTIFACT_ROLES,
     PipelineConfig,
     build_derivative_dataset,
     learn_field,
@@ -196,13 +197,10 @@ def _read_snapshots(path):
     return data[:, skip:]
 
 
-_ARTIFACT_ROLES = ("dynamics-net", "closure-net", "latent-map", "lift", "autoencoder", "pod")
-
-
 def _load_artifacts(cfg, out_dir):
     """Resolve the artifacts block to loaded models plus their hashes."""
     block = _check(
-        cfg.get("artifacts"), {role: str for role in _ARTIFACT_ROLES}, "artifacts block"
+        cfg.get("artifacts"), {role: str for role in ARTIFACT_ROLES}, "artifacts block"
     )
     roles = {k: v for k, v in block.items() if v is not None}
     if not roles:
@@ -571,7 +569,7 @@ def ensemble(cfg, out, seed):
         configs, artifacts, np.asarray(cfg["ic_box"], dtype=float),
         n_ic=cfg["n_ic"], seed=seed, **_given(cfg, "bins", "final_time"),
     )
-    write_long_samples(out / "samples.csv", result.labels, result.samples)
+    write_long_samples(out / "samples.csv", result.labels, result.samples, result.ic_indices)
     write_histogram_csv(out / "histogram.csv", result.labels,
                         result.bin_edges, result.counts)
     outputs = ["samples.csv", "histogram.csv"]
@@ -587,7 +585,8 @@ def ensemble(cfg, out, seed):
         )
         outputs.append("histogram.svg")
     for label, samples in zip(result.labels, result.samples):
-        _echo_kv(label, f"median MAPE {np.median(samples):.4g}%")
+        _echo_kv(label, f"median MAPE {np.median(samples):.4g}%" if samples.size
+                 else f"all {cfg['n_ic']} runs failed")
     return {"seed": seed, "outputs": outputs, "models": hashes,
             "failed": {label: result.failed[i] for i, label in enumerate(result.labels)},
             "failures": [{"pipeline": label, "ic_index": k, "error": f"{type(exc).__name__}: {exc}"}

@@ -115,11 +115,14 @@ def decompose_errors(full_state, corrected_state, n_low, grid):
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Final-time percent errors across a seeded set of initial conditions;
-    failures holds (label, ic index, NumericalFailure) of each failed run."""
+    """Final-time percent errors across a seeded set of initial conditions.
+
+    ic_indices holds each sample's position in the drawn set, failures the
+    (label, position, NumericalFailure) of each failed run."""
 
     labels: tuple
     samples: tuple = field(repr=False)
+    ic_indices: tuple = field(repr=False)
     bin_edges: np.ndarray = field(repr=False)
     counts: tuple = field(repr=False)
     failed: tuple = ()
@@ -144,10 +147,10 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     rng = np.random.default_rng(seed)
     ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n_ic, box.shape[0]))
 
-    labels, samples, failures = [], [], []
+    labels, samples, indices, failures = [], [], [], []
     truths = {}
     for cfg in configs:
-        errs = []
+        errs, kept = [], []
         for k, result in enumerate(run_pipeline_batch(
             [cfg.with_ic(ic, final_time) for ic in ics], artifacts, truths
         )):
@@ -155,8 +158,10 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
                 failures.append((cfg.label(), k, result))
             else:
                 errs.append(result.corrected_metrics.mape_final)
+                kept.append(k)
         labels.append(cfg.label())
         samples.append(np.array(errs))
+        indices.append(tuple(kept))
 
     finite = np.concatenate([s for s in samples if s.size] or [np.array([0.0])])
     edges = np.linspace(0.0, max(float(finite.max()), 1e-12), bins + 1)
@@ -164,6 +169,7 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     return EnsembleResult(
         labels=tuple(labels),
         samples=tuple(samples),
+        ic_indices=tuple(indices),
         bin_edges=edges,
         counts=counts,
         failed=tuple(n_ic - s.size for s in samples),

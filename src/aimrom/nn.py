@@ -28,7 +28,6 @@ __all__ = [
     "decoder_invert",
     "init_autoencoder",
     "train_autoencoder",
-    "encode",
     "decode",
 ]
 
@@ -410,10 +409,6 @@ def init_autoencoder(d_ambient, d_latent, hidden, seed=0):
     enc = init_mlp((d_ambient,) + hidden + (d_latent,), seed=seed)
     dec = init_mlp((d_latent,) + tuple(reversed(hidden)) + (d_ambient,), seed=seed + 1)
     return Autoencoder(encoder=enc, decoder=dec)
-
-
-def encode(ae, x):
-    return forward(ae.encoder, x)
 
 
 def decode(ae, latent):

@@ -36,9 +36,12 @@ __all__ = [
     "validate_pipeline",
 ]
 
-ROUTES = ("fourier", "pod", "autoencoder", "dmaps")
+# each latent route and the closures it runs; pod also takes black-box dynamics only
+ROUTES = {"fourier": ("euler-galerkin", "mlp", "none"), "pod": ("mlp", "none"),
+          "autoencoder": ("decoder-inversion", "none"), "dmaps": ("double-dmaps", "none")}
 DYNAMICS = ("truncated", "black-box", "gray-box")
-CLOSURES = ("euler-galerkin", "mlp", "double-dmaps", "decoder-inversion", "none")
+CLOSURES = tuple(dict.fromkeys(c for closures in ROUTES.values() for c in closures))
+ARTIFACT_ROLES = ("dynamics-net", "closure-net", "latent-map", "lift", "autoencoder", "pod")
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,8 @@ class PipelineConfig:
     """End-to-end run description.
 
     ic is the full-model initial coefficient vector (a reduced-width ic is
-    zero-padded).  For the pod route the reduced run lives in POD
-    coefficient space; everywhere else it lives in the leading sine modes.
+    zero-padded).  Every route runs at the model's n_low/n_full widths: for the
+    pod route in POD coefficients, everywhere else in the leading sine modes.
     """
 
     model: str
@@ -145,8 +148,6 @@ class PipelineConfig:
     seed: int = 0
     nu: float = None
     grid_points: int = 65
-    pod_rank_low: int = 2
-    pod_rank_full: int = 3
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -222,44 +223,31 @@ def _artifact(artifacts, name):
 def validate_pipeline(cfg, artifacts):
     """Check cfg and its artifacts before any computation runs; returns the
     reduced field and the closure, whose builds check each artifact's fit."""
-    if cfg.closure == "euler-galerkin" and cfg.latent_route != "fourier":
-        raise ConfigurationError("euler-galerkin closure requires the fourier route")
-    if cfg.closure == "double-dmaps" and cfg.latent_route != "dmaps":
-        raise ConfigurationError("double-dmaps closure requires the dmaps route")
-    if cfg.closure == "decoder-inversion" and cfg.latent_route != "autoencoder":
-        raise ConfigurationError("decoder-inversion closure requires the autoencoder route")
-    if cfg.closure == "mlp" and cfg.latent_route not in ("fourier", "pod"):
-        raise ConfigurationError("mlp closure runs on the fourier or pod routes")
-    if cfg.dynamics == "gray-box" and cfg.latent_route == "pod":
-        raise ConfigurationError("gray-box dynamics have no analytic base in POD coordinates")
-    if cfg.dynamics == "truncated" and cfg.latent_route == "pod":
-        raise ConfigurationError("pod route requires learned dynamics")
-    if cfg.latent_route == "pod" and cfg.closure not in ("mlp", "none"):
-        raise ConfigurationError("pod route supports the mlp closure or none")
-
-    # the route's reduced width and the full width its closure completes
+    if cfg.closure not in ROUTES[cfg.latent_route]:
+        routes = " or ".join(r for r, closures in ROUTES.items() if cfg.closure in closures)
+        raise ConfigurationError(f"{cfg.closure} closure requires the {routes} route")
     if cfg.latent_route == "pod":
+        if cfg.dynamics != "black-box":
+            raise ConfigurationError("pod route requires black-box dynamics: POD coordinates "
+                                     f"have no analytic base for {cfg.dynamics} dynamics")
         pod = _artifact(artifacts, "pod")
         if pod.ambient_dim != cfg.grid_points:
             raise ConfigurationError("pod artifact was fitted on a different grid")
-        if pod.rank < cfg.pod_rank_full:
-            raise ConfigurationError("pod artifact rank is below pod_rank_full")
-        n_low, n_full = cfg.pod_rank_low, cfg.pod_rank_full
-    else:
-        n_low, n_full = cfg.n_low, cfg.n_full
-    return (_reduced_field(cfg, artifacts, n_low),
-            _build_closure(cfg, artifacts, n_low, n_full - n_low))
+        if pod.rank < cfg.n_full:
+            raise ConfigurationError(f"pod artifact rank {pod.rank} is below the model's "
+                                     f"full width {cfg.n_full}")
+    return _reduced_field(cfg, artifacts), _build_closure(cfg, artifacts)
 
 
-def _reduced_field(cfg, artifacts, dim):
+def _reduced_field(cfg, artifacts):
     if cfg.dynamics == "truncated":
         return analytic_field(cfg.model, cfg.n_low, cfg.nu)
     net = _artifact(artifacts, "dynamics-net")
     if not isinstance(net, LearnedField):
         raise ConfigurationError("artifact 'dynamics-net' must be a LearnedField")
-    if net.dim != dim:
+    if net.dim != cfg.n_low:
         raise ConfigurationError(
-            f"dynamics-net dimension {net.dim} does not match the reduced space ({dim})"
+            f"dynamics-net dimension {net.dim} does not match the reduced space ({cfg.n_low})"
         )
     if net.kind != cfg.dynamics:
         raise ConfigurationError(
@@ -268,12 +256,13 @@ def _reduced_field(cfg, artifacts, dim):
     return net
 
 
-def _build_closure(cfg, artifacts, n_low, n_high):
+def _build_closure(cfg, artifacts):
+    n_low, n_high = cfg.n_low, cfg.n_full - cfg.n_low
     if cfg.closure == "none":
         return zero_closure(n_low, n_high)
     if cfg.closure == "euler-galerkin":
         # building the slaving map checks that every slaved mode is damped
-        return euler_galerkin_closure(cfg.model, n_low, n_low + n_high, cfg.nu)
+        return euler_galerkin_closure(cfg.model, n_low, cfg.n_full, cfg.nu)
     if cfg.closure == "mlp":
         net = _artifact(artifacts, "closure-net")
         if net.d_in != n_low or net.d_out != n_high:
@@ -284,7 +273,7 @@ def _build_closure(cfg, artifacts, n_low, n_high):
         lift = _artifact(artifacts, "lift")
         if latent_map.d_in != n_low:
             raise ConfigurationError("latent-map input width must match the lead block")
-        if lift.d_out != n_low + n_high:
+        if lift.d_out != cfg.n_full:
             raise ConfigurationError("lift output width must match the full coefficient vector")
 
         def dd_map(p):
@@ -295,7 +284,7 @@ def _build_closure(cfg, artifacts, n_low, n_high):
         return Closure(n_low=n_low, n_high=n_high, map=dd_map)
     # decoder inversion
     ae = _artifact(artifacts, "autoencoder")
-    if ae.decoder.d_out != n_low + n_high:
+    if ae.decoder.d_out != cfg.n_full:
         raise ConfigurationError("autoencoder ambient width must match the full state")
 
     def inv_map(p):
@@ -337,21 +326,19 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
 
     grid = uniform_grid(cfg.basis(cfg.n_full), cfg.grid_points)
     live = np.flatnonzero(np.isnan(truth.blowup_times))
-    # the route's lift from reduced coefficients to the grid, and its starts
+    # the route's lift from reduced coefficients to the grid, its starts, and
+    # whether the four-part split applies: it is in sine coefficients
+    lift, starts, split = partial(reconstruct, grid=grid), ic_full[live, :cfg.n_low], True
     if cfg.latent_route == "pod":
-        pod = artifacts["pod"]
-        lift = partial(pod_lift, pod)
-        starts = pod_project(pod, reconstruct(ic_full[live], grid), reduced_field.dim)
-    else:
-        lift = partial(reconstruct, grid=grid)
-        starts = ic_full[live, :reduced_field.dim]
+        lift, split = partial(pod_lift, artifacts["pod"]), False
+        starts = pod_project(artifacts["pod"], reconstruct(ic_full[live], grid), cfg.n_low)
     # with no live truth, each row below raises its truth's blow-up first
     reduced = rk4(reduced_field, starts, cfg.final_time, cfg.dt) if live.size else None
 
     for k, run_cfg in enumerate(cfgs):
         try:
             result = _score(run_cfg, truth.row(k), reduced.row(int(np.searchsorted(live, k))),
-                            closure, lift, grid)
+                            closure, lift, grid, split)
         except NumericalFailure as exc:
             result = exc
         yield result
@@ -361,15 +348,15 @@ def _field_scores(u, u_truth):
     return MetricsBundle(mape_final=mape(u, u_truth), mse_final=mse(u, u_truth))
 
 
-def _score(cfg, truth, reduced, closure, lift, grid):
-    """Close the reduced run at its final time and score it against the truth."""
+def _score(cfg, truth, reduced, closure, lift, grid, split):
+    """Close the reduced run at its final time and score it against the truth;
+    split says whether the four-part error decomposition applies."""
     u_truth = reconstruct(truth.states, grid)
     u_raw = lift(reduced.states)
     coeffs = postprocess(reduced.final_state, closure)
     u_corrected = lift(coeffs)
-    # the four-part split is in sine coefficients, which pod coordinates are not
-    decomposition = None if cfg.latent_route == "pod" else decompose_errors(
-        truth.final_state, coeffs, reduced.dim, grid)
+    decomposition = (decompose_errors(truth.final_state, coeffs, reduced.dim, grid)
+                     if split else None)
     return PipelineResult(
         config=cfg,
         truth=truth,

@@ -232,16 +232,16 @@ def write_loss_csv(history, path):
     write_table(path, header, np.column_stack([epochs, history.train_mse, history.val_mse]))
 
 
-def write_long_samples(path, labels, samples):
+def write_long_samples(path, labels, samples, ic_indices):
     """Ensemble samples in long format: config,ic_index,value.
 
-    ic_index counts successful runs per config; failed initial conditions
-    are already excluded upstream.
+    ic_index is each sample's position in the drawn set of initial
+    conditions, so a failed initial condition leaves a gap.
     """
     lines = ["config,ic_index,value"]
-    for label, vals in zip(labels, samples):
-        for i, v in enumerate(np.asarray(vals, dtype=float)):
-            lines.append(f"{label},{i},{'%.17g' % v}")
+    for label, vals, ks in zip(labels, samples, ic_indices):
+        for k, v in zip(ks, np.asarray(vals, dtype=float)):
+            lines.append(f"{label},{k},{'%.17g' % v}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

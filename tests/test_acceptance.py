@@ -25,7 +25,6 @@ from aimrom.nn import (
     Mlp,
     TrainConfig,
     decode,
-    encode,
     forward,
     init_autoencoder,
     init_mlp,
@@ -377,7 +376,7 @@ def test_07_lifting_reconstruction_quality(ks_snapshots, ks_split, ks_autoencode
     latent_test = nystrom_restrict(dm, x_test)[:, list(dm.kept_indices)]
     mse_dd = float(np.mean((gh_extend(gh, latent_test) - x_test) ** 2))
 
-    recon = decode(ks_autoencoder, encode(ks_autoencoder, x_test))
+    recon = decode(ks_autoencoder, forward(ks_autoencoder.encoder, x_test))
     mse_ae = float(np.mean((recon - x_test) ** 2))
 
     msg = _line(
@@ -392,7 +391,7 @@ def test_07_lifting_reconstruction_quality(ks_snapshots, ks_split, ks_autoencode
 
 def test_08_jacobian_sign_check(ks_snapshots, ks_split, ks_autoencoder):
     _, test_idx = ks_split
-    latent = encode(ks_autoencoder, ks_snapshots[test_idx])
+    latent = forward(ks_autoencoder.encoder, ks_snapshots[test_idx])
     lead = lead_submodel(ks_autoencoder.decoder, 3)
     summary = ift_check(lead, latent)
 

@@ -364,6 +364,16 @@ def test_a_pipeline_check_error_names_its_block(tmp_path, command):
     assert f"config error: {section}: unknown closure: 'bogus'" in res.output
 
 
+def test_a_pod_rank_key_is_unknown(tmp_path):
+    # every route runs at the model's widths; the pod route has no width keys of its own
+    pipeline = dict(EVAL_PIPELINE, latent_route="pod", dynamics="black-box", closure="none",
+                    pod_rank_low=2)
+    res = _invoke(["evaluate", "--config", _write(tmp_path / "eval.yaml", {"pipeline": pipeline}),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "unknown keys ['pod_rank_low']" in res.output
+
+
 def test_an_undamped_slaved_mode_exits_2(tmp_path):
     # KS at nu = 70: the first slaved mode has A_4 = 4 * 4**4 - 70 * 4**2 = -96
     pipeline = dict(EVAL_PIPELINE, model="ks", ic=[0.1] * 8, final_time=0.01, dt=1e-4,
@@ -450,6 +460,7 @@ def test_overflowing_closure_exits_3(tmp_path):
     assert "numeric failure" in proc.stderr and "not finite" in proc.stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ensemble_lists_each_initial_condition_a_numeric_failure_ended(tmp_path):
     # the same overflowing closure net: every run of its pipeline fails, the run goes on
     net = init_mlp((2, 4, 1), seed=0)
@@ -469,6 +480,10 @@ def test_ensemble_lists_each_initial_condition_a_numeric_failure_ended(tmp_path)
     assert manifest["failures"] == [
         {"pipeline": label, "ic_index": k, "error": "NumericalFailure: closure output is not finite"}
         for k in range(3)]
+    assert f"{label}: all 3 runs failed" in res.output
+    samples = (tmp_path / "out" / "samples.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in samples[1:]] == [
+        ["chafee/fourier/truncated/none", str(k)] for k in range(3)]
 
 
 def test_edited_stored_model_exits_4(tmp_path):

@@ -172,6 +172,42 @@ def test_pipeline_compatibility_matrix():
         validate_pipeline(base_cfg(latent_route="pod", dynamics="black-box", closure="mlp"), {})
 
 
+# the (route, dynamics, closure) triples a pipeline accepts before it reads an artifact
+ACCEPTED = {
+    ("fourier", "truncated", "euler-galerkin"), ("fourier", "black-box", "euler-galerkin"),
+    ("fourier", "gray-box", "euler-galerkin"),
+    ("fourier", "truncated", "mlp"), ("fourier", "black-box", "mlp"),
+    ("fourier", "gray-box", "mlp"),
+    ("fourier", "truncated", "none"), ("fourier", "black-box", "none"),
+    ("fourier", "gray-box", "none"),
+    ("pod", "black-box", "mlp"), ("pod", "black-box", "none"),
+    ("autoencoder", "truncated", "decoder-inversion"),
+    ("autoencoder", "black-box", "decoder-inversion"),
+    ("autoencoder", "gray-box", "decoder-inversion"),
+    ("autoencoder", "truncated", "none"), ("autoencoder", "black-box", "none"),
+    ("autoencoder", "gray-box", "none"),
+    ("dmaps", "truncated", "double-dmaps"), ("dmaps", "black-box", "double-dmaps"),
+    ("dmaps", "gray-box", "double-dmaps"),
+    ("dmaps", "truncated", "none"), ("dmaps", "black-box", "none"), ("dmaps", "gray-box", "none"),
+}
+
+
+@pytest.mark.parametrize("route", ["fourier", "pod", "autoencoder", "dmaps"])
+@pytest.mark.parametrize("dynamics", ["truncated", "black-box", "gray-box"])
+@pytest.mark.parametrize("closure",
+                         ["euler-galerkin", "mlp", "double-dmaps", "decoder-inversion", "none"])
+def test_every_route_dynamics_and_closure_triple(route, dynamics, closure):
+    cfg = base_cfg(latent_route=route, dynamics=dynamics, closure=closure)
+    if (route, dynamics, closure) in ACCEPTED:
+        try:
+            validate_pipeline(cfg, {})
+        except MissingArtifactError:
+            pass
+    else:
+        with pytest.raises(ConfigurationError):
+            validate_pipeline(cfg, {})
+
+
 def _counting(monkeypatch, name):
     """Replace rom.<name> by a wrapper that records each call."""
     calls = []
@@ -199,6 +235,19 @@ def test_a_mismatched_closure_net_fails_before_any_integration(monkeypatch):
     calls = _counting(monkeypatch, "rk4")
     with pytest.raises(ConfigurationError, match="closure-net must map"):
         run_pipeline(base_cfg(closure="mlp"), {"closure-net": init_mlp((3, 8, 1), seed=0)})
+    assert calls == []
+
+
+@pytest.mark.parametrize("snapshots, message", [
+    (np.random.default_rng(0).normal(size=(20, 33)), "different grid"),
+    (np.random.default_rng(0).normal(size=(2, 65)), "rank 2 is below the model's full width 3"),
+])
+def test_a_mismatched_pod_artifact_fails_before_any_integration(monkeypatch, snapshots,
+                                                                message):
+    calls = _counting(monkeypatch, "rk4")
+    cfg = base_cfg(latent_route="pod", dynamics="black-box", closure="none")
+    with pytest.raises(ConfigurationError, match=message):
+        run_pipeline(cfg, {"pod": pod_fit(snapshots, center=False)})
     assert calls == []
 
 
@@ -458,3 +507,8 @@ def test_an_ensemble_records_each_initial_condition_whose_closure_overflows():
         assert type(exc) is NumericalFailure and "not finite" in str(exc)
     assert result.samples[0].size == 8 - overflowing.size
     assert result.samples[1].size == 8
+    # samples and failures number the initial conditions alike: by their draw
+    failed = {k for _, k, _ in result.failures}
+    assert failed.isdisjoint(result.ic_indices[0])
+    assert sorted(failed | set(result.ic_indices[0])) == list(range(8))
+    assert result.ic_indices[1] == tuple(range(8))

@@ -383,11 +383,9 @@ def test_loss_csv_roundtrip(tmp_path):
 
 def test_long_samples_and_histogram_layout(tmp_path):
     write_long_samples(tmp_path / "s.csv", ("cfg-a", "cfg-b"),
-                       (np.array([1.0, 2.0]), np.array([3.0])))
+                       (np.array([1.0, 2.0]), np.array([3.0])), ((0, 1), (1,)))
     lines = (tmp_path / "s.csv").read_text().splitlines()
-    assert lines[0] == "config,ic_index,value"
-    assert lines[1] == "cfg-a,0,1"
-    assert len(lines) == 4
+    assert lines == ["config,ic_index,value", "cfg-a,0,1", "cfg-a,1,2", "cfg-b,1,3"]
 
     write_histogram_csv(tmp_path / "h.csv", ("cfg-a",), np.array([0.0, 1.0, 2.0]),
                         (np.array([3, 1]),))

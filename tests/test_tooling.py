@@ -1,5 +1,6 @@
 """Whole-package checks: the benchmark's tracer (perfbench/spans.py) still
-finds every name it wraps, and every exception class is an AimromError."""
+finds every name it wraps, every exception class is an AimromError, and
+README's route table is rom.ROUTES."""
 
 import importlib
 import importlib.util
@@ -95,3 +96,11 @@ def test_every_exception_class_is_an_aimrom_error_with_the_readme_exit_code():
     assert {cls.__name__: cls.exit_code for cls in bases} == {
         name: int(code) for code, name in readme}
     assert sorted(cls.exit_code for cls in bases) == [2, 3, 4]
+
+
+def test_readme_route_table_is_rom_routes():
+    # README lists each route as "| `<route>` | `<closure>`, `<closure>` | ..."
+    rows = re.findall(r"^\| `([\w-]+)` \| ((?:`[\w-]+`(?:, )?)+) \|",
+                      (ROOT / "README.md").read_text(), re.M)
+    assert {route: tuple(re.findall(r"`([\w-]+)`", closures))
+            for route, closures in rows} == rom.ROUTES
