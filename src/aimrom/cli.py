@@ -154,7 +154,7 @@ def _dataclass_schema(cls):
     return schema, required
 
 
-def _from_dataclass(cls, block, section, seed):
+def _from_dataclass(cls, block, section, seed=None):
     """cls built from a config block checked against its fields; an unset key
     takes the field's default and seed, when given, replaces the block's.
     An error from the dataclass's own checks is reported under section."""
@@ -349,71 +349,66 @@ _TRAIN_SCHEMA = {
     "dmap": str, "epsilon_star": _NUM, "delta": _NUM,  # lift, latent-map
 }
 
-# the kinds that train a network, and so read the train block
-_NET_KINDS = ("closure", "black-box", "gray-box", "latent-map", "autoencoder")
-_TRAIN_KINDS = _NET_KINDS + ("pod", "dmap", "lift")
-
-
-def _require(cfg, keys, kind):
-    missing = sorted(k for k in keys if cfg.get(k) is None)
-    if missing:
-        raise ConfigurationError(f"train config: kind {kind!r} needs keys {missing}")
-
-
-def _hidden(cfg, default):
-    h = _get(cfg, "hidden", list(default))
-    if not all(_is_type(n, int) and n > 0 for n in h):
-        raise ConfigurationError("train config: hidden must be positive integers")
-    return tuple(h)
+# each kind: the keys it needs besides kind and alias, and the default hidden
+# widths of the network it trains (None: no network, and no train block)
+TRAIN_KINDS = {
+    "closure": (("data", "n_low"), (24, 24)),
+    "black-box": (("data", "model", "n_low"), (64,) * 4),
+    "gray-box": (("data", "model", "n_low"), (95,) * 6),
+    "latent-map": (("dmap", "n_low"), (80,) * 5),
+    "autoencoder": (("data", "latent_dim"), (16, 16)),
+    "pod": (("data",), None), "dmap": (("data",), None), "lift": (("dmap",), None),
+}
 
 
 def _fit_model(cfg, store, seed):
     """Run the requested fit; returns (object, history|None, meta extras)."""
     kind = cfg["kind"]
-    if kind not in _TRAIN_KINDS:
-        raise ConfigurationError(f"train config: unknown kind {kind!r}; one of {_TRAIN_KINDS}")
-    if kind in _NET_KINDS:
+    if kind not in TRAIN_KINDS:
+        raise ConfigurationError(f"train config: unknown kind {kind!r}; one of {tuple(TRAIN_KINDS)}")
+    needs, hidden = TRAIN_KINDS[kind]
+    missing = sorted(k for k in needs if cfg.get(k) is None)
+    if missing:
+        raise ConfigurationError(f"train config: kind {kind!r} needs keys {missing}")
+    if hidden is not None:
         tcfg = _from_dataclass(TrainConfig, cfg.get("train"), "train block", seed)
+        hidden = tuple(_get(cfg, "hidden", hidden))
+        if not all(_is_type(n, int) and n > 0 for n in hidden):
+            raise ConfigurationError("train config: hidden must be positive integers")
     elif cfg.get("train") is not None:
         raise ConfigurationError(
             f"train config: kind {kind!r} trains no network and takes no train block")
-    extras = {}
-
-    if kind in ("closure", "black-box", "gray-box", "autoencoder", "pod", "dmap"):
-        _require(cfg, ("data",), kind)
+    if "data" in needs:
         states = _read_snapshots(cfg["data"])
-        extras["data_hash"] = file_hash(cfg["data"])
+        extras = {"data_hash": file_hash(cfg["data"])}
+    else:
+        dm = store.load(cfg["dmap"])
+        extras = {"data_hash": store.resolve(cfg["dmap"])}
+        if not dm.kept_indices:
+            raise ConfigurationError("train config: stored dmap has no kept coordinates")
 
     if kind == "closure":
-        _require(cfg, ("n_low",), kind)
         n_low = cfg["n_low"]
         if not 1 <= n_low < states.shape[1]:
             raise ConfigurationError("train config: n_low must leave at least one tail mode")
         x, y = make_closure_dataset(states, n_low)
-        net = init_mlp((n_low, *_hidden(cfg, (24, 24)), states.shape[1] - n_low),
-                       seed=tcfg.seed)
+        net = init_mlp((n_low, *hidden, states.shape[1] - n_low), seed=tcfg.seed)
         return *train(net, x, y, tcfg), extras
 
     if kind in ("black-box", "gray-box"):
-        _require(cfg, ("model", "n_low"), kind)
+        if kind == "gray-box" and cfg["model"] not in MODELS:
+            raise ConfigurationError("train config: gray-box needs a Galerkin base model, "
+                                     f"one of {', '.join(MODELS)}")
         full = _field(cfg)
         if states.shape[1] != full.dim:
             raise ConfigurationError(
                 f"train config: data width {states.shape[1]} != model dim {full.dim}")
         dataset = build_derivative_dataset(states, full, cfg["n_low"])
-        base = None
-        if kind == "gray-box":
-            if cfg["model"] not in MODELS:
-                raise ConfigurationError("train config: gray-box needs a Galerkin base model, "
-                                  f"one of {', '.join(MODELS)}")
-            base = _field(dict(cfg, n_modes=cfg["n_low"]))
-        hidden = _hidden(cfg, (64,) * 4 if base is None else (95,) * 6)
+        base = _field(dict(cfg, n_modes=cfg["n_low"])) if kind == "gray-box" else None
         return *learn_field(dataset, hidden, tcfg, seed=tcfg.seed, base=base), extras
 
     if kind == "autoencoder":
-        _require(cfg, ("latent_dim",), kind)
-        ae = init_autoencoder(states.shape[1], cfg["latent_dim"],
-                              _hidden(cfg, (16, 16)), seed=tcfg.seed)
+        ae = init_autoencoder(states.shape[1], cfg["latent_dim"], hidden, seed=tcfg.seed)
         return *train_autoencoder(ae, states, tcfg), extras
 
     if kind == "pod":
@@ -430,19 +425,13 @@ def _fit_model(cfg, store, seed):
             extras["residuals"] = residuals.tolist()
         return dm, None, extras
 
-    _require(cfg, ("dmap",), kind)
-    dm = store.load(cfg["dmap"])
-    extras["data_hash"] = store.resolve(cfg["dmap"])
-    if not dm.kept_indices:
-        raise ConfigurationError("train config: stored dmap has no kept coordinates")
     if kind == "lift":
         gh = double_dmaps_lift(dm, dm.train_points, **_given(cfg, "epsilon_star", "delta"))
         extras["in_sample_mse"] = float(gh.in_sample_mse)
         return gh, None, extras
-    _require(cfg, ("n_low",), kind)
+
     lead, latents = dm.train_points[:, : cfg["n_low"]], dm.coordinates()
-    net = init_mlp((lead.shape[1], *_hidden(cfg, (80,) * 5), latents.shape[1]),
-                   seed=tcfg.seed)
+    net = init_mlp((lead.shape[1], *hidden, latents.shape[1]), seed=tcfg.seed)
     return *train(net, lead, latents, tcfg), extras
 
 
@@ -497,7 +486,7 @@ _PIPELINE_SCHEMA = {"pipeline": dict, "store": str, "artifacts": dict, "plots": 
 def _pipeline_command(cfg, out, seed, evaluate):
     """Run the configured pipeline; write the post-processed state (postprocess)
     or the error series (evaluate), the plots and metrics.json."""
-    pipeline = _from_dataclass(PipelineConfig, cfg["pipeline"], "pipeline block", seed)
+    pipeline = _from_dataclass(PipelineConfig, cfg["pipeline"], "pipeline block")
     artifacts, hashes = _load_artifacts(cfg, out)
     result = run_pipeline(pipeline, artifacts)
     times = result.reduced.times
@@ -532,7 +521,7 @@ def _pipeline_command(cfg, out, seed, evaluate):
     _echo_kv("pipeline", doc["label"])
     _echo_kv("MAPE corrected", "%.17g" % doc["corrected"]["mape_final"])
     _echo_kv("MAPE raw", "%.17g" % doc["raw"]["mape_final"])
-    return {"seed": pipeline.seed, "outputs": outputs, "models": hashes}
+    return {"seed": seed, "outputs": outputs, "models": hashes}
 
 
 @_command("postprocess", _PIPELINE_SCHEMA, required=("pipeline",))
@@ -560,7 +549,7 @@ def ensemble(cfg, out, seed):
     if not cfg["pipelines"]:
         raise ConfigurationError("ensemble config: pipelines list is empty")
     configs = [
-        _from_dataclass(PipelineConfig, p, f"pipelines[{i}]", seed)
+        _from_dataclass(PipelineConfig, p, f"pipelines[{i}]")
         for i, p in enumerate(cfg["pipelines"])
     ]
     artifacts, hashes = _load_artifacts(cfg, out)

@@ -16,7 +16,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .spectral import SINE_DIRICHLET, SINE_PERIODIC_ODD, BasisSpec
 
 __all__ = [
     "MODELS", "GalerkinModel", "VectorField", "analytic_field", "field_from_name",
-    "galerkin_rhs", "chafee_rhs_2", "chafee_rhs_3", "ks_rhs", "toy_rhs",
-    "chafee_field", "ks_field", "toy_field",
+    "galerkin_rhs", "chafee_rhs_2", "chafee_rhs_3", "ks_rhs", "toy_rhs", "toy_field",
 ]
 
 @dataclass(frozen=True)
@@ -197,10 +196,6 @@ def analytic_field(model, n_modes=None, nu=None, epsilon=None):
         return chafee_rhs_2(a, nu) if n_modes == 2 else chafee_rhs_3(a, nu)
 
     return VectorField(int(n_modes), eval_, name=f"{model}-{n_modes}(nu={nu})")
-
-
-chafee_field = partial(analytic_field, "chafee")
-ks_field = partial(analytic_field, "ks")
 
 
 def toy_field(epsilon):

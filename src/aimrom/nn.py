@@ -28,7 +28,6 @@ __all__ = [
     "decoder_invert",
     "init_autoencoder",
     "train_autoencoder",
-    "decode",
 ]
 
 
@@ -409,10 +408,6 @@ def init_autoencoder(d_ambient, d_latent, hidden, seed=0):
     enc = init_mlp((d_ambient,) + hidden + (d_latent,), seed=seed)
     dec = init_mlp((d_latent,) + tuple(reversed(hidden)) + (d_ambient,), seed=seed + 1)
     return Autoencoder(encoder=enc, decoder=dec)
-
-
-def decode(ae, latent):
-    return forward(ae.decoder, latent)
 
 
 def train_autoencoder(ae, x, cfg):

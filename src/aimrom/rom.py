@@ -17,7 +17,7 @@ from .dmaps import gh_extend
 from .integrate import rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import MODELS, VectorField, analytic_field
-from .nn import Mlp, decode, decoder_invert, forward, init_mlp, train
+from .nn import Mlp, decoder_invert, forward, init_mlp, train
 from .pod import pod_lift, pod_project
 from .spectral import reconstruct, uniform_grid
 
@@ -145,7 +145,6 @@ class PipelineConfig:
     ic: tuple
     final_time: float
     dt: float
-    seed: int = 0
     nu: float = None
     grid_points: int = 65
 
@@ -172,8 +171,9 @@ class PipelineConfig:
             object.__setattr__(self, "nu", spec.nu)
         if self.final_time <= 0 or self.dt <= 0:
             raise ConfigurationError("final_time and dt must be positive")
+        # the bound that keeps decompose_errors' trapezoid norms exact (see spectral)
         if self.grid_points < 2 * (2 * n_full) + 1:
-            raise ConfigurationError("grid_points too small for exact projection")
+            raise ConfigurationError("grid_points too small for exact trapezoid norms")
 
     @property
     def n_low(self):
@@ -290,7 +290,7 @@ def _build_closure(cfg, artifacts):
     def inv_map(p):
         starts = forward(ae.encoder, np.concatenate([p, np.zeros(n_high)]))[None, :]
         latent = decoder_invert(ae.decoder, p, starts)
-        return decode(ae, latent)[n_low:]
+        return forward(ae.decoder, latent)[n_low:]
 
     return Closure(n_low=n_low, n_high=n_high, map=inv_map)
 

@@ -7,13 +7,11 @@ Two bases are supported:
 * ``sine-periodic-odd``: ``sin(k x)``, k = 1..n, on [0, 2 pi], the odd
   subspace of the periodic functions.  Squared norm of each mode is pi.
 
-Projection uses composite trapezoid quadrature.  On a uniform grid with
-both endpoints included, trapezoid sums of ``cos(m x)`` vanish exactly
-for 0 < m < 2 * (number of intervals), so projections of trigonometric
-polynomials are exact (up to roundoff) once the grid is fine enough.
-A grid with at least ``2 * (2 * n_modes) + 1`` nodes is exact for any
-field whose mode content comes from quadratic products of the first
-``n_modes`` modes; that bound is enforced here.
+Norms use composite trapezoid quadrature.  On a uniform grid with both
+endpoints included, trapezoid sums of ``cos(m x)`` vanish exactly for
+0 < m < 2 * (number of intervals), so the L2 norm of a sine series of
+n_modes modes is exact (up to roundoff) on a grid of at least
+``2 * (2 * n_modes) + 1`` nodes; ``rom.PipelineConfig`` enforces that bound.
 """
 
 import math
@@ -28,7 +26,6 @@ __all__ = [
     "Grid",
     "uniform_grid",
     "reconstruct",
-    "project",
     "grid_l2_norm",
 ]
 
@@ -38,11 +35,6 @@ SINE_PERIODIC_ODD = "sine-periodic-odd"
 _DOMAINS = {
     SINE_DIRICHLET: (0.0, math.pi),
     SINE_PERIODIC_ODD: (0.0, 2.0 * math.pi),
-}
-
-_NORM_CONSTS = {
-    SINE_DIRICHLET: math.pi / 2.0,
-    SINE_PERIODIC_ODD: math.pi,
 }
 
 
@@ -62,14 +54,6 @@ class BasisSpec:
     @property
     def domain(self):
         return _DOMAINS[self.kind]
-
-    @property
-    def norm_const(self):
-        """Squared L2 norm of each basis mode, <sin kx, sin kx>."""
-        return _NORM_CONSTS[self.kind]
-
-    def wavenumbers(self):
-        return np.arange(1, self.n_modes + 1)
 
 
 @dataclass(frozen=True)
@@ -99,8 +83,8 @@ class Grid:
 def uniform_grid(basis, n_points=65):
     """Uniform grid spanning the basis domain, endpoints included.
 
-    65 nodes (the default) keeps trapezoid projection exact for quadratic
-    products of up to 16 modes, which covers every model used here.
+    65 nodes (the default) keeps trapezoid norms exact for sine series of
+    up to 16 modes, which covers every model used here.
     """
     lo, hi = basis.domain
     if n_points < 2:
@@ -119,40 +103,9 @@ def reconstruct(coeffs, grid):
     return c @ sines.T
 
 
-def project(values, grid, basis):
-    """Trapezoid-quadrature projection of grid samples onto a sine basis.
-
-    a_k = <values, sin(k x)> / <sin(k x), sin(k x)>.  The grid must carry
-    at least 2 * (2 * n_modes) + 1 nodes so that the quadrature is exact
-    for fields produced by quadratic interactions of the basis modes.
-    """
-    _check_same_domain(basis, grid)
-    v = np.asarray(values, dtype=float)
-    if v.shape != grid.points.shape:
-        raise ValueError("values must be sampled on the grid nodes")
-    min_nodes = 2 * (2 * basis.n_modes) + 1
-    if grid.n_points < min_nodes:
-        raise ValueError(
-            f"grid with {grid.n_points} nodes is too coarse for exact projection "
-            f"onto {basis.n_modes} modes; need at least {min_nodes}"
-        )
-    k = basis.wavenumbers()
-    sines = np.sin(np.outer(grid.points, k))  # (n_points, n_modes)
-    return np.trapezoid(v[:, None] * sines, grid.points, axis=0) / basis.norm_const
-
-
 def grid_l2_norm(values, grid):
     """Continuous L2 norm approximated by trapezoid quadrature on the grid."""
     v = np.asarray(values, dtype=float)
     if v.shape != grid.points.shape:
         raise ValueError("values must be sampled on the grid nodes")
     return math.sqrt(float(np.trapezoid(v * v, grid.points)))
-
-
-def _check_same_domain(basis, grid):
-    blo, bhi = basis.domain
-    glo, ghi = grid.domain
-    if abs(blo - glo) > 1e-12 or abs(bhi - ghi) > 1e-12:
-        raise ValueError(
-            f"basis domain {(blo, bhi)} does not match grid domain {(glo, ghi)}"
-        )

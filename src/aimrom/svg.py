@@ -8,7 +8,6 @@ passes).  Output is deterministic, so plot files diff cleanly.
 
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -63,6 +62,11 @@ def _ticks(lo, hi, target=5):
     return ticks
 
 
+def _escape(text):
+    """Text as XML character data; & goes first so no entity is escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v):
     return "%.6g" % v
 
@@ -84,7 +88,7 @@ def line_plot(series, title="", x_label="", y_label="", provenance="",
         return _MARGIN["top"] + (y_hi - y) / (y_hi - y_lo) * box_h
 
     # XML comments must not contain "--"
-    note = escape(str(provenance)).replace("--", "- -")
+    note = _escape(str(provenance)).replace("--", "- -")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
@@ -101,7 +105,7 @@ def line_plot(series, title="", x_label="", y_label="", provenance="",
         )
         parts.append(
             f'<text x="{x:.2f}" y="{py(y_lo) + 18:.2f}" text-anchor="middle">'
-            f"{escape(_fmt(t))}</text>"
+            f"{_escape(_fmt(t))}</text>"
         )
     for t in _ticks(y_lo, y_hi):
         y = py(t)
@@ -111,7 +115,7 @@ def line_plot(series, title="", x_label="", y_label="", provenance="",
         )
         parts.append(
             f'<text x="{px(x_lo) - 8:.2f}" y="{y + 4:.2f}" text-anchor="end">'
-            f"{escape(_fmt(t))}</text>"
+            f"{_escape(_fmt(t))}</text>"
         )
     for i, s in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
@@ -132,22 +136,22 @@ def line_plot(series, title="", x_label="", y_label="", provenance="",
             f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 22:.2f}" '
             f'y2="{ly - 4:.2f}" stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}">{escape(s.label)}</text>')
+        parts.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}">{_escape(s.label)}</text>')
     if title:
         parts.append(
             f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{_MARGIN["left"] + box_w / 2:.2f}" y="{height - 10:.2f}" '
-            f'text-anchor="middle">{escape(x_label)}</text>'
+            f'text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:
         yl_x, yl_y = 16, _MARGIN["top"] + box_h / 2
         parts.append(
             f'<text x="{yl_x}" y="{yl_y:.2f}" text-anchor="middle" '
-            f'transform="rotate(-90 {yl_x} {yl_y:.2f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 {yl_x} {yl_y:.2f})">{_escape(y_label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -20,11 +20,10 @@ from aimrom.dmaps import (
 )
 from aimrom.integrate import SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import mape
-from aimrom.models import VectorField, ks_field, ks_rhs, toy_field
+from aimrom.models import VectorField, analytic_field, ks_rhs, toy_field
 from aimrom.nn import (
     Mlp,
     TrainConfig,
-    decode,
     forward,
     init_autoencoder,
     init_mlp,
@@ -77,7 +76,7 @@ def ks_snapshots():
         seed=21,
         sample_time=0.05,
     )
-    snaps = sample_attractor(ks_field(8, NU_KS), cfg, dt=1e-4)
+    snaps = sample_attractor(analytic_field("ks", 8, NU_KS), cfg, dt=1e-4)
     x = snaps.states
     idx = np.linspace(0, x.shape[0] - 1, 2000).astype(int)
     return np.ascontiguousarray(x[idx])
@@ -109,9 +108,8 @@ def _sample_chafee(n_trajectories):
         seed=11,
         sample_time=2.0,
     )
-    from aimrom.models import chafee_field
 
-    return sample_attractor(chafee_field(3, NU_CHAFEE), cfg, dt=1e-3).states
+    return sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), cfg, dt=1e-3).states
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +282,8 @@ def test_04_ks_galerkin_against_quadrature_oracle():
 
 def test_05_truncation_fails_gray_box_repairs(ks_snapshots):
     t0 = time.perf_counter()
-    field8 = ks_field(8, NU_KS)
-    field3 = ks_field(3, NU_KS)
+    field8 = analytic_field("ks", 8, NU_KS)
+    field3 = analytic_field("ks", 3, NU_KS)
     ds = build_derivative_dataset(ks_snapshots, field8, 3)
     gray, _ = learn_field(
         ds,
@@ -376,7 +374,7 @@ def test_07_lifting_reconstruction_quality(ks_snapshots, ks_split, ks_autoencode
     latent_test = nystrom_restrict(dm, x_test)[:, list(dm.kept_indices)]
     mse_dd = float(np.mean((gh_extend(gh, latent_test) - x_test) ** 2))
 
-    recon = decode(ks_autoencoder, forward(ks_autoencoder.encoder, x_test))
+    recon = forward(ks_autoencoder.decoder, forward(ks_autoencoder.encoder, x_test))
     mse_ae = float(np.mean((recon - x_test) ** 2))
 
     msg = _line(
@@ -488,10 +486,9 @@ def test_09_numerics_hygiene():
         seed=13,
         sample_time=0.4,
     )
-    from aimrom.models import chafee_field
 
-    s1 = sample_attractor(chafee_field(3, NU_CHAFEE), cfg, dt=1e-3).states
-    s2 = sample_attractor(chafee_field(3, NU_CHAFEE), cfg, dt=1e-3).states
+    s1 = sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), cfg, dt=1e-3).states
+    s2 = sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), cfg, dt=1e-3).states
     low, tail = make_closure_dataset(s1, 2)
     tc = TrainConfig(learning_rate=2e-3, epochs=30, batch_size=32, seed=4)
     n1, _ = train(init_mlp((2, 8, 1), seed=4), low, tail, tc)

@@ -27,12 +27,12 @@ def _invoke(args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
 
-def _run_proc(args):
+def _run_proc(args, python=("-m", "aimrom.cli")):
     # the child imports the same aimrom as this process, whichever path found it
     src = str(Path(aimrom.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "aimrom.cli"] + [str(a) for a in args],
+        [sys.executable, *python] + [str(a) for a in args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -49,6 +49,15 @@ SAMPLE_DOC = {
     "dt": 0.001,
     "seed": 7,
 }
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # xml.sax.saxutils.escape alone loaded all of these, which lengthened every command's start
+    network = ("urllib.request", "http.client", "ssl", "email", "socket")
+    proc = _run_proc([], python=("-c", f"import sys, aimrom.cli; "
+                                       f"print([m for m in {network} if m in sys.modules])"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point_shows_commands():
@@ -374,6 +383,25 @@ def test_a_pod_rank_key_is_unknown(tmp_path):
     assert "unknown keys ['pod_rank_low']" in res.output
 
 
+def test_a_pipeline_seed_key_is_unknown(tmp_path):
+    # nothing in a pipeline draws a random number
+    doc = {"pipeline": dict(EVAL_PIPELINE, seed=3)}
+    res = _invoke(["evaluate", "--config", _write(tmp_path / "eval.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "unknown keys ['seed']" in res.output
+
+
+@pytest.mark.parametrize("command", ["postprocess", "evaluate"])
+def test_a_pipeline_manifest_records_the_seed_override(tmp_path, command):
+    cfg = _write(tmp_path / "eval.yaml", {"pipeline": dict(EVAL_PIPELINE, final_time=0.01)})
+    for out, seed in (("a", []), ("b", ["--seed", "5"])):
+        res = _invoke([command, "--config", cfg, "--out", tmp_path / out, *seed])
+        assert res.exit_code == 0, res.output
+    seeds = [json.loads((tmp_path / out / "manifest.json").read_text())["seed"] for out in "ab"]
+    assert seeds == [None, 5]
+
+
 def test_an_undamped_slaved_mode_exits_2(tmp_path):
     # KS at nu = 70: the first slaved mode has A_4 = 4 * 4**4 - 70 * 4**2 = -96
     pipeline = dict(EVAL_PIPELINE, model="ks", ic=[0.1] * 8, final_time=0.01, dt=1e-4,
@@ -524,6 +552,36 @@ def test_kinds_without_a_network_reject_a_train_block(tmp_path, kind, keys):
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
     assert res.exit_code == 2, res.output
     assert f"kind {kind!r} trains no network and takes no train block" in res.output
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    """A readable snapshot file and a store holding a pruned dmap named dm."""
+    root = tmp_path_factory.mktemp("inputs")
+    t = np.linspace(0.0, 1.0, 40)
+    pts = np.column_stack([t, 0.5 * t, -0.25 * t])
+    write_table(root / "snapshots.csv", ["a1", "a2", "a3"], pts)
+    ModelStore(root / "store").save(select_independent(dmaps_fit(pts, n_eigs=4))[0], alias="dm")
+    return root
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("closure", "data"), ("closure", "n_low"),
+    ("black-box", "data"), ("black-box", "model"), ("black-box", "n_low"),
+    ("gray-box", "data"), ("gray-box", "model"), ("gray-box", "n_low"),
+    ("latent-map", "dmap"), ("latent-map", "n_low"),
+    ("autoencoder", "data"), ("autoencoder", "latent_dim"),
+    ("pod", "data"), ("dmap", "data"), ("lift", "dmap"),
+])
+def test_each_kind_names_each_required_key_it_lacks(train_inputs, tmp_path, kind, key):
+    # every key any kind needs is set, bar the one dropped
+    keys = {"data": str(train_inputs / "snapshots.csv"), "dmap": "dm", "model": "chafee",
+            "n_low": 2, "latent_dim": 2}
+    del keys[key]
+    doc = {"kind": kind, "alias": "m", "store": str(train_inputs / "store"), **keys}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert f"kind {kind!r} needs keys [{key!r}]" in res.output
 
 
 COMMANDS = ("simulate", "sample", "train", "postprocess", "evaluate", "ensemble")

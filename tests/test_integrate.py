@@ -12,7 +12,7 @@ from aimrom.integrate import (
     rk4,
     sample_attractor,
 )
-from aimrom.models import VectorField, chafee_field, ks_field, toy_field
+from aimrom.models import VectorField, analytic_field, toy_field
 
 
 def scalar_field(f):
@@ -84,7 +84,7 @@ def test_trajectory_validates_alignment():
 
 
 def test_rk4_chafee_settles_toward_attractor():
-    field = chafee_field(3, 0.16)
+    field = analytic_field("chafee", 3, 0.16)
     traj = rk4(field, np.array([1.0, 0.5, 0.1]), t_end=20.0, dt=1e-3)
     # late-time state should nearly be a fixed point
     assert np.max(np.abs(field.eval(traj.final_state))) < 1e-6
@@ -129,7 +129,7 @@ def test_sampler_stride_and_transient():
 
 
 def test_sampler_reproducible_under_seed():
-    field = chafee_field(2, 0.16)
+    field = analytic_field("chafee", 2, 0.16)
     cfg = SamplerConfig(
         n_trajectories=4,
         ic_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
@@ -194,7 +194,7 @@ def test_rk4_rejects_a_field_that_changes_the_shape():
 
 
 def test_rk4_batch_shapes_and_rows():
-    field = chafee_field(3, 0.16)
+    field = analytic_field("chafee", 3, 0.16)
     a0 = np.array([[1.0, 0.5, 0.1], [-0.3, 0.2, 0.0]])
     batch = rk4(field, a0, 0.25, 0.1)
     assert batch.states.shape == (4, 2, 3)
@@ -207,10 +207,10 @@ def test_rk4_batch_shapes_and_rows():
 
 # (field, dt, box half-width): steps small enough for each field's stiffness
 _EQUIVALENCE_FIELDS = {
-    "chafee-2": (chafee_field(2, 0.16), 1e-2, 1.2),
-    "chafee-3": (chafee_field(3, 0.16), 1e-2, 1.2),
-    "ks-3": (ks_field(3, 33.0), 1e-4, 1.0),
-    "ks-8": (ks_field(8, 33.0), 1e-4, 1.0),
+    "chafee-2": (analytic_field("chafee", 2, 0.16), 1e-2, 1.2),
+    "chafee-3": (analytic_field("chafee", 3, 0.16), 1e-2, 1.2),
+    "ks-3": (analytic_field("ks", 3, 33.0), 1e-4, 1.0),
+    "ks-8": (analytic_field("ks", 8, 33.0), 1e-4, 1.0),
     "toy": (toy_field(0.01), 1e-3, 2.0),
 }
 
@@ -245,7 +245,7 @@ def test_batched_rk4_equals_per_row_rk4_bitwise(name, n_traj, n_steps, tail, see
 def test_a_blown_up_row_leaves_the_others_bitwise_equal(n_traj, bad, a3, seed):
     # at dt = 0.3 the explicit step is unstable from a3 = 4 on and stable for
     # every start in [-1, 1]^3 (checked on a 9^3 grid and 20 000 draws)
-    field = chafee_field(3, 0.16)
+    field = analytic_field("chafee", 3, 0.16)
     a0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_traj, 3))
     bad = bad % n_traj
     a0[bad, 2] = a3

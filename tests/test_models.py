@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from aimrom.models import (
     MODELS,
     analytic_field,
-    chafee_field,
     chafee_rhs_2,
     chafee_rhs_3,
     field_from_name,
-    ks_field,
     ks_rhs,
     toy_field,
     toy_rhs,
@@ -221,15 +219,15 @@ def test_toy_rhs_values():
 
 
 def test_field_constructors():
-    f = chafee_field(3, NU)
+    f = analytic_field("chafee", 3, NU)
     assert f.dim == 3
-    g = ks_field(8, NU_KS)
+    g = analytic_field("ks", 8, NU_KS)
     assert g.dim == 8
-    assert chafee_field(4, NU).dim == 4 and ks_field(5, NU_KS).dim == 5
+    assert analytic_field("chafee", 4, NU).dim == 4 and analytic_field("ks", 5, NU_KS).dim == 5
     with pytest.raises(ValueError):
-        chafee_field(0, NU)
+        analytic_field("chafee", 0, NU)
     with pytest.raises(ValueError):
-        ks_field(8, NU_KS).eval(np.zeros(3))
+        analytic_field("ks", 8, NU_KS).eval(np.zeros(3))
     t = toy_field(0.01)
     assert t.dim == 2
 
@@ -286,7 +284,7 @@ def test_model_defaults():
 def test_too_many_modes_fail_before_building_the_tensor():
     # the cubic tensor of 64 modes would hold 64^4 = 2^24 entries
     with pytest.raises(ValueError, match="tensor"):
-        chafee_field(64, NU)
+        analytic_field("chafee", 64, NU)
 
 
 def test_field_from_name_rejects_unknown_names():

@@ -6,7 +6,6 @@ from aimrom.nn import (
     Mlp,
     TrainConfig,
     TrainingDivergedError,
-    decode,
     decoder_invert,
     forward,
     init_autoencoder,
@@ -364,7 +363,7 @@ def test_autoencoder_shapes_and_composition():
     assert ae.encoder.layer_sizes == (4, 16, 16, 2)
     assert ae.decoder.layer_sizes == (2, 16, 16, 4)
     x = np.random.default_rng(1).normal(size=(5, 4))
-    recon = decode(ae, forward(ae.encoder, x))
+    recon = forward(ae.decoder, forward(ae.encoder, x))
     assert recon.shape == (5, 4)
 
 
@@ -376,7 +375,7 @@ def test_autoencoder_learns_line_in_plane():
     ae = init_autoencoder(2, 1, hidden=(16,), seed=2)
     cfg = TrainConfig(learning_rate=5e-3, epochs=260, batch_size=64, seed=0)
     trained, hist = train_autoencoder(ae, x, cfg)
-    recon = decode(trained, forward(trained.encoder, x))
+    recon = forward(trained.decoder, forward(trained.encoder, x))
     assert float(np.mean((recon - x) ** 2)) < 1e-3
     assert hist.train_mse[-1] < hist.train_mse[0]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from aimrom.aim import euler_galerkin_closure
 from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram
-from aimrom.models import chafee_field, chafee_rhs_3, ks_field
+from aimrom.models import analytic_field, chafee_rhs_3
 from aimrom import rom
 from aimrom import NumericalFailure
 from aimrom.nn import Mlp, TrainConfig, forward, init_autoencoder, init_mlp, train
@@ -35,7 +35,7 @@ NU = 0.16
 
 @pytest.fixture(scope="module")
 def chafee_snapshots():
-    field = chafee_field(3, NU)
+    field = analytic_field("chafee", 3, NU)
     cfg = SamplerConfig(
         n_trajectories=25,
         ic_box=np.array([[-1.2, 1.2], [-0.6, 0.6], [-0.4, 0.4]]),
@@ -71,7 +71,7 @@ def base_cfg(**kw):
 
 
 def test_derivative_dataset_targets_are_analytic():
-    field = chafee_field(3, NU)
+    field = analytic_field("chafee", 3, NU)
     states = np.array([[1.0, 0.5, 0.1], [0.7, -0.3, 0.2]])
     ds = build_derivative_dataset(states, field, 2)
     assert np.array_equal(ds.inputs, states[:, :2])
@@ -97,7 +97,7 @@ def test_learned_field_validation():
 
 
 def test_gray_box_eval_adds_base():
-    base = chafee_field(2, NU)
+    base = analytic_field("chafee", 2, NU)
     net = init_mlp((2, 8, 2), seed=1)
     lf = LearnedField(kind="gray-box", dim=2, net=net, base=base)
     a = np.array([0.5, -0.2])
@@ -105,7 +105,7 @@ def test_gray_box_eval_adds_base():
 
 
 def test_learn_black_box_fits_smooth_field(chafee_snapshots):
-    field = chafee_field(3, NU)
+    field = analytic_field("chafee", 3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
     lf, hist = learn_field(
         ds,
@@ -119,9 +119,9 @@ def test_learn_black_box_fits_smooth_field(chafee_snapshots):
 
 
 def test_learn_gray_box_residual_is_small_on_slaved_data(chafee_snapshots):
-    field = chafee_field(3, NU)
+    field = analytic_field("chafee", 3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
-    base = chafee_field(2, NU)
+    base = analytic_field("chafee", 2, NU)
     lf, hist = learn_field(
         ds,
         hidden=(24, 24),
@@ -255,7 +255,7 @@ def test_a_mismatched_closure_net_fails_an_ensemble_whose_truths_all_blow_up(mon
     # at dt = 0.3 every 3-mode truth from a3 in [8, 9] blows up
     box = [[-1.0, 1.0], [-1.0, 1.0], [8.0, 9.0]]
     ics = np.array(box)[:, 0] + np.ptp(box, axis=1) * np.random.default_rng(5).random((4, 3))
-    assert not np.isnan(rk4(chafee_field(3, NU), ics, 3.0, 0.3).blowup_times).any()
+    assert not np.isnan(rk4(analytic_field("chafee", 3, NU), ics, 3.0, 0.3).blowup_times).any()
     calls = _counting(monkeypatch, "rk4")
     artifacts = {"closure-net": init_mlp((3, 8, 1), seed=0)}
     with pytest.raises(ConfigurationError, match="closure-net must map"):
@@ -334,7 +334,7 @@ def test_mlp_closure_pipeline_beats_truncation(closure_net):
 
 
 def test_black_box_pipeline_runs(chafee_snapshots):
-    field = chafee_field(3, NU)
+    field = analytic_field("chafee", 3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
     lf, _ = learn_field(
         ds,
@@ -349,7 +349,7 @@ def test_black_box_pipeline_runs(chafee_snapshots):
 
 
 def test_dynamics_net_kind_must_match(chafee_snapshots):
-    field = chafee_field(3, NU)
+    field = analytic_field("chafee", 3, NU)
     ds = build_derivative_dataset(chafee_snapshots, field, 2)
     lf, _ = learn_field(ds, hidden=(8,), train_cfg=TrainConfig(epochs=2, seed=0))
     with pytest.raises(ConfigurationError, match="kind"):
@@ -360,7 +360,7 @@ def test_pod_route_pipeline(chafee_snapshots):
     # build grid-field snapshots, fit POD, learn 2d dynamics + 1d closure
     basis = BasisSpec(SINE_DIRICHLET, 3)
     grid = uniform_grid(basis, 65)
-    sines = np.sin(np.outer(grid.points, basis.wavenumbers()))
+    sines = np.sin(np.outer(grid.points, np.arange(1, 4)))
     fields = chafee_snapshots @ sines.T
     pod = pod_fit(fields)
 
@@ -414,7 +414,7 @@ def test_batched_rk4_matches_per_row_for_learned_fields(kind, model, n_traj, see
     # order, so one evaluation differs by up to about 3e-14 relative.  Each
     # step adds dt times such an evaluation, so over 100 steps the rows stay
     # within 1e-12 of the trajectory's size (about 5e-16 is typical).
-    dim, base, dt = (2, chafee_field(2, NU), 1e-2) if model == "chafee" else (3, ks_field(3, 33.0), 1e-4)
+    dim, base, dt = (2, analytic_field("chafee", 2, NU), 1e-2) if model == "chafee" else (3, analytic_field("ks", 3, 33.0), 1e-4)
     net = init_mlp((dim, 24, 24, dim), seed=seed)
     lf = LearnedField(kind=kind, dim=dim, net=net, base=base if kind == "gray-box" else None)
     a0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_traj, dim))
@@ -475,9 +475,9 @@ def test_a_truth_blowup_fails_that_initial_condition_in_every_pipeline(closure_n
     artifacts = {"closure-net": closure_net}
     result = ensemble_histogram(configs, artifacts, box, n_ic=5, seed=5, bins=4)
     ics = np.array(box)[:, 0] + np.ptp(box, axis=1) * np.random.default_rng(5).random((5, 3))
-    truth = rk4(chafee_field(3, NU), ics, 3.0, 0.3)
+    truth = rk4(analytic_field("chafee", 3, NU), ics, 3.0, 0.3)
     assert np.count_nonzero(~np.isnan(truth.blowup_times)) == 1
-    assert np.all(np.isnan(rk4(chafee_field(2, NU), ics[:, :2], 3.0, 0.3).blowup_times))
+    assert np.all(np.isnan(rk4(analytic_field("chafee", 2, NU), ics[:, :2], 3.0, 0.3).blowup_times))
     assert result.failed == (1, 1, 1)
     samples, failed = _per_ic_ensemble(configs, artifacts, box, 5, 5)
     assert failed == result.failed
@@ -497,7 +497,7 @@ def test_an_ensemble_records_each_initial_condition_whose_closure_overflows():
     with np.errstate(over="ignore"):
         result = ensemble_histogram(configs, {"closure-net": net}, box, n_ic=8, seed=3)
     ics = np.array(box)[:, 0] + np.ptp(box, axis=1) * np.random.default_rng(3).random((8, 3))
-    a1 = rk4(chafee_field(2, NU), ics[:, :2], 1.0, 1e-2).states[-1, :, 0]
+    a1 = rk4(analytic_field("chafee", 2, NU), ics[:, :2], 1.0, 1e-2).states[-1, :, 0]
     overflowing = np.flatnonzero(a1 > 0)
     assert 0 < overflowing.size < 8 and np.min(np.abs(a1)) > 1e-6
     assert result.failed == (overflowing.size, 0)

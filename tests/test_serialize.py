@@ -17,7 +17,7 @@ from aimrom.dmaps import (
     nystrom_restrict,
 )
 from aimrom.integrate import rk4
-from aimrom.models import VectorField, analytic_field, chafee_field, ks_field, toy_field
+from aimrom.models import VectorField, analytic_field, toy_field
 from aimrom.nn import Autoencoder, Mlp, TrainHistory, init_autoencoder, init_mlp
 from aimrom.pod import PodModel, pod_fit
 from aimrom.rom import LearnedField
@@ -62,7 +62,7 @@ def test_autoencoder_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "base", [chafee_field(2, 0.16), chafee_field(5, 0.2), ks_field(3, 33.0), ks_field(11, 30.0),
+    "base", [analytic_field("chafee", 2, 0.16), analytic_field("chafee", 5, 0.2), analytic_field("ks", 3, 33.0), analytic_field("ks", 11, 30.0),
              toy_field(0.01), None]
 )
 def test_learned_field_rebuilds_base_by_name(base):
@@ -134,7 +134,7 @@ def _pinned_models():
         "mlp-v1": _mlp((2, 3, 1), normal),
         "autoencoder-v1": Autoencoder(_mlp((3, 2, 1), normal), _mlp((1, 2, 3), normal)),
         "learned-field-v1": LearnedField(kind="gray-box", dim=2, net=_mlp((2, 3, 2), normal),
-                                         base=chafee_field(2, 0.16)),
+                                         base=analytic_field("chafee", 2, 0.16)),
         "dmap-v1": DiffusionMap(
             epsilon=np.float64(0.37), alpha_density=1.0, train_points=rng.random((4, 2)),
             eigenvalues=np.array([1.0, 0.5, 0.25]), eigenvectors=rng.random((4, 3)),
@@ -363,7 +363,7 @@ def test_table_rejects_header_mismatch(tmp_path):
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    traj = rk4(chafee_field(3, 0.16), np.array([1.0, 0.5, 0.1]), 0.05, 1e-3)
+    traj = rk4(analytic_field("chafee", 3, 0.16), np.array([1.0, 0.5, 0.1]), 0.05, 1e-3)
     trajectory_to_csv(traj, tmp_path / "traj.csv")
     header, data, _ = read_table(tmp_path / "traj.csv")
     assert header == ["t", "a1", "a2", "a3"]

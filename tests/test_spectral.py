@@ -12,7 +12,6 @@ from aimrom.spectral import (
     BasisSpec,
     Grid,
     grid_l2_norm,
-    project,
     reconstruct,
     uniform_grid,
 )
@@ -21,10 +20,12 @@ from aimrom.spectral import (
 def test_basis_domains_and_norms():
     b1 = BasisSpec(SINE_DIRICHLET, 3)
     assert b1.domain == (0.0, math.pi)
-    assert b1.norm_const == math.pi / 2
+    g1 = uniform_grid(b1, 65)
+    assert grid_l2_norm(np.sin(g1.points), g1) ** 2 == pytest.approx(math.pi / 2, abs=1e-14)
     b2 = BasisSpec(SINE_PERIODIC_ODD, 8)
     assert b2.domain == (0.0, 2 * math.pi)
-    assert b2.norm_const == math.pi
+    g2 = uniform_grid(b2, 65)
+    assert grid_l2_norm(np.sin(g2.points), g2) ** 2 == pytest.approx(math.pi, abs=1e-14)
 
 
 def test_basis_rejects_bad_input():
@@ -42,16 +43,13 @@ def test_reconstruct_takes_its_width_from_the_coefficients():
                           np.sin(g.points) + 2.0 * np.sin(2 * g.points))
 
 
-def test_reconstruct_and_project_leave_their_inputs_alone():
-    b = BasisSpec(SINE_DIRICHLET, 2)
-    g = uniform_grid(b, 65)
+def test_reconstruct_leaves_its_input_alone():
+    g = uniform_grid(BasisSpec(SINE_DIRICHLET, 2), 65)
     c = np.array([1.0, 2.0])
     u = reconstruct(c, g)
     u_before = u.copy()
-    a = project(u, g, b)
+    u[0] = 99.0
     assert np.array_equal(c, [1.0, 2.0])
-    assert np.array_equal(u, u_before)
-    a[0] = 99.0
     assert np.array_equal(reconstruct(c, g), u_before)
 
 
@@ -69,38 +67,6 @@ def test_single_mode_reconstruction_matches_sine():
                        atol=1e-14)
 
 
-def test_projection_recovers_pure_mode():
-    b = BasisSpec(SINE_PERIODIC_ODD, 8)
-    g = uniform_grid(b, 65)
-    vals = np.sin(5 * g.points)
-    a = project(vals, g, b)
-    expected = np.zeros(8)
-    expected[4] = 1.0
-    assert np.allclose(a, expected, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3),
-    st.sampled_from([SINE_DIRICHLET, SINE_PERIODIC_ODD]),
-)
-def test_round_trip_project_reconstruct(coeffs, kind):
-    b = BasisSpec(kind, 3)
-    g = uniform_grid(b, 65)
-    a = np.array(coeffs)
-    back = project(reconstruct(a, g), g, b)
-    assert np.allclose(back, a, atol=1e-10)
-
-
-def test_round_trip_eight_modes_default_grid():
-    rng = np.random.default_rng(0)
-    b = BasisSpec(SINE_PERIODIC_ODD, 8)
-    g = uniform_grid(b, 65)
-    a = rng.uniform(-2, 2, 8)
-    back = project(reconstruct(a, g), g, b)
-    assert np.max(np.abs(back - a)) < 1e-10
-
-
 def test_parseval_identity_on_grid():
     # ||u||_L2^2 = (pi/2) * sum a_k^2 on [0, pi]; value frozen from an
     # independent quadrature run.
@@ -110,20 +76,6 @@ def test_parseval_identity_on_grid():
     u = reconstruct(a, g)
     assert abs(grid_l2_norm(u, g) ** 2 - 0.9738937226128359) < 1e-12
     assert abs(grid_l2_norm(u, g) ** 2 - (math.pi / 2) * np.sum(a**2)) < 1e-12
-
-
-def test_projection_rejects_coarse_grid():
-    b = BasisSpec(SINE_PERIODIC_ODD, 8)
-    g = uniform_grid(b, 20)  # below 2*(2*8)+1 = 33
-    with pytest.raises(ValueError):
-        project(np.zeros(20), g, b)
-
-
-def test_projection_rejects_domain_mismatch():
-    b = BasisSpec(SINE_DIRICHLET, 3)
-    g = uniform_grid(BasisSpec(SINE_PERIODIC_ODD, 3), 65)
-    with pytest.raises(ValueError):
-        project(np.zeros(65), g, b)
 
 
 @settings(max_examples=60, deadline=None)

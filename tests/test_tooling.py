@@ -1,6 +1,6 @@
 """Whole-package checks: the benchmark's tracer (perfbench/spans.py) still
 finds every name it wraps, every exception class is an AimromError, and
-README's route table is rom.ROUTES."""
+README's route and train-kind tables are rom.ROUTES and cli.TRAIN_KINDS."""
 
 import importlib
 import importlib.util
@@ -14,7 +14,7 @@ import pytest
 
 import aimrom
 import aimrom.cli  # noqa: F401  (imports every module the tracer patches)
-from aimrom import AimromError, models, rom
+from aimrom import AimromError, cli, models, rom
 from aimrom.aim import euler_galerkin_closure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,3 +104,12 @@ def test_readme_route_table_is_rom_routes():
                       (ROOT / "README.md").read_text(), re.M)
     assert {route: tuple(re.findall(r"`([\w-]+)`", closures))
             for route, closures in rows} == rom.ROUTES
+
+
+def test_readme_train_kind_table_is_cli_train_kinds():
+    # README lists each kind as "| `<kind>` | `[<width>, ...]` or no network | `<key>`, ... |"
+    rows = re.findall(r"^\| `([\w-]+)` \| (`\[[\d, ]+\]`|no network) \| ((?:`\w+`(?:, )?)+) \|$",
+                      (ROOT / "README.md").read_text(), re.M)
+    assert {kind: (tuple(re.findall(r"`(\w+)`", keys)),
+                   None if net == "no network" else tuple(map(int, re.findall(r"\d+", net))))
+            for kind, net, keys in rows} == cli.TRAIN_KINDS
