@@ -11,7 +11,7 @@ AimromError class (2 config error, 3 numeric failure, 4 missing artifact).
 import json
 import sys
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import click
@@ -27,6 +27,7 @@ from .nn import TrainConfig, init_autoencoder, init_mlp, train, train_autoencode
 from .pod import pod_fit
 from .rom import (
     ARTIFACT_ROLES,
+    DYNAMICS,
     PipelineConfig,
     build_derivative_dataset,
     learn_field,
@@ -383,28 +384,29 @@ def _fit_model(cfg, store, seed):
         extras = {"data_hash": file_hash(cfg["data"])}
     else:
         dm = store.load(cfg["dmap"])
-        extras = {"data_hash": store.resolve(cfg["dmap"])}
+        states, extras = dm.train_points, {"data_hash": store.resolve(cfg["dmap"])}
         if not dm.kept_indices:
             raise ConfigurationError("train config: stored dmap has no kept coordinates")
+    n_low = cfg.get("n_low")
+    if "n_low" in needs and not 1 <= n_low < states.shape[1]:
+        raise ConfigurationError("train config: n_low must leave at least one tail mode")
 
     if kind == "closure":
-        n_low = cfg["n_low"]
-        if not 1 <= n_low < states.shape[1]:
-            raise ConfigurationError("train config: n_low must leave at least one tail mode")
         x, y = make_closure_dataset(states, n_low)
         net = init_mlp((n_low, *hidden, states.shape[1] - n_low), seed=tcfg.seed)
         return *train(net, x, y, tcfg), extras
 
-    if kind in ("black-box", "gray-box"):
-        if kind == "gray-box" and cfg["model"] not in MODELS:
-            raise ConfigurationError("train config: gray-box needs a Galerkin base model, "
+    if kind in DYNAMICS:
+        has_base = DYNAMICS[kind][0]
+        if has_base and cfg["model"] not in MODELS:
+            raise ConfigurationError(f"train config: {kind} needs a Galerkin base model, "
                                      f"one of {', '.join(MODELS)}")
         full = _field(cfg)
         if states.shape[1] != full.dim:
             raise ConfigurationError(
                 f"train config: data width {states.shape[1]} != model dim {full.dim}")
-        dataset = build_derivative_dataset(states, full, cfg["n_low"])
-        base = _field(dict(cfg, n_modes=cfg["n_low"])) if kind == "gray-box" else None
+        dataset = build_derivative_dataset(states, full, n_low)
+        base = _field(dict(cfg, n_modes=n_low)) if has_base else None
         return *learn_field(dataset, hidden, tcfg, seed=tcfg.seed, base=base), extras
 
     if kind == "autoencoder":
@@ -426,13 +428,13 @@ def _fit_model(cfg, store, seed):
         return dm, None, extras
 
     if kind == "lift":
-        gh = double_dmaps_lift(dm, dm.train_points, **_given(cfg, "epsilon_star", "delta"))
+        gh = double_dmaps_lift(dm, states, **_given(cfg, "epsilon_star", "delta"))
         extras["in_sample_mse"] = float(gh.in_sample_mse)
         return gh, None, extras
 
-    lead, latents = dm.train_points[:, : cfg["n_low"]], dm.coordinates()
-    net = init_mlp((lead.shape[1], *hidden, latents.shape[1]), seed=tcfg.seed)
-    return *train(net, lead, latents, tcfg), extras
+    latents = dm.coordinates()
+    net = init_mlp((n_low, *hidden, latents.shape[1]), seed=tcfg.seed)
+    return *train(net, states[:, :n_low], latents, tcfg), extras
 
 
 @_command("train", _TRAIN_SCHEMA, required=("kind", "alias"))
@@ -462,21 +464,13 @@ def train_cmd(cfg, out, seed):
 def _metrics_document(result, hashes):
     doc = {
         "label": result.config.label(),
-        "raw": {"mape_final": result.raw_metrics.mape_final,
-                "mse_final": result.raw_metrics.mse_final},
-        "corrected": {"mape_final": result.corrected_metrics.mape_final,
-                      "mse_final": result.corrected_metrics.mse_final},
+        "raw": asdict(result.raw_metrics),
+        "corrected": asdict(result.corrected_metrics),
         "corrected_coeffs": result.corrected_coeffs.tolist(),
         "models": hashes,
     }
     if result.decomposition is not None:
-        d = result.decomposition
-        doc["decomposition"] = {
-            "delta_low": d.delta_low,
-            "delta_closure_mass": d.delta_closure_mass,
-            "delta_truncated": d.delta_truncated,
-            "delta_corrected": d.delta_corrected,
-        }
+        doc["decomposition"] = asdict(result.decomposition)
     return doc
 
 

@@ -19,7 +19,7 @@ rows at a time wherever it needs a temporary.  Where that arithmetic is
 elementwise, blocking leaves every bit unchanged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -364,16 +364,7 @@ def select_independent(dm, bandwidth_factor=3.0, residual_threshold=0.2):
         residuals.append(r)
         if r > residual_threshold:
             kept.append(k)
-    new_dm = DiffusionMap(
-        epsilon=dm.epsilon,
-        alpha_density=dm.alpha_density,
-        train_points=dm.train_points,
-        eigenvalues=dm.eigenvalues,
-        eigenvectors=dm.eigenvectors,
-        point_density=dm.point_density,
-        kept_indices=tuple(kept),
-    )
-    return new_dm, np.array(residuals)
+    return replace(dm, kept_indices=tuple(kept)), np.array(residuals)
 
 
 @dataclass(frozen=True)

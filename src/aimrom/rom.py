@@ -16,7 +16,7 @@ from .aim import Closure, euler_galerkin_closure, postprocess, zero_closure
 from .dmaps import gh_extend
 from .integrate import rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
-from .models import MODELS, VectorField, analytic_field
+from .models import MODELS, VectorField, analytic_field, field_from_name
 from .nn import Mlp, decoder_invert, forward, init_mlp, train
 from .pod import pod_lift, pod_project
 from .spectral import reconstruct, uniform_grid
@@ -36,10 +36,12 @@ __all__ = [
     "validate_pipeline",
 ]
 
-# each latent route and the closures it runs; pod also takes black-box dynamics only
+# each latent route and the closures it runs; pod runs no dynamics that has a base
 ROUTES = {"fourier": ("euler-galerkin", "mlp", "none"), "pod": ("mlp", "none"),
           "autoencoder": ("decoder-inversion", "none"), "dmaps": ("double-dmaps", "none")}
-DYNAMICS = ("truncated", "black-box", "gray-box")
+# each dynamics: whether it runs on the model's n_low-mode truncation (POD
+# coordinates have no such base) and whether it adds a dynamics-net
+DYNAMICS = {"truncated": (True, False), "black-box": (False, True), "gray-box": (True, True)}
 CLOSURES = tuple(dict.fromkeys(c for closures in ROUTES.values() for c in closures))
 ARTIFACT_ROLES = ("dynamics-net", "closure-net", "latent-map", "lift", "autoencoder", "pod")
 
@@ -97,10 +99,11 @@ class LearnedField:
     base: VectorField = None
 
     def __post_init__(self):
-        if self.kind not in ("black-box", "gray-box"):
-            raise ValueError(f"unknown learned field kind: {self.kind!r}")
-        if self.kind == "gray-box" and self.base is None:
-            raise ValueError("gray-box fields need an analytic base")
+        has_base, has_net = DYNAMICS.get(self.kind, (False, False))
+        if not has_net:
+            raise ValueError(f"not a learned field kind: {self.kind!r}")
+        if has_base != (self.base is not None):
+            raise ValueError(f"{self.kind} fields need {'an' if has_base else 'no'} analytic base")
         if self.net.d_in != self.dim or self.net.d_out != self.dim:
             raise ValueError("network must map dim -> dim")
 
@@ -167,8 +170,7 @@ class PipelineConfig:
                 f"ic must have {n_low} or {n_full} components for model {self.model}"
             )
         object.__setattr__(self, "ic", ic)
-        if self.nu is None:
-            object.__setattr__(self, "nu", spec.nu)
+        object.__setattr__(self, "nu", float(spec.nu if self.nu is None else self.nu))
         if self.final_time <= 0 or self.dt <= 0:
             raise ConfigurationError("final_time and dt must be positive")
         # the bound that keeps decompose_errors' trapezoid norms exact (see spectral)
@@ -227,9 +229,8 @@ def validate_pipeline(cfg, artifacts):
         routes = " or ".join(r for r, closures in ROUTES.items() if cfg.closure in closures)
         raise ConfigurationError(f"{cfg.closure} closure requires the {routes} route")
     if cfg.latent_route == "pod":
-        if cfg.dynamics != "black-box":
-            raise ConfigurationError("pod route requires black-box dynamics: POD coordinates "
-                                     f"have no analytic base for {cfg.dynamics} dynamics")
+        if DYNAMICS[cfg.dynamics][0]:
+            raise ConfigurationError(f"pod route has no analytic base for {cfg.dynamics} dynamics")
         pod = _artifact(artifacts, "pod")
         if pod.ambient_dim != cfg.grid_points:
             raise ConfigurationError("pod artifact was fitted on a different grid")
@@ -240,8 +241,10 @@ def validate_pipeline(cfg, artifacts):
 
 
 def _reduced_field(cfg, artifacts):
-    if cfg.dynamics == "truncated":
-        return analytic_field(cfg.model, cfg.n_low, cfg.nu)
+    has_base, has_net = DYNAMICS[cfg.dynamics]
+    base = analytic_field(cfg.model, cfg.n_low, cfg.nu) if has_base else None
+    if not has_net:
+        return base
     net = _artifact(artifacts, "dynamics-net")
     if not isinstance(net, LearnedField):
         raise ConfigurationError("artifact 'dynamics-net' must be a LearnedField")
@@ -253,6 +256,8 @@ def _reduced_field(cfg, artifacts):
         raise ConfigurationError(
             f"dynamics-net kind {net.kind!r} does not match requested {cfg.dynamics!r}"
         )
+    if has_base and field_from_name(net.base.name).name != base.name:
+        raise ConfigurationError(f"dynamics-net base {net.base.name} != pipeline base {base.name}")
     return net
 
 

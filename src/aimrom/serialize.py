@@ -27,7 +27,6 @@ from .rom import LearnedField
 __all__ = [
     "ModelStore",
     "canonical_json",
-    "content_hash",
     "file_hash",
     "model_from_dict",
     "model_to_dict",
@@ -62,11 +61,6 @@ def _jsonify(x):
 def canonical_json(payload):
     """Stable byte form: sorted keys, no whitespace, shortest-repr floats."""
     return json.dumps(_jsonify(payload), sort_keys=True, separators=(",", ":"))
-
-
-def content_hash(payload):
-    """sha256 of the canonical JSON; used as the model-store key."""
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def file_hash(path):

@@ -11,7 +11,7 @@ import yaml
 from click.testing import CliRunner
 
 import aimrom
-from aimrom.cli import main
+from aimrom.cli import TRAIN_KINDS, main
 from aimrom.dmaps import dmaps_fit, double_dmaps_lift, select_independent
 from aimrom.nn import init_autoencoder, init_mlp
 from aimrom.pod import pod_fit
@@ -242,6 +242,28 @@ def test_gray_box_on_toy_names_the_missing_base(tmp_path):
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path])
     assert res.exit_code == 2
     assert "gray-box needs a Galerkin base model, one of chafee, ks" in res.output
+
+
+@pytest.mark.parametrize("train_nu, eval_nu, code", [(0.3, None, 2), (1.0, 1, 0), (1, 1.0, 0)])
+def test_a_gray_box_evaluates_only_at_the_nu_it_was_trained_at(tmp_path, train_nu, eval_nu,
+                                                                code):
+    data, store = _sampled(tmp_path), str(tmp_path / "store")
+    doc = {"kind": "gray-box", "alias": "gb", "data": str(data), "store": store,
+           "model": "chafee", "nu": train_nu, "n_low": 2, "hidden": [4],
+           "train": {"epochs": 2, "seed": 0}}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 0, res.output
+    pipeline = dict(EVAL_PIPELINE, dynamics="gray-box", closure="none", final_time=0.1, dt=0.01)
+    if eval_nu is not None:
+        pipeline["nu"] = eval_nu
+    doc = {"pipeline": pipeline, "store": store, "artifacts": {"dynamics-net": "gb"},
+           "plots": False}
+    res = _invoke(["evaluate", "--config", _write(tmp_path / "e.yaml", doc),
+                   "--out", tmp_path / "e"])
+    assert res.exit_code == code, res.output
+    if code:
+        assert "dynamics-net base chafee-2(nu=0.3) != pipeline base chafee-2(nu=0.16)" \
+            in res.output
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -582,6 +604,19 @@ def test_each_kind_names_each_required_key_it_lacks(train_inputs, tmp_path, kind
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
     assert res.exit_code == 2, res.output
     assert f"kind {kind!r} needs keys [{key!r}]" in res.output
+
+
+@pytest.mark.parametrize("kind", ["closure", "black-box", "gray-box", "latent-map"])
+@pytest.mark.parametrize("n_low", [3, 0])
+def test_n_low_must_leave_a_tail_of_the_input_width(train_inputs, tmp_path, kind, n_low):
+    # the snapshots and the stored dmap's points are both 3 wide
+    inputs = {"data": str(train_inputs / "snapshots.csv"), "dmap": "dm", "model": "chafee"}
+    doc = {"kind": kind, "alias": "m", "n_low": n_low, "store": str(train_inputs / "store"),
+           "train": {"epochs": 2, "seed": 0},
+           **{key: value for key, value in inputs.items() if key in TRAIN_KINDS[kind][0]}}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert "n_low must leave at least one tail mode" in res.output
 
 
 COMMANDS = ("simulate", "sample", "train", "postprocess", "evaluate", "ensemble")

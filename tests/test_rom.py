@@ -96,6 +96,16 @@ def test_learned_field_validation():
         LearnedField(kind="black-box", dim=3, net=net)
 
 
+@pytest.mark.parametrize("kind, base", [
+    ("black-box", analytic_field("chafee", 2, NU)),  # only a gray-box adds a base
+    ("truncated", analytic_field("chafee", 2, NU)),  # a truncation has no net
+    ("truncated", None),
+])
+def test_a_learned_field_kind_and_base_follow_the_dynamics_table(kind, base):
+    with pytest.raises(ValueError, match="analytic base|learned field kind"):
+        LearnedField(kind=kind, dim=2, net=init_mlp((2, 8, 2), seed=0), base=base)
+
+
 def test_gray_box_eval_adds_base():
     base = analytic_field("chafee", 2, NU)
     net = init_mlp((2, 8, 2), seed=1)
@@ -354,6 +364,31 @@ def test_dynamics_net_kind_must_match(chafee_snapshots):
     lf, _ = learn_field(ds, hidden=(8,), train_cfg=TrainConfig(epochs=2, seed=0))
     with pytest.raises(ConfigurationError, match="kind"):
         run_pipeline(base_cfg(dynamics="gray-box"), {"dynamics-net": lf})
+
+
+def _gray_box(model, dim, nu):
+    return LearnedField(kind="gray-box", dim=dim, net=init_mlp((dim, 8, dim), seed=0),
+                        base=analytic_field(model, dim, nu))
+
+
+@pytest.mark.parametrize("net, cfg", [
+    (_gray_box("chafee", 3, NU), PipelineConfig("ks", "fourier", "gray-box", "none",
+                                                (0.1,) * 8, 0.01, 1e-4)),
+    (_gray_box("chafee", 2, 0.3), base_cfg(dynamics="gray-box", closure="none")),
+], ids=["chafee-base-in-ks", "nu-0.3-base-at-0.16"])
+def test_a_gray_box_on_another_base_fails_before_any_integration(monkeypatch, net, cfg):
+    calls = _counting(monkeypatch, "rk4")
+    with pytest.raises(ConfigurationError, match="dynamics-net base"):
+        run_pipeline(cfg, {"dynamics-net": net})
+    assert calls == []
+
+
+@pytest.mark.parametrize("base_nu, nu", [(1, 1.0), (1.0, 1)])
+def test_a_gray_box_base_matches_the_pipeline_nu_as_a_number(base_nu, nu):
+    # one side names its field "chafee-2(nu=1)", the other "chafee-2(nu=1.0)"
+    cfg = base_cfg(dynamics="gray-box", closure="none", nu=nu, final_time=0.1, dt=1e-2)
+    res = run_pipeline(cfg, {"dynamics-net": _gray_box("chafee", 2, base_nu)})
+    assert np.all(np.isfinite(res.reduced.states))
 
 
 def test_pod_route_pipeline(chafee_snapshots):

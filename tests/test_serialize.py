@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -24,7 +25,6 @@ from aimrom.rom import LearnedField
 from aimrom.serialize import (
     ModelStore,
     canonical_json,
-    content_hash,
     model_from_dict,
     model_to_dict,
     read_table,
@@ -259,7 +259,6 @@ def test_canonical_json_is_key_order_independent():
     a = {"b": 1.0, "a": [np.float64(2.5), 3]}
     b = {"a": [2.5, 3], "b": 1.0}
     assert canonical_json(a) == canonical_json(b)
-    assert content_hash(a) == content_hash(b)
 
 
 def test_store_content_addressing(tmp_path):
@@ -274,7 +273,7 @@ def test_store_content_addressing(tmp_path):
     assert np.array_equal(back.weights[0], net.weights[0])
     doc = json.loads((tmp_path / "models" / f"{k1}.json").read_text())
     assert doc["meta"] == {"seed": 1}
-    assert content_hash(doc) == k1
+    assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == k1
     # different meta -> different key
     k3 = store.save(net, meta={"seed": 2})
     assert k3 != k1

@@ -1,6 +1,7 @@
 """Whole-package checks: the benchmark's tracer (perfbench/spans.py) still
 finds every name it wraps, every exception class is an AimromError, and
-README's route and train-kind tables are rom.ROUTES and cli.TRAIN_KINDS."""
+README's route, dynamics and train-kind tables are rom.ROUTES, rom.DYNAMICS
+and cli.TRAIN_KINDS."""
 
 import importlib
 import importlib.util
@@ -104,6 +105,14 @@ def test_readme_route_table_is_rom_routes():
                       (ROOT / "README.md").read_text(), re.M)
     assert {route: tuple(re.findall(r"`([\w-]+)`", closures))
             for route, closures in rows} == rom.ROUTES
+
+
+def test_readme_dynamics_table_is_rom_dynamics():
+    # README lists each dynamics as "| `<dynamics>` | yes|no | yes|no |"
+    rows = re.findall(r"^\| `([\w-]+)` \| (yes|no) \| (yes|no) \|$",
+                      (ROOT / "README.md").read_text(), re.M)
+    assert {dynamics: (base == "yes", net == "yes") for dynamics, base, net in rows} == \
+        rom.DYNAMICS
 
 
 def test_readme_train_kind_table_is_cli_train_kinds():
