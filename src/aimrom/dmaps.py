@@ -13,9 +13,10 @@ double-diffusion-maps lift) using a second, symmetric kernel on the
 latent training coordinates, whose pairs above the delta cut come from the
 same subspace iteration.
 
-Each n x n stage holds at most two n x n arrays at a time, about 2 n^2
-doubles for n points: the kernel arithmetic runs in place, a block of _ROWS
-rows at a time wherever it needs a temporary.  Where that arithmetic is
+Each n x n stage holds one n x n array, plus for a moment its median's upper
+triangle or a block of rows or two: at most 1.8 n^2 doubles for n points.
+The kernel arithmetic runs in place, and select_independent builds each
+fit's weights, a block of _ROWS rows at a time.  Where the arithmetic is
 elementwise, blocking leaves every bit unchanged.
 """
 
@@ -57,13 +58,15 @@ _COND_RESOLVE = 1e8
 
 
 def _row_blocks(n, m):
-    """(rows, scratch) for each block of at most _ROWS of n rows: the slice,
-    and a view of as many rows of one (_ROWS, m) buffer that every block
-    shares.  The buffer lives while the caller holds its last view."""
-    scratch = np.empty((min(n, _ROWS), m))
-    for start in range(0, n, _ROWS):
-        rows = slice(start, min(start + _ROWS, n))
-        yield rows, scratch[: rows.stop - start]
+    """(rows, scratch) for each block of n rows, _ROWS rows each but the last,
+    which takes the remainder (up to 2 _ROWS - 1 rows): the slice, and a view
+    of as many rows of one buffer that every block shares, alive while the
+    caller holds its last view."""
+    last = max(n // _ROWS - 1, 0) * _ROWS
+    scratch = np.empty((n - last, m))
+    for start in range(0, last + 1, _ROWS):
+        stop = n if start == last else start + _ROWS
+        yield slice(start, stop), scratch[: stop - start]
 
 
 def _sq_dists(a, b):
@@ -222,6 +225,7 @@ def dmaps_fit(points, epsilon=None, n_eigs=10):
     # a becomes the symmetric conjugate D^(-1/2) K D^(-1/2) in place
     for rows, tmp in _row_blocks(*a.shape):
         a[rows] /= np.outer(p[rows], p, out=tmp)
+    del tmp  # before the next loop's buffer is built
     d = a.sum(axis=1)
     for rows, tmp in _row_blocks(*a.shape):
         a[rows] /= np.sqrt(np.outer(d[rows], d, out=tmp), out=tmp)
@@ -268,24 +272,27 @@ def nystrom_restrict(dm, x_new):
 
 def _loo_weights(d2, bandwidth_factor):
     """Leave-one-out regression weights exp(-d2 / scale^2), zero on the
-    diagonal, from the squared distances d2 between the basis rows.
+    diagonal, from the squared distances d2 between the basis rows, as
+    (rows, w) for each block of rows; every block's w is the same buffer.
 
     The scale is the median pairwise distance shrunk by the factor, so the
     regression stays local on the scale of the coordinate cloud.
     """
     scale = _upper_median(d2, np.sqrt) / bandwidth_factor
-    w = np.divide(d2, -scale * scale)
-    np.exp(w, out=w)
-    np.fill_diagonal(w, 0.0)
-    return w
+    for rows, w in _row_blocks(*d2.shape):
+        np.exp(np.divide(d2[rows], -scale * scale, out=w), out=w)
+        np.fill_diagonal(w[:, rows], 0.0)
+        yield rows, w
 
 
-def _loo_linear_residual(basis, target, w):
+def _loo_linear_residual(basis, target, weights):
     """Normalized leave-one-out error of local linear prediction.
 
     Predicts target at each training point from a linear fit on basis (the
-    earlier coordinates) weighted by the rows of w, which are zero on the
-    diagonal, so the point itself is left out.  Overwrites w.
+    earlier coordinates) weighted by its row of the (rows, w) blocks that
+    weights yields, zero on the diagonal, so the point itself is left out.
+    A fit reads only its own row, so each block's fits finish, overwriting
+    its w, before the next block is drawn.
     """
     n, p = basis.shape
     # moment form: on the mean-shifted design x = [1, basis - mean] one
@@ -293,40 +300,40 @@ def _loo_linear_residual(basis, target, w):
     # (its upper triangle) and right-hand side sum_j w_ij x_j target_j
     x = np.hstack([np.ones((n, 1)), basis - basis.mean(axis=0)])
     ia, ib = np.triu_indices(p + 1)
-    moments = w @ np.hstack([x[:, ia] * x[:, ib], x * target[:, None]])
-    normal = np.empty((n, p + 1, p + 1))
-    normal[:, ia, ib] = normal[:, ib, ia] = moments[:, : ia.size]
-    diag = np.einsum("nii->ni", normal)
-    s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    del diag  # a view, which would keep the whole of normal past normal[good]
-    normal *= s[:, :, None] * s[:, None, :]
-    good = np.linalg.cond(normal) <= _COND_RESOLVE
-    normal, sg = normal[good], s[good]
+    data = np.hstack([x[:, ia] * x[:, ib], x * target[:, None]])
+    preds = np.empty(n)
+    for rows, w in weights:
+        moments = w @ data
+        normal = np.empty((w.shape[0], p + 1, p + 1))
+        normal[:, ia, ib] = normal[:, ib, ia] = moments[:, : ia.size]
+        diag = np.einsum("nii->ni", normal)
+        s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        normal *= s[:, :, None] * s[:, None, :]
+        good = np.linalg.cond(normal) <= _COND_RESOLVE
+        normal, sg = normal[good], s[good]
 
-    def solve(rhs):
-        return np.linalg.solve(normal, (rhs[good] * sg)[..., None])[..., 0] * sg
+        def solve(rhs):
+            return np.linalg.solve(normal, (rhs[good] * sg)[..., None])[..., 0] * sg
 
-    coef = np.zeros((n, p + 1))
-    coef[good] = solve(moments[:, ia.size :])
-    bad = np.flatnonzero(~good)
-    sqrt_w_bad = np.sqrt(w[bad])
-    # forming the normal matrix squares the design's condition number; one
-    # step of iterative refinement, its residual w_ij (target_j - x_j coef_i)
-    # taken on the data and written over w, brings the fit to the accuracy
-    # of least squares.  Blocked, coef @ x.T may round apart from the whole
-    # product in the last place, as the BLAS picks its kernel by shape (not
-    # at 2 080 rows); r @ x stays whole
-    for rows, r in _row_blocks(n, n):
-        np.matmul(coef[rows], x.T, out=r)
-        w[rows] *= np.subtract(target, r, out=r)
-    del r
-    coef[good] += solve(w @ x)
-    preds = np.einsum("ni,ni->n", x, coef)
-    # past the cut, least squares on the square-root-weighted design centred
-    # on the point itself, whose intercept is the prediction
-    for i, sw in zip(bad, sqrt_w_bad):
-        design = np.hstack([np.ones((n, 1)), basis - basis[i]]) * sw[:, None]
-        preds[i] = np.linalg.lstsq(design, sw * target, rcond=None)[0][0]
+        coef = np.zeros((w.shape[0], p + 1))
+        coef[good] = solve(moments[:, ia.size :])
+        bad = np.flatnonzero(~good)
+        sqrt_w_bad = np.sqrt(w[bad])
+        # forming the normal matrix squares the design's condition number;
+        # one refinement step, its residual w_ij (target_j - x_j coef_i)
+        # written over w, brings the fit to the accuracy of least squares.
+        # A block's products may round apart from the whole ones, as the BLAS
+        # picks its kernel by shape; at 2 080 rows these blocks do not
+        r = coef @ x.T
+        w *= np.subtract(target, r, out=r)
+        del r  # before the next block's is built
+        coef[good] += solve(w @ x)
+        preds[rows] = np.einsum("ni,ni->n", x[rows], coef)
+        # past the cut, least squares on the square-root-weighted design
+        # centred on the point itself, whose intercept is the prediction
+        for i, sw in zip(bad + rows.start, sqrt_w_bad):
+            design = np.hstack([np.ones((n, 1)), basis - basis[i]]) * sw[:, None]
+            preds[i] = np.linalg.lstsq(design, sw * target, rcond=None)[0][0]
     return float(np.sqrt(np.sum((target - preds) ** 2) / np.sum(target**2)))
 
 
@@ -356,11 +363,7 @@ def select_independent(dm, bandwidth_factor=3.0, residual_threshold=0.2):
             np.subtract.outer(c[rows], c, out=step)
             d2[rows] += np.square(step, out=step)
         del step
-        # no name holds the weights, so the last fit's are freed before the
-        # next are built
-        r = _loo_linear_residual(
-            phi[:, 1:k], phi[:, k], _loo_weights(d2, bandwidth_factor)
-        )
+        r = _loo_linear_residual(phi[:, 1:k], phi[:, k], _loo_weights(d2, bandwidth_factor))
         residuals.append(r)
         if r > residual_threshold:
             kept.append(k)

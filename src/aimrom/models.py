@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import ConfigurationError
 from .spectral import SINE_DIRICHLET, SINE_PERIODIC_ODD, BasisSpec
 
 __all__ = [
@@ -210,4 +211,4 @@ def field_from_name(name):
     m = re.fullmatch(r"toy\(eps=([^)]+)\)", name)
     if m:
         return toy_field(float(m[1]))
-    raise ValueError(f"cannot rebuild analytic field from name {name!r}")
+    raise ConfigurationError(f"cannot rebuild analytic field from name {name!r}")

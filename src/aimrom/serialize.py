@@ -58,9 +58,12 @@ def _jsonify(x):
     return x
 
 
+_CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+
+
 def canonical_json(payload):
     """Stable byte form: sorted keys, no whitespace, shortest-repr floats."""
-    return json.dumps(_jsonify(payload), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_jsonify(payload), **_CANONICAL)
 
 
 def file_hash(path):
@@ -154,7 +157,8 @@ class ModelStore:
 
     def save(self, obj, alias=None, meta=None):
         """Store a model, return its content-hash key."""
-        text = canonical_json({"model": model_to_dict(obj), "meta": _jsonify(meta or {})})
+        # model_to_dict's document is JSON-native, so it is not walked again
+        text = json.dumps({"model": model_to_dict(obj), "meta": _jsonify(meta or {})}, **_CANONICAL)
         key = hashlib.sha256(text.encode()).hexdigest()
         self.root.mkdir(parents=True, exist_ok=True)
         _write_atomic(self.root / f"{key}.json", text + "\n")

@@ -478,9 +478,11 @@ def test_select_independent_matches_unblocked_formulas(monkeypatch):
     real = dmaps._loo_weights
 
     def spy(d2, bandwidth_factor):
-        w = real(d2, bandwidth_factor)
-        seen.append((d2.copy(), w.copy()))
-        return w
+        blocks = []
+        seen.append((d2.copy(), blocks))
+        for rows, w in real(d2, bandwidth_factor):
+            blocks.append((rows, w.copy()))
+            yield rows, w
 
     monkeypatch.setattr(dmaps, "_loo_weights", spy)
     _, residuals = select_independent(dm)
@@ -488,20 +490,40 @@ def test_select_independent_matches_unblocked_formulas(monkeypatch):
     n = dm.n_train
     d2 = np.zeros((n, n))
     expected = [1.0]
-    for k, (got_d2, got_w) in zip(range(2, dm.n_pairs), seen, strict=True):
+    for k, (got_d2, blocks) in zip(range(2, dm.n_pairs), seen, strict=True):
         d2 = d2 + np.subtract.outer(phi[:, k - 1], phi[:, k - 1]) ** 2
         scale = np.median(np.sqrt(d2[np.triu_indices(n, 1)])) / 3.0
         w = np.exp(d2 / (-scale * scale))
         np.fill_diagonal(w, 0.0)
         # elementwise: the row blocks leave every bit
         assert np.array_equal(got_d2, d2)
-        assert np.array_equal(got_w, w)
+        assert [(rows.start, rows.stop) for rows, _ in blocks] == [(0, dmaps._ROWS), (dmaps._ROWS, n)]
+        for rows, got_w in blocks:
+            assert np.array_equal(got_w, w[rows])
         expected.append(unblocked_loo_residual(phi[:, 1:k], phi[:, k], w))
-    # the refinement's product C X^T, taken a block of rows at a time, may
-    # round in the last place apart from the whole product: OpenBLAS picks
-    # its kernel by the operands' shape.  At the benchmark's 2 080 points
-    # the two agree bit for bit, so do the stored residuals.
+    # a product over a block of rows may round in the last place apart from
+    # the same rows of the whole product: OpenBLAS picks its kernel by the
+    # operands' shape.  At the benchmark's 2 080 points the two agree bit
+    # for bit, so do the stored residuals.
     assert np.allclose(residuals, expected, rtol=1e-13, atol=0.0)
+
+
+def test_select_independent_bits_equal_unblocked_formulas_at_the_benchmark_size():
+    # ks-dmaps fits 2 080 snapshots: 7 blocks of _ROWS rows and one of 288
+    pts = rectangle_points(2080, seed=34)
+    dm = dmaps_fit(pts, n_eigs=3)
+    _, residuals = select_independent(dm)
+    phi = dm.eigenvectors
+    n = dm.n_train
+    d2 = np.zeros((n, n))
+    expected = [1.0]
+    for k in range(2, dm.n_pairs):
+        d2 = d2 + np.subtract.outer(phi[:, k - 1], phi[:, k - 1]) ** 2
+        scale = np.median(np.sqrt(d2[np.triu_indices(n, 1)])) / 3.0
+        w = np.exp(d2 / (-scale * scale))
+        np.fill_diagonal(w, 0.0)
+        expected.append(unblocked_loo_residual(phi[:, 1:k], phi[:, k], w))
+    assert residuals.tolist() == expected
 
 
 def peak_in_n2_doubles(fn, n):
@@ -526,6 +548,15 @@ def test_kernel_stages_hold_at_most_two_n2_arrays():
     assert peak_in_n2_doubles(lambda: dmaps_fit(pts, n_eigs=8), n) < 2.5
     assert peak_in_n2_doubles(lambda: select_independent(dm), n) < 2.5
     assert peak_in_n2_doubles(lambda: double_dmaps_lift(pruned, pts), n) < 2.5
+
+
+def test_harmonic_pruning_holds_one_n2_array():
+    n = 4 * dmaps._ROWS + 100
+    dm = dmaps_fit(rectangle_points(n, seed=33), n_eigs=8)
+    # the squared distances, and two blocks of weights and residuals of at
+    # most 2 _ROWS - 1 rows each (the median's upper triangle, n^2 / 2, is
+    # freed before the first block is built)
+    assert peak_in_n2_doubles(lambda: select_independent(dm), n) < 1.8
 
 
 # ------------------------------------------- geometric harmonics eigenpairs

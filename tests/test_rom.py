@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from aimrom.aim import euler_galerkin_closure
 from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram
-from aimrom.models import analytic_field, chafee_rhs_3
+from aimrom.models import VectorField, analytic_field, chafee_rhs_3
 from aimrom import rom
 from aimrom import NumericalFailure
 from aimrom.nn import Mlp, TrainConfig, forward, init_autoencoder, init_mlp, train
@@ -381,6 +381,14 @@ def test_a_gray_box_on_another_base_fails_before_any_integration(monkeypatch, ne
     with pytest.raises(ConfigurationError, match="dynamics-net base"):
         run_pipeline(cfg, {"dynamics-net": net})
     assert calls == []
+
+
+def test_a_gray_box_base_that_names_no_analytic_field_is_a_configuration_error():
+    # the pipeline's own base field, under no name
+    base = VectorField(2, analytic_field("chafee", 2, NU).eval)
+    net = LearnedField("gray-box", 2, init_mlp((2, 8, 2), seed=0), base)
+    with pytest.raises(ConfigurationError, match="cannot rebuild analytic field from name ''"):
+        validate_pipeline(base_cfg(dynamics="gray-box", closure="none"), {"dynamics-net": net})
 
 
 @pytest.mark.parametrize("base_nu, nu", [(1, 1.0), (1.0, 1)])

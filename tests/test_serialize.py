@@ -171,6 +171,15 @@ def test_store_keys_are_pinned(tmp_path, fmt):
         canonical_json(model_to_dict(obj))
 
 
+@pytest.mark.parametrize("fmt", sorted(serialize._FORMATS.values()))
+def test_a_saved_file_is_the_canonical_json_of_its_payload(tmp_path, fmt):
+    obj = _pinned_models()[fmt]
+    meta = {"seed": np.int64(3), "widths": (2, np.int64(8)), "loss": np.float64(0.1)}
+    key = ModelStore(tmp_path).save(obj, meta=meta)
+    text = (tmp_path / f"{key}.json").read_text()
+    assert text == canonical_json({"model": obj, "meta": meta}) + "\n"
+
+
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _SIZE = st.integers(1, 4)
 
