@@ -285,18 +285,19 @@ def simulate(cfg, out, seed):
     if ic.shape != (field.dim,):
         raise ConfigurationError(
             f"simulate config: ic needs {field.dim} entries for {field.name}")
+    # built before the run, so a bad grid_points stops it before any file is written
+    grid = (uniform_grid(MODELS[cfg["model"]].length, **_given(cfg, n_points="grid_points"))
+            if cfg["model"] in MODELS else None)
     traj = rk4(field, ic, float(cfg["final_time"]), float(cfg["dt"]))
     outputs = ["trajectory.csv"]
     trajectory_to_csv(traj, out / "trajectory.csv")
-    if cfg["model"] in MODELS:
-        basis = MODELS[cfg["model"]].basis(field.dim)
-        grid = uniform_grid(basis, **_given(cfg, n_points="grid_points"))
+    if grid is not None:
         values = reconstruct(traj.states, grid)
-        header = ["t"] + [f"u{i}" for i in range(grid.points.shape[0])]
+        header = ["t"] + [f"u{i}" for i in range(grid.shape[0])]
         write_table(
             out / "field.csv", header,
             np.column_stack([traj.times, values]),
-            comments=["x: " + ",".join("%.17g" % x for x in grid.points)],
+            comments=["x: " + ",".join("%.17g" % x for x in grid)],
         )
         outputs.append("field.csv")
     _echo_kv("rows", traj.times.shape[0])
@@ -376,9 +377,11 @@ def _fit_model(cfg, store, seed):
         hidden = tuple(_get(cfg, "hidden", hidden))
         if not all(_is_type(n, int) and n > 0 for n in hidden):
             raise ConfigurationError("train config: hidden must be positive integers")
-    elif cfg.get("train") is not None:
-        raise ConfigurationError(
-            f"train config: kind {kind!r} trains no network and takes no train block")
+    else:
+        for key, what in (("train", "train block"), ("hidden", "hidden widths")):
+            if cfg.get(key) is not None:
+                raise ConfigurationError(
+                    f"train config: kind {kind!r} trains no network and takes no {what}")
     if "data" in needs:
         states = _read_snapshots(cfg["data"])
         extras = {"data_hash": file_hash(cfg["data"])}

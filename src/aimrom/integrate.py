@@ -182,10 +182,6 @@ class SampleSet:
     times: np.ndarray = field(repr=False)
     failed_ids: tuple = ()
 
-    @property
-    def n_snapshots(self):
-        return self.states.shape[0]
-
 
 def sample_attractor(field_, cfg, dt):
     """Integrate an ensemble and collect post-transient snapshots.

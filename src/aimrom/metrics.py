@@ -85,7 +85,7 @@ def decompose_errors(full_state, corrected_state, n_low, grid):
     full_state is the truth and corrected_state the reduced run with its
     closure's tail appended, both sine coefficient vectors at the same final
     time; the first n_low entries of corrected_state are the reduced run.
-    Field norms use trapezoid quadrature on the grid.
+    Field norms use trapezoid quadrature on grid, an array of nodes.
     """
     full = np.asarray(full_state, dtype=float)
     corrected = np.asarray(corrected_state, dtype=float)

@@ -1,9 +1,9 @@
 """Galerkin vector fields: reaction-diffusion (cubic), flame-front (quadratic), toy two-scale.
 
-Each Galerkin model is declared once, in MODELS: its sine basis, default
-parameter nu, default mode counts, linear diagonal, polynomial
-nonlinearity and the dissipative diagonal the slaving map inverts.  One
-evaluator serves every model at any mode count:
+Each Galerkin model is declared once, in MODELS: its domain length L (its
+modes are sin(kx) on [0, L]), default parameter nu, default mode counts,
+linear diagonal, polynomial nonlinearity and the dissipative diagonal the
+slaving map inverts.  One evaluator serves every model at any mode count:
 
     da/dt = lam * a + weight * T(a, ..., a),
 
@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import ConfigurationError
-from .spectral import SINE_DIRICHLET, SINE_PERIODIC_ODD, BasisSpec
 
 __all__ = [
     "MODELS", "GalerkinModel", "VectorField", "analytic_field", "field_from_name",
@@ -39,14 +38,15 @@ class VectorField:
 
 @dataclass(frozen=True)
 class GalerkinModel:
-    """A PDE projected onto sin(kx), k = 1..n: da_k/dt = linear(k, nu) a_k +
-    weight(k, nu) T_k(a), T_k the degree-`degree` form of _sign_counts with
-    test function `test`: "sin" for a power of u, "cos" for the x-derivative
-    of one, moved onto sin(kx) by parts.  dissipation(k, nu) is the diagonal
-    A of the split da/dt + A a + F(a) = 0 that aim's slaving map inverts.
+    """A PDE on [0, length] projected onto sin(kx), k = 1..n: da_k/dt =
+    linear(k, nu) a_k + weight(k, nu) T_k(a), T_k the degree-`degree` form of
+    _sign_counts with test function `test`: "sin" for a power of u, "cos" for
+    the x-derivative of one, moved onto sin(kx) by parts.  dissipation(k, nu)
+    is the diagonal A of the split da/dt + A a + F(a) = 0 that aim's slaving
+    map inverts.
     """
 
-    basis_kind: str
+    length: float
     nu: float
     n_low: int
     n_full: int
@@ -56,15 +56,12 @@ class GalerkinModel:
     test: str
     dissipation: callable
 
-    def basis(self, n_modes):
-        return BasisSpec(self.basis_kind, n_modes)
-
 
 MODELS = {
     # u_t = nu u_xx + u - u^3 on [0, pi], Dirichlet: the projection of -u^3
     # onto sin(kx) is -(1/8) times the signed count
     "chafee": GalerkinModel(
-        basis_kind=SINE_DIRICHLET, nu=0.16, n_low=2, n_full=3,
+        length=math.pi, nu=0.16, n_low=2, n_full=3,
         linear=lambda k, nu: 1.0 - nu * k**2,
         weight=lambda k, nu: -0.125,
         degree=3, test="sin",
@@ -75,7 +72,7 @@ MODELS = {
     # u_t = -nu (u u_x + u_xx) - 4 u_xxxx, odd-periodic on [0, 2 pi]:
     # -nu u u_x = -(nu/2) (u^2)_x projects to -(nu k/8) times the count
     "ks": GalerkinModel(
-        basis_kind=SINE_PERIODIC_ODD, nu=33.0, n_low=3, n_full=8,
+        length=2.0 * math.pi, nu=33.0, n_low=3, n_full=8,
         linear=lambda k, nu: nu * k**2 - 4.0 * k**4,
         weight=lambda k, nu: -nu * k / 8.0,
         degree=2, test="cos",

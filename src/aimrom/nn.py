@@ -397,10 +397,6 @@ class Autoencoder:
     encoder: Mlp
     decoder: Mlp
 
-    @property
-    def bottleneck_dim(self):
-        return self.encoder.d_out
-
 
 def init_autoencoder(d_ambient, d_latent, hidden, seed=0):
     """Symmetric encoder/decoder with the given hidden widths."""

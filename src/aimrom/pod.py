@@ -68,11 +68,11 @@ def pod_project(model, x, k=None):
     return (x - model.mean) @ model.modes[:, :k]
 
 
-def pod_lift(model, coeffs, k=None):
-    """Reconstruct ambient vectors from leading-mode coefficients."""
+def pod_lift(model, coeffs):
+    """Reconstruct ambient vectors from leading-mode coefficients (..., k);
+    the width k of coeffs says how many leading modes they weigh."""
     c = np.asarray(coeffs, dtype=float)
-    width = c.shape[-1]
-    k = width if k is None else int(k)
-    if k != width or not (1 <= k <= model.rank):
-        raise ValueError("coefficient width must equal k and fit the model rank")
+    k = c.shape[-1]
+    if not 1 <= k <= model.rank:
+        raise ValueError(f"coefficient width must be in [1, {model.rank}]")
     return c @ model.modes[:, :k].T + model.mean

@@ -185,9 +185,6 @@ class PipelineConfig:
     def n_full(self):
         return MODELS[self.model].n_full
 
-    def basis(self, n_modes):
-        return MODELS[self.model].basis(n_modes)
-
     def with_ic(self, ic, final_time=None):
         t = self.final_time if final_time is None else float(final_time)
         return replace(self, ic=tuple(np.asarray(ic, dtype=float)), final_time=t)
@@ -329,7 +326,7 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
                           cfg.final_time, cfg.dt)
     truth = truths[key]
 
-    grid = uniform_grid(cfg.basis(cfg.n_full), cfg.grid_points)
+    grid = uniform_grid(MODELS[cfg.model].length, cfg.grid_points)
     live = np.flatnonzero(np.isnan(truth.blowup_times))
     # the route's lift from reduced coefficients to the grid, its starts, and
     # whether the four-part split applies: it is in sine coefficients
@@ -367,7 +364,7 @@ def _score(cfg, truth, reduced, closure, lift, grid, split):
         truth=truth,
         reduced=reduced,
         corrected_coeffs=coeffs,
-        x=grid.points,
+        x=grid,
         # copies, so a kept result does not hold the whole field series
         u_truth=u_truth[-1].copy(),
         u_raw=u_raw[-1].copy(),

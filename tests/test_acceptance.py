@@ -20,7 +20,7 @@ from aimrom.dmaps import (
 )
 from aimrom.integrate import SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import mape
-from aimrom.models import VectorField, analytic_field, ks_rhs, toy_field
+from aimrom.models import MODELS, VectorField, analytic_field, ks_rhs, toy_field
 from aimrom.nn import (
     Mlp,
     TrainConfig,
@@ -40,7 +40,7 @@ from aimrom.rom import (
     make_closure_dataset,
     run_pipeline,
 )
-from aimrom.spectral import SINE_DIRICHLET, BasisSpec, reconstruct, uniform_grid
+from aimrom.spectral import reconstruct, uniform_grid
 from oracles import alpha3, gradient, ift_check, ks_rhs_quadrature, quadratic_fit
 
 NU_CHAFEE = 0.16
@@ -154,8 +154,7 @@ def test_01_postprocessed_field_accuracy():
     res_none = run_pipeline(replace(base, closure="none"), {})
     elapsed = time.perf_counter() - t0
 
-    basis = BasisSpec(kind=SINE_DIRICHLET, n_modes=3)
-    grid = uniform_grid(basis, base.grid_points)
+    grid = uniform_grid(MODELS["chafee"].length, base.grid_points)
     truth = res_cf.truth.final_state
     low = res_cf.reduced.final_state
     u_truth = reconstruct(truth, grid)
@@ -234,8 +233,7 @@ def test_02_slaving_map_matches_closed_form():
 def test_03_pod_energy_capture():
     t0 = time.perf_counter()
     states = _sample_chafee(10)
-    basis = BasisSpec(kind=SINE_DIRICHLET, n_modes=3)
-    grid = uniform_grid(basis, 65)
+    grid = uniform_grid(MODELS["chafee"].length, 65)
     fields = reconstruct(states, grid)
 
     pod = pod_fit(fields)

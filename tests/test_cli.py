@@ -100,6 +100,14 @@ def test_simulate_toy_writes_no_field(tmp_path):
     assert not (tmp_path / "out" / "field.csv").exists()
 
 
+def test_simulate_with_fewer_than_two_grid_points_exits_2(tmp_path):
+    cfg = _write(tmp_path / "sim.yaml", dict(SIM_DOC, grid_points=1))
+    res = _invoke(["simulate", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "n_points must be at least 2" in res.output
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"model": "toy", "n_modes": 5, "nu": 3.0, "ic": [1.5, 0.5]}, "'toy' takes epsilon"),
     (dict(SIM_DOC, epsilon=3.0), "'chafee' takes n_modes and nu, not epsilon"),
@@ -563,17 +571,30 @@ def test_hidden_rejects_booleans(tmp_path):
     assert "hidden must be positive integers" in res.output
 
 
-@pytest.mark.parametrize("kind, keys", [
+# the kinds that train no network, each with its required keys
+NO_NETWORK_KINDS = [
     ("pod", {"data": "absent.csv"}),
     ("dmap", {"data": "absent.csv"}),
     ("lift", {"dmap": "dm"}),
-])
+]
+
+
+@pytest.mark.parametrize("kind, keys", NO_NETWORK_KINDS)
 def test_kinds_without_a_network_reject_a_train_block(tmp_path, kind, keys):
     doc = {"kind": kind, "alias": "m", "store": str(tmp_path / "store"), **keys,
            "train": {"epochs": 5}}
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
     assert res.exit_code == 2, res.output
     assert f"kind {kind!r} trains no network and takes no train block" in res.output
+
+
+@pytest.mark.parametrize("kind, keys", NO_NETWORK_KINDS)
+def test_kinds_without_a_network_reject_hidden_widths(tmp_path, kind, keys):
+    doc = {"kind": kind, "alias": "m", "store": str(tmp_path / "store"), **keys,
+           "hidden": [8]}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert f"kind {kind!r} trains no network and takes no hidden widths" in res.output
 
 
 @pytest.fixture(scope="module")

@@ -122,7 +122,7 @@ def test_sampler_stride_and_transient():
     )
     out = sample_attractor(field, cfg, dt=1e-3)
     per_traj = 21  # floor(0.2 / (10 * 1e-3)) + 1
-    assert out.n_snapshots == 3 * per_traj
+    assert out.states.shape[0] == 3 * per_traj
     assert out.times[0] == pytest.approx(0.1, abs=1e-12)
     assert np.all(out.times >= 0.1 - 1e-12)
     assert set(out.traj_ids.tolist()) == {0, 1, 2}

@@ -5,7 +5,8 @@ import pytest
 
 from aimrom.aim import euler_galerkin_closure, postprocess, zero_closure
 from aimrom.metrics import decompose_errors, mape, mape_series, mse
-from aimrom.spectral import SINE_DIRICHLET, BasisSpec, uniform_grid
+from aimrom.models import MODELS
+from aimrom.spectral import uniform_grid
 from oracles import alpha3
 
 NU = 0.16
@@ -48,8 +49,7 @@ def test_mape_series_row_wise():
 def test_decomposition_matches_parseval():
     # truth (1.1, 0.2, 0.15) vs reduced (1.0, 0.25) under the analytic closure:
     # grid L2 norms must reproduce the exact (pi/2)-weighted coefficient norms
-    basis = BasisSpec(SINE_DIRICHLET, 3)
-    grid = uniform_grid(basis, 65)
+    grid = uniform_grid(MODELS["chafee"].length, 65)
     closure = euler_galerkin_closure("chafee", 2, 3, NU)
     full = np.array([1.1, 0.2, 0.15])
     red = np.array([1.0, 0.25])
@@ -68,8 +68,7 @@ def test_decomposition_matches_parseval():
 
 
 def test_zero_closure_decomposition_collapses():
-    basis = BasisSpec(SINE_DIRICHLET, 3)
-    grid = uniform_grid(basis, 65)
+    grid = uniform_grid(MODELS["chafee"].length, 65)
     closure = zero_closure(2, 1)
     full = np.array([1.0, 0.2, 0.1])
     red = np.array([1.0, 0.2])
@@ -80,8 +79,7 @@ def test_zero_closure_decomposition_collapses():
 
 
 def test_decomposition_validates_widths():
-    basis = BasisSpec(SINE_DIRICHLET, 3)
-    grid = uniform_grid(basis, 65)
+    grid = uniform_grid(MODELS["chafee"].length, 65)
     with pytest.raises(ValueError):
         decompose_errors(np.zeros(3), np.zeros(3), 3, grid)
     with pytest.raises(ValueError):

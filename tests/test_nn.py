@@ -359,7 +359,7 @@ def test_decoder_invert_rejects_bad_candidates():
 
 def test_autoencoder_shapes_and_composition():
     ae = init_autoencoder(4, 2, hidden=(16, 16), seed=0)
-    assert ae.bottleneck_dim == 2
+    assert ae.encoder.d_out == 2
     assert ae.encoder.layer_sizes == (4, 16, 16, 2)
     assert ae.decoder.layer_sizes == (2, 16, 16, 4)
     x = np.random.default_rng(1).normal(size=(5, 4))

@@ -49,7 +49,7 @@ def test_rank2_reconstruction_is_exact():
     x = rank2_snapshots(seed=4)
     m = pod_fit(x)
     c = pod_project(m, x, 2)
-    back = pod_lift(m, c, 2)
+    back = pod_lift(m, c)
     assert np.max(np.abs(back - x)) < 1e-10
 
 
@@ -59,7 +59,7 @@ def test_project_lift_single_vector():
     v = x[7]
     c = pod_project(m, v, 2)
     assert c.shape == (2,)
-    assert np.max(np.abs(pod_lift(m, c, 2) - v)) < 1e-10
+    assert np.max(np.abs(pod_lift(m, c) - v)) < 1e-10
 
 
 def test_uncentered_fit_keeps_zero_mean():
@@ -75,7 +75,7 @@ def test_rank_k_projection_beats_random_subspaces():
     m = pod_fit(x)
     xc = x - m.mean
     k = 2
-    pod_err = np.linalg.norm(xc - pod_lift(m, pod_project(m, x, k), k) + m.mean)
+    pod_err = np.linalg.norm(xc - pod_lift(m, pod_project(m, x, k)) + m.mean)
     for trial in range(10):
         q, _ = np.linalg.qr(rng.normal(size=(6, k)))
         rand_err = np.linalg.norm(xc - (xc @ q) @ q.T)
@@ -95,7 +95,7 @@ def test_projection_bounds_checked():
     with pytest.raises(ValueError):
         pod_project(m, np.zeros(5), m.rank + 1)
     with pytest.raises(ValueError):
-        pod_lift(m, np.zeros(2), 3)
+        pod_lift(m, np.zeros(m.rank + 1))
 
 
 def test_quadratic_fit_recovers_exact_parabola():

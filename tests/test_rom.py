@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from aimrom.aim import euler_galerkin_closure
 from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram
-from aimrom.models import VectorField, analytic_field, chafee_rhs_3
+from aimrom.models import MODELS, VectorField, analytic_field, chafee_rhs_3
 from aimrom import rom
 from aimrom import NumericalFailure
 from aimrom.nn import Mlp, TrainConfig, forward, init_autoencoder, init_mlp, train
@@ -27,7 +27,7 @@ from aimrom.rom import (
     run_pipeline_batch,
     validate_pipeline,
 )
-from aimrom.spectral import SINE_DIRICHLET, BasisSpec, uniform_grid
+from aimrom.spectral import uniform_grid
 from oracles import alpha3
 
 NU = 0.16
@@ -401,9 +401,8 @@ def test_a_gray_box_base_matches_the_pipeline_nu_as_a_number(base_nu, nu):
 
 def test_pod_route_pipeline(chafee_snapshots):
     # build grid-field snapshots, fit POD, learn 2d dynamics + 1d closure
-    basis = BasisSpec(SINE_DIRICHLET, 3)
-    grid = uniform_grid(basis, 65)
-    sines = np.sin(np.outer(grid.points, np.arange(1, 4)))
+    grid = uniform_grid(MODELS["chafee"].length, 65)
+    sines = np.sin(np.outer(grid, np.arange(1, 4)))
     fields = chafee_snapshots @ sines.T
     pod = pod_fit(fields)
 

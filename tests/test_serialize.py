@@ -57,7 +57,7 @@ def test_mlp_roundtrip_is_bitwise():
 def test_autoencoder_roundtrip():
     ae = init_autoencoder(8, 3, (16, 16), seed=2)
     back = _roundtrip(ae)
-    assert back.bottleneck_dim == 3
+    assert back.encoder.d_out == 3
     assert np.array_equal(back.decoder.weights[-1], ae.decoder.weights[-1])
 
 

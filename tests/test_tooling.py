@@ -1,7 +1,7 @@
 """Whole-package checks: the benchmark's tracer (perfbench/spans.py) still
-finds every name it wraps, every exception class is an AimromError, and
-README's route, dynamics and train-kind tables are rom.ROUTES, rom.DYNAMICS
-and cli.TRAIN_KINDS."""
+finds every name it wraps, every exported name exists, every exception class
+is an AimromError, and README's route, dynamics and train-kind tables are
+rom.ROUTES, rom.DYNAMICS and cli.TRAIN_KINDS."""
 
 import importlib
 import importlib.util
@@ -80,10 +80,18 @@ def test_one_pipeline_run_records_its_postprocess_and_reconstruct_spans(spans):
     assert summary["spectral.reconstruct"][0] >= 1
 
 
+MODULES = [aimrom] + [importlib.import_module(f"aimrom.{m.name}")
+                      for m in pkgutil.iter_modules(aimrom.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_name_a_module_exports_is_bound_in_it(module):
+    # a deleted name cannot stay in __all__
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
 def test_every_exception_class_is_an_aimrom_error_with_the_readme_exit_code():
-    modules = [aimrom] + [importlib.import_module(f"aimrom.{m.name}")
-                          for m in pkgutil.iter_modules(aimrom.__path__)]
-    defined = [obj for module in modules for obj in vars(module).values()
+    defined = [obj for module in MODULES for obj in vars(module).values()
                if isinstance(obj, type) and issubclass(obj, BaseException)
                and obj.__module__ == module.__name__]
     assert {cls.__name__ for cls in defined} >= {
