@@ -57,10 +57,14 @@ class _LineLoader(yaml.SafeLoader):
     """SafeLoader that tags every mapping with its source line."""
 
 
+class _Mapping(dict):
+    """A YAML mapping; _mapping_with_line sets its line attribute."""
+
+
 def _mapping_with_line(loader, node):
     loader.flatten_mapping(node)
-    mapping = dict(loader.construct_pairs(node, deep=True))
-    mapping["__line__"] = node.start_mark.line + 1
+    mapping = _Mapping(loader.construct_pairs(node, deep=True))
+    mapping.line = node.start_mark.line + 1
     return mapping
 
 
@@ -83,14 +87,6 @@ def _load_config(path):
     return doc
 
 
-def _strip_lines(doc):
-    if isinstance(doc, dict):
-        return {k: _strip_lines(v) for k, v in doc.items() if k != "__line__"}
-    if isinstance(doc, list):
-        return [_strip_lines(v) for v in doc]
-    return doc
-
-
 def _where(section, line):
     return f"{section} (line {line})" if line else section
 
@@ -99,30 +95,26 @@ def _check(doc, schema, section, required=()):
     """Validate one mapping: unknown keys rejected, types checked.
 
     None is always allowed (meaning "use the default"); returns the mapping
-    without the line marker.
+    as a plain dict.
     """
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{section}: expected a mapping")
-    line = doc.get("__line__")
-    unknown = sorted(k for k in doc if k != "__line__" and k not in schema)
+    line = getattr(doc, "line", None)
+    unknown = sorted(k for k in doc if k not in schema)
     if unknown:
         raise ConfigurationError(f"{_where(section, line)}: unknown keys {unknown}")
     missing = sorted(k for k in required if doc.get(k) is None)
     if missing:
         raise ConfigurationError(f"{_where(section, line)}: missing required keys {missing}")
-    out = {}
     for key, value in doc.items():
-        if key == "__line__":
-            continue
         if value is not None and not _is_type(value, schema[key]):
             raise ConfigurationError(
                 f"{_where(section, line)}: key {key!r} expects "
                 f"{_type_name(schema[key])}, got {type(value).__name__}"
             )
-        out[key] = value
-    return out
+    return dict(doc)
 
 
 def _is_type(value, tp):
@@ -257,7 +249,7 @@ def _command(name, schema, required=()):
                 out = Path(out_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 entries = fn(_check(doc, schema, f"{name} config", required), out, seed)
-                write_manifest(out, {"command": name, "config": _strip_lines(doc), **entries})
+                write_manifest(out, {"command": name, "config": doc, **entries})
             except AimromError as exc:
                 _fail(type(exc), exc)
             except np.linalg.LinAlgError as exc:
@@ -285,9 +277,13 @@ def simulate(cfg, out, seed):
     if ic.shape != (field.dim,):
         raise ConfigurationError(
             f"simulate config: ic needs {field.dim} entries for {field.name}")
-    # built before the run, so a bad grid_points stops it before any file is written
-    grid = (uniform_grid(MODELS[cfg["model"]].length, **_given(cfg, n_points="grid_points"))
-            if cfg["model"] in MODELS else None)
+    # checked before the run, so a bad grid_points stops it before any file is written
+    points = _given(cfg, n_points="grid_points")
+    if points and cfg["model"] not in MODELS:
+        raise ConfigurationError("simulate config: toy writes no field and takes no grid_points")
+    if points.get("n_points", 2) < 2:
+        raise ConfigurationError("simulate config: grid_points must be at least 2")
+    grid = uniform_grid(MODELS[cfg["model"]].length, **points) if cfg["model"] in MODELS else None
     traj = rk4(field, ic, float(cfg["final_time"]), float(cfg["dt"]))
     outputs = ["trajectory.csv"]
     trajectory_to_csv(traj, out / "trajectory.csv")
@@ -351,15 +347,20 @@ _TRAIN_SCHEMA = {
     "dmap": str, "epsilon_star": _NUM, "delta": _NUM,  # lift, latent-map
 }
 
-# each kind: the keys it needs besides kind and alias, and the default hidden
-# widths of the network it trains (None: no network, and no train block)
+# each kind: the keys it needs besides kind and alias, the other keys it reads
+# besides store (any other key set exits 2), and the default hidden widths of
+# the network it trains (None: no network)
+_NET, _MODEL_PARAMS = ("hidden", "train"), ("n_modes", "nu", "epsilon")
 TRAIN_KINDS = {
-    "closure": (("data", "n_low"), (24, 24)),
-    "black-box": (("data", "model", "n_low"), (64,) * 4),
-    "gray-box": (("data", "model", "n_low"), (95,) * 6),
-    "latent-map": (("dmap", "n_low"), (80,) * 5),
-    "autoencoder": (("data", "latent_dim"), (16, 16)),
-    "pod": (("data",), None), "dmap": (("data",), None), "lift": (("dmap",), None),
+    "closure": (("data", "n_low"), ("model", *_MODEL_PARAMS, *_NET), (24, 24)),
+    "black-box": (("data", "model", "n_low"), (*_MODEL_PARAMS, *_NET), (64,) * 4),
+    "gray-box": (("data", "model", "n_low"), (*_MODEL_PARAMS, *_NET), (95,) * 6),
+    "latent-map": (("dmap", "n_low"), _NET, (80,) * 5),
+    "autoencoder": (("data", "latent_dim"), _NET, (16, 16)),
+    "pod": (("data",), ("center",), None),
+    "dmap": (("data",), ("n_eigs", "kernel_epsilon", "prune", "residual_threshold",
+                         "bandwidth_factor"), None),
+    "lift": (("dmap",), ("epsilon_star", "delta"), None),
 }
 
 
@@ -368,20 +369,19 @@ def _fit_model(cfg, store, seed):
     kind = cfg["kind"]
     if kind not in TRAIN_KINDS:
         raise ConfigurationError(f"train config: unknown kind {kind!r}; one of {tuple(TRAIN_KINDS)}")
-    needs, hidden = TRAIN_KINDS[kind]
+    needs, reads, hidden = TRAIN_KINDS[kind]
     missing = sorted(k for k in needs if cfg.get(k) is None)
     if missing:
         raise ConfigurationError(f"train config: kind {kind!r} needs keys {missing}")
+    unread = sorted(k for k, v in cfg.items() if v is not None
+                    and k not in ("kind", "alias", "store", *needs, *reads))
+    if unread:
+        raise ConfigurationError(f"train config: kind {kind!r} does not read keys {unread}")
     if hidden is not None:
         tcfg = _from_dataclass(TrainConfig, cfg.get("train"), "train block", seed)
         hidden = tuple(_get(cfg, "hidden", hidden))
         if not all(_is_type(n, int) and n > 0 for n in hidden):
             raise ConfigurationError("train config: hidden must be positive integers")
-    else:
-        for key, what in (("train", "train block"), ("hidden", "hidden widths")):
-            if cfg.get(key) is not None:
-                raise ConfigurationError(
-                    f"train config: kind {kind!r} trains no network and takes no {what}")
     if "data" in needs:
         states = _read_snapshots(cfg["data"])
         extras = {"data_hash": file_hash(cfg["data"])}
@@ -393,6 +393,17 @@ def _fit_model(cfg, store, seed):
     n_low = cfg.get("n_low")
     if "n_low" in needs and not 1 <= n_low < states.shape[1]:
         raise ConfigurationError("train config: n_low must leave at least one tail mode")
+    has_base = kind in DYNAMICS and DYNAMICS[kind][0]
+    if has_base and cfg["model"] not in MODELS:
+        raise ConfigurationError(f"train config: {kind} needs a Galerkin base model, "
+                                 f"one of {', '.join(MODELS)}")
+    # the kinds that read the model keys (closure, black-box, gray-box) train
+    # on the named model's states
+    if any(cfg.get(k) is not None for k in _MODEL_SCHEMA):
+        full = _field(cfg)
+        if states.shape[1] != full.dim:
+            raise ConfigurationError(
+                f"train config: data width {states.shape[1]} != model dim {full.dim}")
 
     if kind == "closure":
         x, y = make_closure_dataset(states, n_low)
@@ -400,17 +411,9 @@ def _fit_model(cfg, store, seed):
         return *train(net, x, y, tcfg), extras
 
     if kind in DYNAMICS:
-        has_base = DYNAMICS[kind][0]
-        if has_base and cfg["model"] not in MODELS:
-            raise ConfigurationError(f"train config: {kind} needs a Galerkin base model, "
-                                     f"one of {', '.join(MODELS)}")
-        full = _field(cfg)
-        if states.shape[1] != full.dim:
-            raise ConfigurationError(
-                f"train config: data width {states.shape[1]} != model dim {full.dim}")
-        dataset = build_derivative_dataset(states, full, n_low)
+        inputs, derivs = build_derivative_dataset(states, full, n_low)
         base = _field(dict(cfg, n_modes=n_low)) if has_base else None
-        return *learn_field(dataset, hidden, tcfg, seed=tcfg.seed, base=base), extras
+        return *learn_field(inputs, derivs, hidden, tcfg, base=base), extras
 
     if kind == "autoencoder":
         ae = init_autoencoder(states.shape[1], cfg["latent_dim"], hidden, seed=tcfg.seed)
@@ -445,7 +448,7 @@ def train_cmd(cfg, out, seed):
     """Fit a model (closure, dynamics, latent map, autoencoder, pod, dmap)."""
     store = ModelStore(_get(cfg, "store", out / "models"))
     obj, history, extras = _fit_model(cfg, store, seed)
-    meta = {"config": _strip_lines(cfg), "seed": seed, **extras}
+    meta = {"config": cfg, "seed": seed, **extras}
     key = store.save(obj, alias=cfg["alias"], meta=meta)
     outputs = []
     if history is not None:

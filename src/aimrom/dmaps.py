@@ -129,13 +129,11 @@ class DiffusionMap:
     def n_pairs(self):
         return self.eigenvalues.shape[0]
 
-    def coordinates(self, indices=None):
-        """Latent coordinate block: kept columns by default."""
-        if indices is None:
-            indices = self.kept_indices
-        if len(indices) == 0:
+    def coordinates(self):
+        """Latent coordinate block: the kept columns."""
+        if len(self.kept_indices) == 0:
             raise ValueError("no coordinate indices selected")
-        return self.eigenvectors[:, list(indices)]
+        return self.eigenvectors[:, list(self.kept_indices)]
 
 
 def _fix_signs(vecs):

@@ -12,6 +12,7 @@ __all__ = [
     "Trajectory",
     "SamplerConfig",
     "SampleSet",
+    "draw_in_box",
     "rk4",
     "sample_attractor",
 ]
@@ -141,6 +142,20 @@ def rk4(field_, a0, t_end, dt):
     return Trajectory(times=times, states=states, blowup_times=blowup)
 
 
+def _box(ic_box):
+    """ic_box as floats, checked to be (dim, 2) rows of [low, high]."""
+    box = np.asarray(ic_box, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 1] < box[:, 0]):
+        raise ValueError("ic_box must be (dim, 2) rows of [low, high] with low <= high")
+    return box
+
+
+def draw_in_box(ic_box, n, seed):
+    """n states uniform in ic_box, drawn from default_rng(seed)."""
+    box = _box(ic_box)
+    return box[:, 0] + (box[:, 1] - box[:, 0]) * np.random.default_rng(seed).random((n, len(box)))
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Ensemble sampling plan.
@@ -159,18 +174,13 @@ class SamplerConfig:
     sample_time: float
 
     def __post_init__(self):
-        box = np.asarray(self.ic_box, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2:
-            raise ValueError("ic_box must have shape (dim, 2)")
-        if np.any(box[:, 1] < box[:, 0]):
-            raise ValueError("ic_box rows must satisfy low <= high")
+        object.__setattr__(self, "ic_box", _box(self.ic_box))
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be positive")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be positive")
         if self.transient_time < 0 or self.sample_time <= 0:
             raise ValueError("transient_time must be >= 0 and sample_time > 0")
-        object.__setattr__(self, "ic_box", box)
 
 
 @dataclass(frozen=True)
@@ -193,11 +203,9 @@ def sample_attractor(field_, cfg, dt):
     recorded in failed_ids; if more than half fail the whole sample is
     abandoned.
     """
-    box = cfg.ic_box
-    if box.shape[0] != field_.dim:
+    if cfg.ic_box.shape[0] != field_.dim:
         raise ValueError("ic_box dimension does not match the field")
-    rng = np.random.default_rng(cfg.seed)
-    ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((cfg.n_trajectories, field_.dim))
+    ics = draw_in_box(cfg.ic_box, cfg.n_trajectories, cfg.seed)
 
     t_total = cfg.transient_time + cfg.sample_time
     first_kept = int(round(cfg.transient_time / dt))

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import NumericalFailure
+from .integrate import draw_in_box
 from .spectral import grid_l2_norm, reconstruct
 
 __all__ = [
@@ -143,9 +144,7 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
 
     if n_ic < 1:
         raise ValueError("n_ic must be positive")
-    box = np.asarray(ic_box, dtype=float)
-    rng = np.random.default_rng(seed)
-    ics = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n_ic, box.shape[0]))
+    ics = draw_in_box(ic_box, n_ic, seed)
 
     labels, samples, indices, failures = [], [], [], []
     truths = {}

@@ -339,10 +339,13 @@ def lead_submodel(mlp, k):
     )
 
 
-def decoder_invert(decoder, target_lead, candidates, max_iters=200, tol=1e-12):
+_GRAD_TOL = 1e-12  # a descent stops once its squared gradient norm falls below this
+
+
+def decoder_invert(decoder, target_lead, candidates, max_iters=200):
     """Solve argmin_L ||lead(decoder(L)) - target_lead||^2 by multi-start descent.
 
-    candidates seeds the starts (rows are latent vectors); each start runs
+    candidates holds the starts, one latent vector per row; each start runs
     gradient descent with backtracking line search.  Returns the best latent
     vector found.  Raises NumericalFailure if every start ends non-finite.
     """
@@ -350,9 +353,7 @@ def decoder_invert(decoder, target_lead, candidates, max_iters=200, tol=1e-12):
     k = target.shape[0]
     sub = lead_submodel(decoder, k)
     cands = np.asarray(candidates, dtype=float)
-    if cands.ndim == 1:
-        cands = cands[None, :]
-    if cands.shape[1] != decoder.d_in:
+    if cands.ndim != 2 or cands.shape[1] != decoder.d_in:
         raise ValueError("candidate width does not match the decoder input")
 
     def objective(latent):
@@ -368,7 +369,7 @@ def decoder_invert(decoder, target_lead, candidates, max_iters=200, tol=1e-12):
             r = forward(sub, latent) - target
             g = 2.0 * jacobian(sub, latent).T @ r
             gnorm = float(g @ g)
-            if gnorm < tol:
+            if gnorm < _GRAD_TOL:
                 break
             # backtracking: shrink until the step actually decreases the objective
             improved = False

@@ -24,7 +24,6 @@ from .spectral import reconstruct, uniform_grid
 __all__ = [
     "ConfigurationError",
     "MissingArtifactError",
-    "DerivativeDataset",
     "LearnedField",
     "PipelineConfig",
     "PipelineResult",
@@ -46,24 +45,8 @@ CLOSURES = tuple(dict.fromkeys(c for closures in ROUTES.values() for c in closur
 ARTIFACT_ROLES = ("dynamics-net", "closure-net", "latent-map", "lift", "autoencoder", "pod")
 
 
-@dataclass(frozen=True)
-class DerivativeDataset:
-    """Supervised pairs (reduced state, reduced time derivative)."""
-
-    inputs: np.ndarray = field(repr=False)
-    derivs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=float)
-        y = np.asarray(self.derivs, dtype=float)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-            raise ValueError("inputs and derivs must be aligned 2d arrays")
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "derivs", y)
-
-
 def build_derivative_dataset(states, full_field, n_lead):
-    """Leading-block derivative targets from full snapshots.
+    """Leading-block derivative targets from full snapshots: (inputs, derivs).
 
     Inputs are the snapshots' leading n_lead coefficients, targets the first
     n_lead components of the full analytic right-hand side on each snapshot.
@@ -73,8 +56,7 @@ def build_derivative_dataset(states, full_field, n_lead):
         raise ValueError("states must be (n, full dim)")
     if not (1 <= n_lead < full_field.dim):
         raise ValueError("n_lead must be below the full dimension")
-    derivs = np.asarray(full_field.eval(s), dtype=float)[:, :n_lead]
-    return DerivativeDataset(inputs=s[:, :n_lead], derivs=derivs)
+    return s[:, :n_lead], np.asarray(full_field.eval(s), dtype=float)[:, :n_lead]
 
 
 def make_closure_dataset(states, n_low):
@@ -114,20 +96,20 @@ class LearnedField:
         return out
 
 
-def learn_field(dataset, hidden, train_cfg, seed=0, base=None):
-    """Fit a learned vector field to the dataset; returns (field, history).
+def learn_field(inputs, derivs, hidden, train_cfg, base=None):
+    """Fit a learned vector field to (reduced state, reduced derivative) rows;
+    returns (field, history).  The network starts from train_cfg.seed.
 
     Without a base the network fits da/dt itself (black-box); with an
     analytic base it fits only the residual da/dt - base(a) (gray-box).
     """
-    d = dataset.inputs.shape[1]
-    target = dataset.derivs
+    d = inputs.shape[1]
     if base is not None:
         if base.dim != d:
-            raise ValueError("base field dimension must match the dataset")
-        target = target - np.asarray(base.eval(dataset.inputs), dtype=float)
-    net = init_mlp((d,) + tuple(hidden) + (d,), seed=seed)
-    trained, hist = train(net, dataset.inputs, target, train_cfg)
+            raise ValueError("base field dimension must match the inputs")
+        derivs = derivs - np.asarray(base.eval(inputs), dtype=float)
+    net = init_mlp((d,) + tuple(hidden) + (d,), seed=train_cfg.seed)
+    trained, hist = train(net, inputs, derivs, train_cfg)
     kind = "black-box" if base is None else "gray-box"
     return LearnedField(kind=kind, dim=d, net=trained, base=base), hist
 

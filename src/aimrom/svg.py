@@ -15,6 +15,8 @@ __all__ = ["Series", "line_plot", "save_line_plot"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN = {"left": 62.0, "right": 14.0, "top": 34.0, "bottom": 46.0}
+_WIDTH, _HEIGHT = 640, 400
+_TICKS = 5  # the tick count each axis aims at
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +48,9 @@ def _data_range(values):
     return lo - pad, hi + pad
 
 
-def _ticks(lo, hi, target=5):
+def _ticks(lo, hi):
     """Round tick positions at a 1/2/5 x 10^k step covering [lo, hi]."""
-    span = hi - lo
-    raw = span / max(target, 1)
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mag * mult >= raw:
@@ -71,15 +72,14 @@ def _fmt(v):
     return "%.6g" % v
 
 
-def line_plot(series, title="", x_label="", y_label="", provenance="",
-              width=640, height=400):
-    """Render the series to an SVG document string."""
+def line_plot(series, title="", x_label="", y_label="", provenance=""):
+    """Render the series to a _WIDTH x _HEIGHT SVG document string."""
     if not series:
         raise ValueError("no series to plot")
     x_lo, x_hi = _data_range(np.concatenate([s.x for s in series]))
     y_lo, y_hi = _data_range(np.concatenate([s.y for s in series]))
-    box_w = width - _MARGIN["left"] - _MARGIN["right"]
-    box_h = height - _MARGIN["top"] - _MARGIN["bottom"]
+    box_w = _WIDTH - _MARGIN["left"] - _MARGIN["right"]
+    box_h = _HEIGHT - _MARGIN["top"] - _MARGIN["bottom"]
 
     def px(x):
         return _MARGIN["left"] + (x - x_lo) / (x_hi - x_lo) * box_w
@@ -90,10 +90,10 @@ def line_plot(series, title="", x_label="", y_label="", provenance="",
     # XML comments must not contain "--"
     note = _escape(str(provenance)).replace("--", "- -")
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f"<!-- provenance: {note} -->" if provenance else "<!-- provenance: none -->",
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{px(x_lo):.2f}" y="{py(y_hi):.2f}" width="{box_w:.2f}" '
         f'height="{box_h:.2f}" fill="none" stroke="#444" stroke-width="1"/>',
     ]
@@ -139,12 +139,12 @@ def line_plot(series, title="", x_label="", y_label="", provenance="",
         parts.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}">{_escape(s.label)}</text>')
     if title:
         parts.append(
-            f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
             f'font-size="14">{_escape(title)}</text>'
         )
     if x_label:
         parts.append(
-            f'<text x="{_MARGIN["left"] + box_w / 2:.2f}" y="{height - 10:.2f}" '
+            f'<text x="{_MARGIN["left"] + box_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" '
             f'text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:

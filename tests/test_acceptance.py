@@ -282,9 +282,9 @@ def test_05_truncation_fails_gray_box_repairs(ks_snapshots):
     t0 = time.perf_counter()
     field8 = analytic_field("ks", 8, NU_KS)
     field3 = analytic_field("ks", 3, NU_KS)
-    ds = build_derivative_dataset(ks_snapshots, field8, 3)
+    inputs, derivs = build_derivative_dataset(ks_snapshots, field8, 3)
     gray, _ = learn_field(
-        ds,
+        inputs, derivs,
         hidden=(64, 64, 64),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=200, batch_size=64, seed=0),
         base=field3,

@@ -104,7 +104,17 @@ def test_simulate_with_fewer_than_two_grid_points_exits_2(tmp_path):
     cfg = _write(tmp_path / "sim.yaml", dict(SIM_DOC, grid_points=1))
     res = _invoke(["simulate", "--config", cfg, "--out", tmp_path / "out"])
     assert res.exit_code == 2, res.output
-    assert "n_points must be at least 2" in res.output
+    assert "simulate config: grid_points must be at least 2" in res.output
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_simulate_toy_rejects_grid_points(tmp_path):
+    # toy writes no field, so a grid would go unused
+    doc = {"model": "toy", "ic": [1.5, 0.5], "final_time": 1.0, "dt": 0.001, "grid_points": 65}
+    res = _invoke(["simulate", "--config", _write(tmp_path / "toy.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "toy writes no field and takes no grid_points" in res.output
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -130,7 +140,25 @@ def test_unknown_key_reports_line(tmp_path):
     cfg = _write(tmp_path / "bad.yaml", dict(SIM_DOC, typo_key=3))
     proc = _run_proc(["simulate", "--config", cfg, "--out", tmp_path / "out"])
     assert proc.returncode == 2
-    assert "typo_key" in proc.stderr and "line" in proc.stderr
+    assert "simulate config (line 1): unknown keys ['typo_key']" in proc.stderr
+
+
+def test_a_nested_block_error_reports_the_block_line(tmp_path):
+    # the train block starts on line 3 of the file
+    cfg = tmp_path / "t.yaml"
+    cfg.write_text("kind: closure\nalias: cl\ntrain:\n  epochs: 5\n  typo_key: 1\n"
+                   "data: absent.csv\nn_low: 2\n")
+    res = _invoke(["train", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "train block (line 4): unknown keys ['typo_key']" in res.output
+
+
+def test_a_key_named_like_the_old_line_marker_is_unknown(tmp_path):
+    # the loader once kept each mapping's line under this key and dropped a user's value
+    cfg = _write(tmp_path / "bad.yaml", dict(SIM_DOC, __line__=7))
+    res = _invoke(["simulate", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "unknown keys ['__line__']" in res.output
 
 
 def test_invalid_yaml_exits_2(tmp_path):
@@ -466,6 +494,18 @@ ENSEMBLE_DOC = {"pipelines": [EVAL_PIPELINE], "ic_box": [[0.5, 1.2], [-0.5, 0.5]
                 "n_ic": 2, "plots": False}
 
 
+@pytest.mark.parametrize("box", [
+    [[1.2, -1.2], [-0.5, 0.5], [-0.2, 0.2]],
+    [[0.5, 1.2, 9.0]] * 3,
+], ids=["reversed", "three-entries"])
+def test_ensemble_checks_ic_box_as_sample_does(tmp_path, box):
+    cfg = _write(tmp_path / "ens.yaml", dict(ENSEMBLE_DOC, ic_box=box))
+    res = _invoke(["ensemble", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "ic_box must be (dim, 2) rows of [low, high] with low <= high" in res.output
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("simulate", dict(SIM_DOC, final_time=True), "final_time"),
     ("simulate", dict(SIM_DOC, grid_points=True), "grid_points"),
@@ -585,7 +625,7 @@ def test_kinds_without_a_network_reject_a_train_block(tmp_path, kind, keys):
            "train": {"epochs": 5}}
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
     assert res.exit_code == 2, res.output
-    assert f"kind {kind!r} trains no network and takes no train block" in res.output
+    assert f"kind {kind!r} does not read keys ['train']" in res.output
 
 
 @pytest.mark.parametrize("kind, keys", NO_NETWORK_KINDS)
@@ -594,7 +634,28 @@ def test_kinds_without_a_network_reject_hidden_widths(tmp_path, kind, keys):
            "hidden": [8]}
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
     assert res.exit_code == 2, res.output
-    assert f"kind {kind!r} trains no network and takes no hidden widths" in res.output
+    assert f"kind {kind!r} does not read keys ['hidden']" in res.output
+
+
+@pytest.mark.parametrize("extra, unread", [
+    ({"center": True}, ["center"]),
+    ({"latent_dim": 2, "dmap": "dm"}, ["dmap", "latent_dim"]),
+], ids=["center", "dmap-and-latent_dim"])
+def test_a_closure_rejects_the_keys_it_does_not_read(tmp_path, extra, unread):
+    doc = {"kind": "closure", "alias": "m", "data": "absent.csv", "n_low": 2, **extra}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert f"kind 'closure' does not read keys {unread}" in res.output
+
+
+def test_a_closure_checks_its_data_against_the_model_it_names(tmp_path):
+    # ks has 8 modes; the sampled chafee snapshots are 3 wide
+    data = _sampled(tmp_path)
+    doc = dict(_closure_doc(data, tmp_path / "store"), model="ks")
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert "train config: data width 3 != model dim 8" in res.output
+    assert not (tmp_path / "store").exists()
 
 
 @pytest.fixture(scope="module")

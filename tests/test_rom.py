@@ -15,7 +15,6 @@ from aimrom.nn import Mlp, TrainConfig, forward, init_autoencoder, init_mlp, tra
 from aimrom.pod import pod_fit
 from aimrom.rom import (
     ConfigurationError,
-    DerivativeDataset,
     LearnedField,
     MissingArtifactError,
     PipelineConfig,
@@ -73,9 +72,9 @@ def base_cfg(**kw):
 def test_derivative_dataset_targets_are_analytic():
     field = analytic_field("chafee", 3, NU)
     states = np.array([[1.0, 0.5, 0.1], [0.7, -0.3, 0.2]])
-    ds = build_derivative_dataset(states, field, 2)
-    assert np.array_equal(ds.inputs, states[:, :2])
-    assert np.allclose(ds.derivs, chafee_rhs_3(states, NU)[:, :2], atol=1e-14)
+    inputs, derivs = build_derivative_dataset(states, field, 2)
+    assert np.array_equal(inputs, states[:, :2])
+    assert np.allclose(derivs, chafee_rhs_3(states, NU)[:, :2], atol=1e-14)
 
 
 def test_make_closure_dataset_splits():
@@ -116,9 +115,9 @@ def test_gray_box_eval_adds_base():
 
 def test_learn_black_box_fits_smooth_field(chafee_snapshots):
     field = analytic_field("chafee", 3, NU)
-    ds = build_derivative_dataset(chafee_snapshots, field, 2)
+    inputs, derivs = build_derivative_dataset(chafee_snapshots, field, 2)
     lf, hist = learn_field(
-        ds,
+        inputs, derivs,
         hidden=(32, 32),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=120, batch_size=64, seed=0),
     )
@@ -130,10 +129,10 @@ def test_learn_black_box_fits_smooth_field(chafee_snapshots):
 
 def test_learn_gray_box_residual_is_small_on_slaved_data(chafee_snapshots):
     field = analytic_field("chafee", 3, NU)
-    ds = build_derivative_dataset(chafee_snapshots, field, 2)
+    inputs, derivs = build_derivative_dataset(chafee_snapshots, field, 2)
     base = analytic_field("chafee", 2, NU)
     lf, hist = learn_field(
-        ds,
+        inputs, derivs,
         hidden=(24, 24),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=120, batch_size=64, seed=0),
         base=base,
@@ -142,8 +141,27 @@ def test_learn_gray_box_residual_is_small_on_slaved_data(chafee_snapshots):
     assert lf.base is base
     # the learned residual on the training inputs should be no worse than
     # the truncation residual it was fitted to
-    resid = ds.derivs - np.asarray(base.eval(ds.inputs))
+    resid = derivs - np.asarray(base.eval(inputs))
     assert hist.train_mse[-1] < float(np.mean(resid**2))
+
+
+def test_learn_field_starts_its_net_from_the_train_seed(chafee_snapshots):
+    inputs, derivs = build_derivative_dataset(
+        chafee_snapshots, analytic_field("chafee", 3, NU), 2)
+    base = analytic_field("chafee", 2, NU)
+    cfg = TrainConfig(epochs=3, seed=7)
+    lf, hist = learn_field(inputs, derivs, hidden=(8,), train_cfg=cfg, base=base)
+    net, expected = train(init_mlp((2, 8, 2), seed=7), inputs,
+                          derivs - base.eval(inputs), cfg)
+    for got, want in zip(lf.net.weights + lf.net.biases, net.weights + net.biases):
+        assert np.array_equal(got, want)
+    assert np.array_equal(hist.train_mse, expected.train_mse)
+
+
+def test_learn_field_rejects_misaligned_arrays():
+    with pytest.raises(ValueError, match="must align"):
+        learn_field(np.zeros((5, 2)), np.zeros((4, 2)), hidden=(4,),
+                    train_cfg=TrainConfig(epochs=1))
 
 
 def test_pipeline_config_pads_reduced_ic():
@@ -345,9 +363,9 @@ def test_mlp_closure_pipeline_beats_truncation(closure_net):
 
 def test_black_box_pipeline_runs(chafee_snapshots):
     field = analytic_field("chafee", 3, NU)
-    ds = build_derivative_dataset(chafee_snapshots, field, 2)
+    inputs, derivs = build_derivative_dataset(chafee_snapshots, field, 2)
     lf, _ = learn_field(
-        ds,
+        inputs, derivs,
         hidden=(32, 32),
         train_cfg=TrainConfig(learning_rate=2e-3, epochs=150, batch_size=64, seed=1),
     )
@@ -360,8 +378,8 @@ def test_black_box_pipeline_runs(chafee_snapshots):
 
 def test_dynamics_net_kind_must_match(chafee_snapshots):
     field = analytic_field("chafee", 3, NU)
-    ds = build_derivative_dataset(chafee_snapshots, field, 2)
-    lf, _ = learn_field(ds, hidden=(8,), train_cfg=TrainConfig(epochs=2, seed=0))
+    inputs, derivs = build_derivative_dataset(chafee_snapshots, field, 2)
+    lf, _ = learn_field(inputs, derivs, hidden=(8,), train_cfg=TrainConfig(epochs=2, seed=0))
     with pytest.raises(ConfigurationError, match="kind"):
         run_pipeline(base_cfg(dynamics="gray-box"), {"dynamics-net": lf})
 
@@ -410,9 +428,9 @@ def test_pod_route_pipeline(chafee_snapshots):
     # analytic coefficient derivatives mapped through the (linear) projection
     dfields = chafee_rhs_3(chafee_snapshots, NU) @ sines.T
     dcoeffs = dfields @ pod.modes[:, :2]
-    ds = DerivativeDataset(inputs=coeffs3[:, :2], derivs=dcoeffs)
     lf, _ = learn_field(
-        ds, hidden=(32, 32), train_cfg=TrainConfig(learning_rate=2e-3, epochs=150, batch_size=64, seed=2)
+        coeffs3[:, :2], dcoeffs, hidden=(32, 32),
+        train_cfg=TrainConfig(learning_rate=2e-3, epochs=150, batch_size=64, seed=2),
     )
     cnet, _ = train(
         init_mlp((2, 16, 1), seed=3),

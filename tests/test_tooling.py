@@ -124,9 +124,17 @@ def test_readme_dynamics_table_is_rom_dynamics():
 
 
 def test_readme_train_kind_table_is_cli_train_kinds():
-    # README lists each kind as "| `<kind>` | `[<width>, ...]` or no network | `<key>`, ... |"
-    rows = re.findall(r"^\| `([\w-]+)` \| (`\[[\d, ]+\]`|no network) \| ((?:`\w+`(?:, )?)+) \|$",
+    # README lists each kind as
+    # "| `<kind>` | `[<width>, ...]` or no network | `<key>`, ... | `<key>`, ... |"
+    keys = r"((?:`\w+`(?:, )?)+)"
+    rows = re.findall(rf"^\| `([\w-]+)` \| (`\[[\d, ]+\]`|no network) \| {keys} \| {keys} \|$",
                       (ROOT / "README.md").read_text(), re.M)
-    assert {kind: (tuple(re.findall(r"`(\w+)`", keys)),
+    assert {kind: (tuple(re.findall(r"`(\w+)`", needs)), tuple(re.findall(r"`(\w+)`", reads)),
                    None if net == "no network" else tuple(map(int, re.findall(r"\d+", net))))
-            for kind, net, keys in rows} == cli.TRAIN_KINDS
+            for kind, net, needs, reads in rows} == cli.TRAIN_KINDS
+
+
+def test_every_train_kind_key_is_in_the_train_schema_and_every_schema_key_is_used():
+    used = {key for needs, reads, _ in cli.TRAIN_KINDS.values() for key in needs + reads}
+    assert used <= set(cli._TRAIN_SCHEMA)
+    assert set(cli._TRAIN_SCHEMA) - used == {"kind", "alias", "store"}
