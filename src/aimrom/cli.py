@@ -397,6 +397,10 @@ def _fit_model(cfg, store, seed):
     if has_base and cfg["model"] not in MODELS:
         raise ConfigurationError(f"train config: {kind} needs a Galerkin base model, "
                                  f"one of {', '.join(MODELS)}")
+    params = sorted(k for k in _MODEL_PARAMS if cfg.get(k) is not None)
+    if params and cfg.get("model") is None:
+        raise ConfigurationError(f"train config: keys {params} need the key model "
+                                 f"(one of {', '.join(MODELS)}, toy)")
     # the kinds that read the model keys (closure, black-box, gray-box) train
     # on the named model's states
     if any(cfg.get(k) is not None for k in _MODEL_SCHEMA):

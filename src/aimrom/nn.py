@@ -32,11 +32,12 @@ __all__ = [
 
 
 class TrainingDivergedError(NumericalFailure):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss, the validation loss or a parameter
+    stops being finite."""
 
     def __init__(self, epoch):
         self.epoch = epoch
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
+        super().__init__(f"training loss or parameters became non-finite at epoch {epoch}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainHistory:
-    """Per-epoch mean squared error in raw data units."""
+    """Per-epoch mean squared error in raw data units.
+
+    train_mse[e] is epoch e's mean mini-batch loss, each batch's taken before
+    its Adam step (it was once a second pass over the training split after
+    the epoch); val_mse[e] is the validation split's after epoch e, NaN
+    without one.
+    """
 
     train_mse: np.ndarray
     val_mse: np.ndarray
@@ -231,8 +238,10 @@ def _fit(nets, x, y, cfg):
     The parameters, their gradient and the Adam moments are flat vectors
     holding every weight and then every bias, in chain order; each layer
     trains on views into them.  The optimization runs on standardized
-    residuals; the history is raw-unit MSE.  Returns (trained networks,
-    history).
+    residuals; the history is raw-unit MSE, its training loss summed from the
+    batch passes (see ``TrainHistory``).  Raises TrainingDivergedError at the
+    first epoch whose training loss, validation loss or parameters are not
+    all finite.  Returns (trained networks, history).
     """
     train_idx, val_idx, rng = _split_indices(x.shape[0], cfg)
     if train_idx.size == 0:
@@ -273,24 +282,26 @@ def _fit(nets, x, y, cfg):
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_train)
+        sq_sum = np.zeros(y.shape[1])  # this epoch's squared residuals per output column
         for start in range(0, n_train, cfg.batch_size):
             sel = train_idx[order[start : start + cfg.batch_size]]
             acts = chain_forward(nets_wb, xs[sel])
             resid = acts[-1][-1] - ys[sel]
+            sq_sum += np.einsum("ij,ij->j", resid, resid)
             delta = 2.0 * resid / (resid.shape[0] * resid.shape[1])
             for (w, _), (gw, gb), net_acts in zip(reversed(nets_wb), reversed(grads_wb),
                                                    reversed(acts)):
                 delta = _core_backprop(w, net_acts, delta, gw, gb)
             opt.step(params, grad)
 
-        pred = chain_forward(nets_wb, xs[train_idx])[-1][-1]
-        train_hist[epoch] = float(np.mean((pred - ys[train_idx]) ** 2 * y_var))
+        train_hist[epoch] = float(sq_sum @ y_var) / (n_train * y.shape[1])
         if val_idx.size:
             predv = chain_forward(nets_wb, xs[val_idx])[-1][-1]
             val_hist[epoch] = float(np.mean((predv - ys[val_idx]) ** 2 * y_var))
         else:
             val_hist[epoch] = np.nan
-        if not np.isfinite(train_hist[epoch]):
+        if not (np.isfinite(train_hist[epoch]) and np.isfinite(params).all()
+                and (np.isfinite(val_hist[epoch]) or not val_idx.size)):
             raise TrainingDivergedError(epoch)
 
     last = len(nets) - 1

@@ -80,6 +80,59 @@ class PerArrayAdam:
         return out
 
 
+def batch_loss_history(nets, x, y, cfg):
+    """Training written plainly, one array at a time: the split and shuffles
+    drawn as training draws them, the chain's forward and backward passes on
+    per-network weight lists and PerArrayAdam steps.  Returns per epoch
+    (train_mse, val_mse): the raw-unit squared error of every batch, taken
+    before its step and divided by the training split's entries, and the
+    validation split's mean squared error after the epoch (NaN without one)."""
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(x.shape[0])
+    n_val = int(round(cfg.validation_fraction * x.shape[0]))
+    train_idx, val_idx = perm[n_val:], perm[:n_val]
+    x_shift, y_shift = x[train_idx].mean(axis=0), y[train_idx].mean(axis=0)
+    x_scale, y_scale = (np.where(s < 1e-12, 1.0, s)
+                        for s in (x[train_idx].std(axis=0), y[train_idx].std(axis=0)))
+    xs, ys = (x - x_shift) / x_scale, (y - y_shift) / y_scale
+    weights = [list(net.weights) for net in nets]
+    biases = [list(net.biases) for net in nets]
+    opt = PerArrayAdam([a.shape for ws in weights + biases for a in ws], cfg)
+
+    def chain(batch):
+        acts = []
+        for ws, bs in zip(weights, biases):
+            acts.append(_core_forward(ws, bs, batch))
+            batch = acts[-1][-1]
+        return acts
+
+    def raw_sq_sum(rows, acts):
+        return float(np.sum((y_shift + y_scale * acts[-1][-1] - y[rows]) ** 2))
+
+    train_mse, val_mse = [], []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(train_idx.size)
+        total = 0.0
+        for start in range(0, train_idx.size, cfg.batch_size):
+            rows = train_idx[order[start : start + cfg.batch_size]]
+            acts = chain(xs[rows])
+            total += raw_sq_sum(rows, acts)
+            resid = acts[-1][-1] - ys[rows]
+            delta = 2.0 * resid / resid.size
+            grads_w = [[np.empty_like(w) for w in ws] for ws in weights]
+            grads_b = [[np.empty_like(b) for b in bs] for bs in biases]
+            for k in reversed(range(len(nets))):
+                delta = _core_backprop(weights[k], acts[k], delta, grads_w[k], grads_b[k])
+            flat = opt.step([a for ws in weights + biases for a in ws],
+                            [g for gs in grads_w + grads_b for g in gs])
+            for ws in weights + biases:
+                ws[:], flat = flat[: len(ws)], flat[len(ws) :]
+        train_mse.append(total / (train_idx.size * y.shape[1]))
+        val_mse.append(raw_sq_sum(val_idx, chain(xs[val_idx])) / (n_val * y.shape[1])
+                       if n_val else np.nan)
+    return np.array(train_mse), np.array(val_mse)
+
+
 @dataclass(frozen=True)
 class IftSummary:
     """Jacobian determinant sweep used as an implicit-function-theorem check."""

@@ -658,6 +658,17 @@ def test_a_closure_checks_its_data_against_the_model_it_names(tmp_path):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("params", [{"n_modes": 3}, {"nu": 0.16, "epsilon": 0.1}],
+                         ids=["n_modes", "nu-and-epsilon"])
+def test_a_closure_with_model_parameters_needs_the_model_key(tmp_path, params):
+    data = _sampled(tmp_path)
+    doc = dict(_closure_doc(data, tmp_path / "store"), **params)
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert f"train config: keys {sorted(params)} need the key model" in res.output
+    assert not (tmp_path / "store").exists()
+
+
 @pytest.fixture(scope="module")
 def train_inputs(tmp_path_factory):
     """A readable snapshot file and a store holding a pruned dmap named dm."""

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from aimrom.nn import (
     train_autoencoder,
 )
 from aimrom.nn import _Adam
-from oracles import PerArrayAdam, gradient, ift_check
+from oracles import PerArrayAdam, batch_loss_history, gradient, ift_check
 
 
 def manual_mlp(weights, biases):
@@ -425,18 +428,87 @@ def test_autoencoder_standardizes_the_ends_not_the_bottleneck():
         assert np.array_equal(arr, np.full(2, value))
 
 
+_AE = init_autoencoder(2, 1, (8,), seed=5)
+# each training entry point: the chain it starts from and its target
 FITS = {
-    "train": lambda x, cfg: train(init_mlp((2, 8, 2), seed=7), x, np.sin(x), cfg),
-    "train_autoencoder": lambda x, cfg: train_autoencoder(
-        init_autoencoder(2, 1, (8,), seed=5), x, cfg),
+    "train": ((init_mlp((2, 8, 2), seed=7),), np.sin),
+    "train_autoencoder": ((_AE.encoder, _AE.decoder), lambda x: x),
 }
+
+
+def _run(entry, x, cfg):
+    """Train entry's chain on x; returns (trained networks, history)."""
+    nets, target = FITS[entry]
+    if entry == "train":
+        trained, hist = train(nets[0], x, target(x), cfg)
+        return (trained,), hist
+    ae, hist = train_autoencoder(Autoencoder(*nets), x, cfg)
+    return (ae.encoder, ae.decoder), hist
 
 
 @pytest.mark.parametrize("entry", sorted(FITS))
 def test_zero_validation_fraction_gives_nan_history(entry):
     x = np.random.default_rng(3).uniform(-1, 1, (40, 2))
     cfg = TrainConfig(epochs=3, batch_size=16, seed=0, validation_fraction=0.0)
-    _, hist = FITS[entry](x, cfg)
+    _, hist = _run(entry, x, cfg)
     assert hist.val_mse.shape == (3,)
     assert np.all(np.isnan(hist.val_mse))
     assert np.all(np.isfinite(hist.train_mse))
+
+
+def _digest(nets, val_mse):
+    h = hashlib.sha256()
+    for net in nets:
+        for a in (*net.weights, *net.biases, net.x_shift, net.x_scale, net.y_shift, net.y_scale):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(val_mse, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+PINNED_CFG = TrainConfig(learning_rate=5e-3, epochs=8, batch_size=16, seed=2)
+# sha256 of every trained weight, bias and standardization constant and of
+# val_mse, taken from the loop that still re-evaluated the whole training
+# split after each epoch: taking the training loss from the batches must not
+# move one bit of them (numpy 2.4, OpenBLAS 0.3)
+PINNED = {
+    "train": "cea410eef7c20c19f266dbf38105f15eb1ebfcd59576a04be2b50c0805878e95",
+    "train_autoencoder": "f871e4543dc364f783e535bd866afe702cf8e1dd75b0fc5c4b740598dc3fefbe",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FITS))
+def test_trained_weights_and_validation_loss_keep_their_pinned_bits(entry):
+    x = np.random.default_rng(3).uniform(-1, 1, (60, 2))
+    nets, hist = _run(entry, x, PINNED_CFG)
+    assert _digest(nets, hist.val_mse) == PINNED[entry]
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.0])
+@pytest.mark.parametrize("entry", sorted(FITS))
+def test_training_loss_is_the_mean_of_the_batch_losses(entry, fraction):
+    # 60 rows: 54 or 60 train in batches of 16, so the last batch is short
+    x = np.random.default_rng(3).uniform(-1, 1, (60, 2))
+    cfg = replace(PINNED_CFG, validation_fraction=fraction)
+    _, hist = _run(entry, x, cfg)
+    nets, target = FITS[entry]
+    train_mse, val_mse = batch_loss_history(nets, x, target(x), cfg)
+    assert np.all(np.isfinite(hist.train_mse))
+    assert np.allclose(hist.train_mse, train_mse, rtol=1e-12, atol=0.0)
+    if fraction:
+        assert np.allclose(hist.val_mse, val_mse, rtol=1e-12, atol=0.0)
+    else:
+        assert np.all(np.isnan(hist.val_mse)) and np.all(np.isnan(val_mse))
+
+
+def test_a_last_step_that_overflows_the_parameters_diverges():
+    # one epoch of one batch and no validation split: the batch loss is taken
+    # before the step (residuals ~1e10, finite), so only the parameters show
+    # the step of ~lr * |g| = 1e300 * 2e10 that overflows the weight
+    start = manual_mlp([np.array([[1e10]])], [np.zeros(1)])
+    x = np.linspace(-1.0, 1.0, 8)[:, None]
+    cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=8, seed=0,
+                      validation_fraction=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            train(start, x, x, cfg)
+    assert err.value.epoch == 0
