@@ -241,7 +241,9 @@ def _fit(nets, x, y, cfg):
     residuals; the history is raw-unit MSE, its training loss summed from the
     batch passes (see ``TrainHistory``).  Raises TrainingDivergedError at the
     first epoch whose training loss, validation loss or parameters are not
-    all finite.  Returns (trained networks, history).
+    all finite; with no validation split, also at the last epoch when the
+    trained chain's loss on the training split is not finite.  Returns
+    (trained networks, history).
     """
     train_idx, val_idx, rng = _split_indices(x.shape[0], cfg)
     if train_idx.size == 0:
@@ -303,6 +305,11 @@ def _fit(nets, x, y, cfg):
         if not (np.isfinite(train_hist[epoch]) and np.isfinite(params).all()
                 and (np.isfinite(val_hist[epoch]) or not val_idx.size)):
             raise TrainingDivergedError(epoch)
+    # no validation pass has run the last step's parameters: check, not record, their loss
+    if not val_idx.size:
+        predt = chain_forward(nets_wb, xs[train_idx])[-1][-1]
+        if not np.isfinite(np.mean((predt - ys[train_idx]) ** 2 * y_var)):
+            raise TrainingDivergedError(cfg.epochs - 1)
 
     last = len(nets) - 1
     trained = []

@@ -35,13 +35,36 @@ __all__ = [
     "validate_pipeline",
 ]
 
-# each latent route and the closures it runs; pod runs no dynamics that has a base
-ROUTES = {"fourier": ("euler-galerkin", "mlp", "none"), "pod": ("mlp", "none"),
-          "autoencoder": ("decoder-inversion", "none"), "dmaps": ("double-dmaps", "none")}
+
+def _sine_coordinates(cfg, grid, artifacts):
+    """Leading sine coefficients: sliced from the ic, lifted by sine synthesis; split applies."""
+    return (lambda ic: ic[:, :cfg.n_low]), partial(reconstruct, grid=grid), True
+
+
+def _pod_coordinates(cfg, grid, artifacts):
+    """POD coefficients of the ic's field: no analytic base, no four-part split."""
+    if DYNAMICS[cfg.dynamics][0]:
+        raise ConfigurationError(f"pod route has no analytic base for {cfg.dynamics} dynamics")
+    pod = _artifact(artifacts, "pod")
+    if pod.ambient_dim != cfg.grid_points:
+        raise ConfigurationError("pod artifact was fitted on a different grid")
+    if pod.rank < cfg.n_full:
+        raise ConfigurationError(f"pod artifact rank {pod.rank} is below the model's "
+                                 f"full width {cfg.n_full}")
+    return ((lambda ic: pod_project(pod, reconstruct(ic, grid), cfg.n_low)),
+            partial(pod_lift, pod), False)
+
+
+# each latent route: its closures, and coordinates(cfg, grid, artifacts), which checks
+# its artifacts and returns (starts from ic rows, lift to the grid, four-part split)
+ROUTES = {"fourier": (("euler-galerkin", "mlp", "none"), _sine_coordinates),
+          "pod": (("mlp", "none"), _pod_coordinates),
+          "autoencoder": (("decoder-inversion", "none"), _sine_coordinates),
+          "dmaps": (("double-dmaps", "none"), _sine_coordinates)}
 # each dynamics: whether it runs on the model's n_low-mode truncation (POD
 # coordinates have no such base) and whether it adds a dynamics-net
 DYNAMICS = {"truncated": (True, False), "black-box": (False, True), "gray-box": (True, True)}
-CLOSURES = tuple(dict.fromkeys(c for closures in ROUTES.values() for c in closures))
+CLOSURES = tuple(dict.fromkeys(c for closures, _ in ROUTES.values() for c in closures))
 ARTIFACT_ROLES = ("dynamics-net", "closure-net", "latent-map", "lift", "autoencoder", "pod")
 
 
@@ -134,14 +157,10 @@ class PipelineConfig:
     grid_points: int = 65
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigurationError(f"unknown model: {self.model!r}")
-        if self.latent_route not in ROUTES:
-            raise ConfigurationError(f"unknown latent route: {self.latent_route!r}")
-        if self.dynamics not in DYNAMICS:
-            raise ConfigurationError(f"unknown dynamics: {self.dynamics!r}")
-        if self.closure not in CLOSURES:
-            raise ConfigurationError(f"unknown closure: {self.closure!r}")
+        for key, table in (("model", MODELS), ("latent_route", ROUTES),
+                           ("dynamics", DYNAMICS), ("closure", CLOSURES)):
+            if getattr(self, key) not in table:
+                raise ConfigurationError(f"unknown {key.replace('_', ' ')}: {getattr(self, key)!r}")
         spec = MODELS[self.model]
         n_low, n_full = spec.n_low, spec.n_full
         ic = tuple(float(v) for v in np.atleast_1d(np.asarray(self.ic, dtype=float)))
@@ -203,20 +222,15 @@ def _artifact(artifacts, name):
 
 def validate_pipeline(cfg, artifacts):
     """Check cfg and its artifacts before any computation runs; returns the
-    reduced field and the closure, whose builds check each artifact's fit."""
-    if cfg.closure not in ROUTES[cfg.latent_route]:
-        routes = " or ".join(r for r, closures in ROUTES.items() if cfg.closure in closures)
+    reduced field, the closure, the grid and the route's (starts, lift, split)
+    coordinates, whose builds check each artifact's fit."""
+    closures, coordinates = ROUTES[cfg.latent_route]
+    if cfg.closure not in closures:
+        routes = " or ".join(r for r, (c, _) in ROUTES.items() if cfg.closure in c)
         raise ConfigurationError(f"{cfg.closure} closure requires the {routes} route")
-    if cfg.latent_route == "pod":
-        if DYNAMICS[cfg.dynamics][0]:
-            raise ConfigurationError(f"pod route has no analytic base for {cfg.dynamics} dynamics")
-        pod = _artifact(artifacts, "pod")
-        if pod.ambient_dim != cfg.grid_points:
-            raise ConfigurationError("pod artifact was fitted on a different grid")
-        if pod.rank < cfg.n_full:
-            raise ConfigurationError(f"pod artifact rank {pod.rank} is below the model's "
-                                     f"full width {cfg.n_full}")
-    return _reduced_field(cfg, artifacts), _build_closure(cfg, artifacts)
+    grid = uniform_grid(MODELS[cfg.model].length, cfg.grid_points)
+    coords = coordinates(cfg, grid, artifacts)
+    return _reduced_field(cfg, artifacts), _build_closure(cfg, artifacts), grid, coords
 
 
 def _reduced_field(cfg, artifacts):
@@ -299,7 +313,7 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
     PipelineResult or the NumericalFailure that ended it.
     """
     cfg = cfgs[0]
-    reduced_field, closure = validate_pipeline(cfg, artifacts)
+    reduced_field, closure, grid, (starts, lift, split) = validate_pipeline(cfg, artifacts)
     ic_full = np.array([c.ic for c in cfgs])
     truths = {} if truths is None else truths
     key = (cfg.model, cfg.nu, cfg.final_time, cfg.dt, ic_full.tobytes())
@@ -308,16 +322,10 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
                           cfg.final_time, cfg.dt)
     truth = truths[key]
 
-    grid = uniform_grid(MODELS[cfg.model].length, cfg.grid_points)
     live = np.flatnonzero(np.isnan(truth.blowup_times))
-    # the route's lift from reduced coefficients to the grid, its starts, and
-    # whether the four-part split applies: it is in sine coefficients
-    lift, starts, split = partial(reconstruct, grid=grid), ic_full[live, :cfg.n_low], True
-    if cfg.latent_route == "pod":
-        lift, split = partial(pod_lift, artifacts["pod"]), False
-        starts = pod_project(artifacts["pod"], reconstruct(ic_full[live], grid), cfg.n_low)
     # with no live truth, each row below raises its truth's blow-up first
-    reduced = rk4(reduced_field, starts, cfg.final_time, cfg.dt) if live.size else None
+    reduced = (rk4(reduced_field, starts(ic_full[live]), cfg.final_time, cfg.dt)
+               if live.size else None)
 
     for k, run_cfg in enumerate(cfgs):
         try:

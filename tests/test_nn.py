@@ -512,3 +512,15 @@ def test_a_last_step_that_overflows_the_parameters_diverges():
         with pytest.raises(TrainingDivergedError) as err:
             train(start, x, x, cfg)
     assert err.value.epoch == 0
+
+
+def test_a_last_step_that_overflows_the_output_diverges():
+    # no validation split: the last step leaves every weight finite (~1e300)
+    # but the trained net's outputs (~4e292) overflow the squared error
+    x = np.linspace(-1.0, 1.0, 8)[:, None]
+    cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=8, seed=0,
+                      validation_fraction=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            train(init_mlp((1, 8, 1), seed=0), x, x**2, cfg)
+    assert err.value.epoch == 0

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aimrom.aim import euler_galerkin_closure
+from aimrom.aim import Closure, euler_galerkin_closure, postprocess
 from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
-from aimrom.metrics import ensemble_histogram
+from aimrom.metrics import ensemble_histogram, mape_series
 from aimrom.models import MODELS, VectorField, analytic_field, chafee_rhs_3
 from aimrom import rom
 from aimrom import NumericalFailure
 from aimrom.nn import Mlp, TrainConfig, forward, init_autoencoder, init_mlp, train
-from aimrom.pod import pod_fit
+from aimrom.pod import pod_fit, pod_lift, pod_project
 from aimrom.rom import (
     ConfigurationError,
     LearnedField,
@@ -26,7 +26,7 @@ from aimrom.rom import (
     run_pipeline_batch,
     validate_pipeline,
 )
-from aimrom.spectral import uniform_grid
+from aimrom.spectral import reconstruct, uniform_grid
 from oracles import alpha3
 
 NU = 0.16
@@ -418,7 +418,8 @@ def test_a_gray_box_base_matches_the_pipeline_nu_as_a_number(base_nu, nu):
     assert np.all(np.isfinite(res.reduced.states))
 
 
-def test_pod_route_pipeline(chafee_snapshots):
+@pytest.fixture(scope="module")
+def pod_artifacts(chafee_snapshots):
     # build grid-field snapshots, fit POD, learn 2d dynamics + 1d closure
     grid = uniform_grid(MODELS["chafee"].length, 65)
     sines = np.sin(np.outer(grid, np.arange(1, 4)))
@@ -439,11 +440,47 @@ def test_pod_route_pipeline(chafee_snapshots):
         coeffs3[:, 2:3],
         TrainConfig(learning_rate=2e-3, epochs=100, batch_size=64, seed=3),
     )
+    return {"pod": pod, "dynamics-net": lf, "closure-net": cnet}
+
+
+def test_pod_route_pipeline(pod_artifacts):
     cfg = base_cfg(latent_route="pod", dynamics="black-box", closure="mlp", final_time=2.0)
-    res = run_pipeline(cfg, {"pod": pod, "dynamics-net": lf, "closure-net": cnet})
+    res = run_pipeline(cfg, pod_artifacts)
     assert res.corrected_coeffs.shape == (3,)
     assert np.isfinite(res.corrected_metrics.mape_final)
     assert res.decomposition is None
+
+
+def _pod_by_hand(cfg, artifacts, ics):
+    """The pod pipeline from public parts: per row (corrected coeffs, u_raw,
+    u_corrected, error_series), each run batched over the rows of ics."""
+    pod, net = artifacts["pod"], artifacts["closure-net"]
+    grid = uniform_grid(MODELS["chafee"].length, cfg.grid_points)
+    truth = rk4(analytic_field("chafee", 3, NU), ics, cfg.final_time, cfg.dt)
+    starts = pod_project(pod, reconstruct(ics, grid), 2)
+    reduced = rk4(artifacts["dynamics-net"], starts, cfg.final_time, cfg.dt)
+    closure = Closure(n_low=2, n_high=1, map=lambda p: forward(net, p))
+    rows = []
+    for k in range(len(ics)):
+        u_raw = pod_lift(pod, reduced.row(k).states)
+        coeffs = postprocess(reduced.row(k).final_state, closure)
+        rows.append((coeffs, u_raw[-1], pod_lift(pod, coeffs),
+                     mape_series(u_raw, reconstruct(truth.row(k).states, grid))))
+    return rows
+
+
+def test_pod_route_matches_its_assembly_from_public_functions(pod_artifacts):
+    # no benchmark workload runs the pod route, so its bits are pinned here
+    cfg = base_cfg(latent_route="pod", dynamics="black-box", closure="mlp", final_time=2.0)
+    ics = np.array([[1.0, 0.5, 0.1], [0.6, -0.3, 0.2], [-0.8, 0.2, -0.1]])
+    cases = [([run_pipeline(cfg, pod_artifacts)], _pod_by_hand(cfg, pod_artifacts, ics[:1])),
+             (list(run_pipeline_batch([cfg.with_ic(ic) for ic in ics], pod_artifacts)),
+              _pod_by_hand(cfg, pod_artifacts, ics))]
+    for results, expected in cases:
+        for res, parts in zip(results, expected, strict=True):
+            got = (res.corrected_coeffs, res.u_raw, res.u_corrected, res.error_series)
+            assert all(np.array_equal(a, b) for a, b in zip(got, parts))
+            assert res.decomposition is None
 
 
 def test_ensemble_histogram_is_deterministic():
