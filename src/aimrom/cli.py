@@ -322,9 +322,6 @@ def sample(cfg, out, seed):
         seed=seed if seed is not None else _get(cfg, "seed", 0),
         sample_time=float(cfg["sample_time"]),
     )
-    if plan.ic_box.shape != (field.dim, 2):
-        raise ConfigurationError(
-            f"sample config: ic_box must be {field.dim} rows of [low, high]")
     snaps = sample_attractor(field, plan, dt=float(cfg["dt"]))
     header = ["traj_id", "t"] + [f"a{k}" for k in range(1, field.dim + 1)]
     write_table(out / "snapshots.csv", header,
@@ -552,6 +549,9 @@ def ensemble(cfg, out, seed):
     """Run pipelines over a shared random IC set; write MAPE histograms."""
     if not cfg["pipelines"]:
         raise ConfigurationError("ensemble config: pipelines list is empty")
+    # a histogram plot needs two bin centers; checked before any run
+    if _get(cfg, "plots", True) and _get(cfg, "bins", 2) < 2:
+        raise ConfigurationError("ensemble config: bins must be at least 2 when plots is on")
     configs = [
         _from_dataclass(PipelineConfig, p, f"pipelines[{i}]")
         for i, p in enumerate(cfg["pipelines"])

@@ -204,7 +204,8 @@ def sample_attractor(field_, cfg, dt):
     abandoned.
     """
     if cfg.ic_box.shape[0] != field_.dim:
-        raise ValueError("ic_box dimension does not match the field")
+        raise ValueError(f"ic_box has {cfg.ic_box.shape[0]} rows but the field has "
+                         f"dimension {field_.dim}")
     ics = draw_in_box(cfg.ic_box, cfg.n_trajectories, cfg.seed)
 
     t_total = cfg.transient_time + cfg.sample_time

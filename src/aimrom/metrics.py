@@ -1,12 +1,12 @@
 """Error metrics and the four-term truncation/closure error decomposition."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import NumericalFailure
 from .integrate import draw_in_box
-from .spectral import grid_l2_norm, reconstruct
 
 __all__ = [
     "mape",
@@ -64,12 +64,12 @@ class MetricsBundle:
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
-    """Four grid-L2 error components at the final time.
+    """Four error components at the final time, L2 norms on [0, L].
 
     delta_low: coefficient-space gap between the reduced run and the
         leading block of the truth.
-    delta_closure_mass: size of the appended closure output (physical
-        space field of the tail modes alone).
+    delta_closure_mass: size of the appended closure output (the field of
+        the tail modes alone).
     delta_truncated: field error of the zero-padded reduced state.
     delta_corrected: field error after post-processing.
     """
@@ -80,13 +80,14 @@ class ErrorDecomposition:
     delta_corrected: float
 
 
-def decompose_errors(full_state, corrected_state, n_low, grid):
+def decompose_errors(full_state, corrected_state, n_low, length):
     """Split the final-time error of a post-processed reduced run.
 
     full_state is the truth and corrected_state the reduced run with its
-    closure's tail appended, both sine coefficient vectors at the same final
-    time; the first n_low entries of corrected_state are the reduced run.
-    Field norms use trapezoid quadrature on grid, an array of nodes.
+    closure's tail appended, both sine coefficient vectors on [0, length] at
+    the same final time; the first n_low entries of corrected_state are the
+    reduced run.  Each field norm is exact from the coefficients: sqrt(length/2)
+    times their 2-norm (Parseval).
     """
     full = np.asarray(full_state, dtype=float)
     corrected = np.asarray(corrected_state, dtype=float)
@@ -95,22 +96,13 @@ def decompose_errors(full_state, corrected_state, n_low, grid):
     if not 1 <= n_low < full.shape[0]:
         raise ValueError(f"need 1 <= n_low < {full.shape[0]}, got {n_low}")
     red, tail = corrected[:n_low], corrected[n_low:]
-
-    delta_low = float(np.linalg.norm(full[:n_low] - red))
-
-    tail_only = np.concatenate([np.zeros(n_low), tail])
-    delta_mass = grid_l2_norm(reconstruct(tail_only, grid), grid)
-
-    u_full = reconstruct(full, grid)
-    padded = np.concatenate([red, np.zeros(tail.shape[0])])
-    u_trunc = reconstruct(padded, grid)
-    u_corr = reconstruct(corrected, grid)
-
+    low_gap = full[:n_low] - red
+    weight = math.sqrt(length / 2)
     return ErrorDecomposition(
-        delta_low=delta_low,
-        delta_closure_mass=float(delta_mass),
-        delta_truncated=float(grid_l2_norm(u_full - u_trunc, grid)),
-        delta_corrected=float(grid_l2_norm(u_full - u_corr, grid)),
+        delta_low=float(np.linalg.norm(low_gap)),
+        delta_closure_mass=weight * float(np.linalg.norm(tail)),
+        delta_truncated=weight * float(np.linalg.norm(np.concatenate([low_gap, full[n_low:]]))),
+        delta_corrected=weight * float(np.linalg.norm(full - corrected)),
     )
 
 
@@ -144,6 +136,8 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
 
     if n_ic < 1:
         raise ValueError("n_ic must be positive")
+    if bins < 1:
+        raise ValueError("bins must be at least 1")
     ics = draw_in_box(ic_box, n_ic, seed)
 
     labels, samples, indices, failures = [], [], [], []

@@ -70,9 +70,11 @@ def pod_project(model, x, k=None):
 
 def pod_lift(model, coeffs):
     """Reconstruct ambient vectors from leading-mode coefficients (..., k);
-    the width k of coeffs says how many leading modes they weigh."""
+    the width k of coeffs says how many leading modes they weigh.  Each
+    state is its own matrix-vector product, so a batch row has the bits of
+    that state alone."""
     c = np.asarray(coeffs, dtype=float)
     k = c.shape[-1]
     if not 1 <= k <= model.rank:
         raise ValueError(f"coefficient width must be in [1, {model.rank}]")
-    return c @ model.modes[:, :k].T + model.mean
+    return (model.modes[:, :k] @ c[..., None])[..., 0] + model.mean

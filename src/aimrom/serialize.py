@@ -26,7 +26,6 @@ from .rom import LearnedField
 
 __all__ = [
     "ModelStore",
-    "canonical_json",
     "file_hash",
     "model_from_dict",
     "model_to_dict",
@@ -56,14 +55,6 @@ def _jsonify(x):
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
     return x
-
-
-_CANONICAL = {"sort_keys": True, "separators": (",", ":")}
-
-
-def canonical_json(payload):
-    """Stable byte form: sorted keys, no whitespace, shortest-repr floats."""
-    return json.dumps(_jsonify(payload), **_CANONICAL)
 
 
 def file_hash(path):
@@ -157,8 +148,10 @@ class ModelStore:
 
     def save(self, obj, alias=None, meta=None):
         """Store a model, return its content-hash key."""
+        # the canonical form: sorted keys, no whitespace, shortest-repr floats;
         # model_to_dict's document is JSON-native, so it is not walked again
-        text = json.dumps({"model": model_to_dict(obj), "meta": _jsonify(meta or {})}, **_CANONICAL)
+        text = json.dumps({"model": model_to_dict(obj), "meta": _jsonify(meta or {})},
+                          sort_keys=True, separators=(",", ":"))
         key = hashlib.sha256(text.encode()).hexdigest()
         self.root.mkdir(parents=True, exist_ok=True)
         _write_atomic(self.root / f"{key}.json", text + "\n")

@@ -15,7 +15,7 @@ from aimrom.cli import TRAIN_KINDS, main
 from aimrom.dmaps import dmaps_fit, double_dmaps_lift, select_independent
 from aimrom.nn import init_autoencoder, init_mlp
 from aimrom.pod import pod_fit
-from aimrom.serialize import ModelStore, canonical_json, model_to_dict, read_table, write_table
+from aimrom.serialize import ModelStore, model_to_dict, read_table, write_table
 
 
 def _write(path, doc):
@@ -506,6 +506,35 @@ def test_ensemble_checks_ic_box_as_sample_does(tmp_path, box):
     assert not (tmp_path / "out" / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("bins, plots, message", [
+    (0, False, "bins must be at least 1"),
+    (-3, False, "bins must be at least 1"),
+    (0, True, "bins must be at least 2 when plots is on"),
+    (1, True, "bins must be at least 2 when plots is on"),
+])
+def test_too_few_ensemble_bins_exit_2_before_any_run(tmp_path, bins, plots, message):
+    cfg = _write(tmp_path / "ens.yaml", dict(ENSEMBLE_DOC, bins=bins, plots=plots))
+    res = _invoke(["ensemble", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_one_ensemble_bin_without_plots_exits_0(tmp_path):
+    cfg = _write(tmp_path / "ens.yaml", dict(ENSEMBLE_DOC, bins=1))
+    res = _invoke(["ensemble", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 0, res.output
+    assert len((tmp_path / "out" / "histogram.csv").read_text().splitlines()) == 2
+
+
+def test_sample_ic_box_of_another_width_exits_2(tmp_path):
+    cfg = _write(tmp_path / "sample.yaml", dict(SAMPLE_DOC, ic_box=SAMPLE_DOC["ic_box"][:2]))
+    res = _invoke(["sample", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "ic_box has 2 rows but the field has dimension 3" in res.output
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("simulate", dict(SIM_DOC, final_time=True), "final_time"),
     ("simulate", dict(SIM_DOC, grid_points=True), "grid_points"),
@@ -771,7 +800,7 @@ def test_unset_train_keys_take_the_library_defaults(frame_runs, tmp_path):
         return json.loads(text)["model"]
 
     def expected(obj):
-        return json.loads(canonical_json(model_to_dict(obj)))
+        return json.loads(json.dumps(model_to_dict(obj)))
 
     assert stored({"kind": "pod", "data": str(data)}) == expected(pod_fit(states))
     assert stored({"kind": "dmap", "data": str(data)}) == \

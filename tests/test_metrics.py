@@ -6,7 +6,6 @@ import pytest
 from aimrom.aim import euler_galerkin_closure, postprocess, zero_closure
 from aimrom.metrics import decompose_errors, mape, mape_series, mse
 from aimrom.models import MODELS
-from aimrom.spectral import uniform_grid
 from oracles import alpha3
 
 NU = 0.16
@@ -48,12 +47,12 @@ def test_mape_series_row_wise():
 
 def test_decomposition_matches_parseval():
     # truth (1.1, 0.2, 0.15) vs reduced (1.0, 0.25) under the analytic closure:
-    # grid L2 norms must reproduce the exact (pi/2)-weighted coefficient norms
-    grid = uniform_grid(MODELS["chafee"].length, 65)
+    # the field norms are the exact (pi/2)-weighted coefficient norms
+    length = MODELS["chafee"].length
     closure = euler_galerkin_closure("chafee", 2, 3, NU)
     full = np.array([1.1, 0.2, 0.15])
     red = np.array([1.0, 0.25])
-    d = decompose_errors(full, postprocess(red, closure), 2, grid)
+    d = decompose_errors(full, postprocess(red, closure), 2, length)
 
     tail = alpha3(1.0, 0.25, NU)
     w = math.pi / 2
@@ -68,23 +67,23 @@ def test_decomposition_matches_parseval():
 
 
 def test_zero_closure_decomposition_collapses():
-    grid = uniform_grid(MODELS["chafee"].length, 65)
+    length = MODELS["chafee"].length
     closure = zero_closure(2, 1)
     full = np.array([1.0, 0.2, 0.1])
     red = np.array([1.0, 0.2])
-    d = decompose_errors(full, postprocess(red, closure), 2, grid)
+    d = decompose_errors(full, postprocess(red, closure), 2, length)
     assert d.delta_low == 0.0
     assert d.delta_closure_mass == 0.0
-    assert d.delta_corrected == pytest.approx(d.delta_truncated, abs=1e-14)
+    assert d.delta_corrected == d.delta_truncated
 
 
 def test_decomposition_validates_widths():
-    grid = uniform_grid(MODELS["chafee"].length, 65)
+    length = MODELS["chafee"].length
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros(3), np.zeros(3), 3, grid)
+        decompose_errors(np.zeros(3), np.zeros(3), 3, length)
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros(3), np.zeros(3), 0, grid)
+        decompose_errors(np.zeros(3), np.zeros(3), 0, length)
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros(4), np.zeros(3), 2, grid)
+        decompose_errors(np.zeros(4), np.zeros(3), 2, length)
     with pytest.raises(ValueError):
-        decompose_errors(np.zeros((2, 3)), np.zeros((2, 3)), 2, grid)
+        decompose_errors(np.zeros((2, 3)), np.zeros((2, 3)), 2, length)

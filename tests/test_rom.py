@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aimrom.aim import Closure, euler_galerkin_closure, postprocess
-from aimrom.integrate import BlowUpError, SamplerConfig, rk4, sample_attractor
+from aimrom.integrate import BlowUpError, SamplerConfig, draw_in_box, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram, mape_series
 from aimrom.models import MODELS, VectorField, analytic_field, chafee_rhs_3
 from aimrom import rom
@@ -179,8 +179,15 @@ def test_pipeline_config_rejects_bad_values():
         base_cfg(ic=(1.0,))
     with pytest.raises(ConfigurationError):
         base_cfg(final_time=-1.0)
-    with pytest.raises(ConfigurationError):
-        base_cfg(grid_points=5)
+    with pytest.raises(ConfigurationError, match="grid_points must be at least 2"):
+        base_cfg(grid_points=1)
+
+
+def test_the_decomposition_does_not_depend_on_the_grid():
+    # it is exact from the coefficients, so a 5-node grid gives the 65-node bits
+    coarse, fine = (run_pipeline(base_cfg(final_time=1.0, dt=1e-2, grid_points=n), {})
+                    for n in (5, 65))
+    assert coarse.decomposition == fine.decomposition
 
 
 def test_pipeline_compatibility_matrix():
@@ -350,10 +357,21 @@ def test_pipeline_is_deterministic():
     assert r1.corrected_metrics.mape_final == r2.corrected_metrics.mape_final
 
 
-def test_zero_closure_is_plain_truncation():
-    res = run_pipeline(base_cfg(closure="none"), {})
-    assert res.corrected_coeffs[2] == 0.0
-    assert res.corrected_metrics.mape_final == pytest.approx(res.raw_metrics.mape_final)
+def test_zero_closure_is_plain_truncation(pod_artifacts):
+    # a none closure leaves the zero-padded raw state, which is how the raw
+    # run is scored, so on every route it scores exactly its raw run
+    chafee = base_cfg(closure="none", final_time=1.0, dt=1e-2)
+    cases = [(chafee, CHAFEE_BOX, {}),
+             (PipelineConfig("ks", "fourier", "truncated", "none", (0.0,) * 8, 0.01, 1e-4),
+              KS_BOX, {}),
+             (replace(chafee, latent_route="pod", dynamics="black-box"), CHAFEE_BOX,
+              pod_artifacts)]
+    for cfg, box, artifacts in cases:
+        ics = draw_in_box(box, 10, seed=7)
+        for res in run_pipeline_batch([cfg.with_ic(ic) for ic in ics], artifacts):
+            assert not np.any(res.corrected_coeffs[cfg.n_low:])
+            assert res.corrected_metrics == res.raw_metrics
+            assert res.u_corrected.tobytes() == res.u_raw.tobytes()
 
 
 def test_mlp_closure_pipeline_beats_truncation(closure_net):
@@ -462,7 +480,8 @@ def _pod_by_hand(cfg, artifacts, ics):
     closure = Closure(n_low=2, n_high=1, map=lambda p: forward(net, p))
     rows = []
     for k in range(len(ics)):
-        u_raw = pod_lift(pod, reduced.row(k).states)
+        # the raw run as the full-width states a zero closure leaves
+        u_raw = pod_lift(pod, np.pad(reduced.row(k).states, ((0, 0), (0, 1))))
         coeffs = postprocess(reduced.row(k).final_state, closure)
         rows.append((coeffs, u_raw[-1], pod_lift(pod, coeffs),
                      mape_series(u_raw, reconstruct(truth.row(k).states, grid))))

@@ -24,7 +24,6 @@ from aimrom.pod import PodModel, pod_fit
 from aimrom.rom import LearnedField
 from aimrom.serialize import (
     ModelStore,
-    canonical_json,
     model_from_dict,
     model_to_dict,
     read_table,
@@ -35,6 +34,11 @@ from aimrom.serialize import (
     write_manifest,
     write_table,
 )
+
+
+def _canonical(doc):
+    """A stored file's byte form: sorted keys, no whitespace, shortest-repr floats."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _roundtrip(obj):
@@ -167,8 +171,8 @@ def test_store_keys_are_pinned(tmp_path, fmt):
     key = ModelStore(tmp_path).save(obj, alias=fmt, meta={"seed": 0})
     assert key == PINNED_KEYS[fmt]
     assert json.loads((tmp_path / f"{key}.json").read_text())["model"]["format"] == fmt
-    assert canonical_json(model_to_dict(ModelStore(tmp_path).load(key))) == \
-        canonical_json(model_to_dict(obj))
+    assert json.dumps(model_to_dict(ModelStore(tmp_path).load(key))) == \
+        json.dumps(model_to_dict(obj))
 
 
 @pytest.mark.parametrize("fmt", sorted(serialize._FORMATS.values()))
@@ -177,7 +181,9 @@ def test_a_saved_file_is_the_canonical_json_of_its_payload(tmp_path, fmt):
     meta = {"seed": np.int64(3), "widths": (2, np.int64(8)), "loss": np.float64(0.1)}
     key = ModelStore(tmp_path).save(obj, meta=meta)
     text = (tmp_path / f"{key}.json").read_text()
-    assert text == canonical_json({"model": obj, "meta": meta}) + "\n"
+    # numpy scalars and tuples in meta are written as plain JSON numbers and lists
+    plain = {"seed": 3, "widths": [2, 8], "loss": 0.1}
+    assert text == _canonical({"model": model_to_dict(obj), "meta": plain}) + "\n"
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -243,9 +249,9 @@ def _assert_bitwise_equal(a, b):
 @settings(max_examples=80, deadline=None)
 @given(_models())
 def test_model_documents_round_trip_bitwise(obj):
-    text = canonical_json(model_to_dict(obj))
+    text = json.dumps(model_to_dict(obj))
     back = model_from_dict(json.loads(text))
-    assert canonical_json(model_to_dict(back)) == text
+    assert json.dumps(model_to_dict(back)) == text
     _assert_bitwise_equal(obj, back)
 
 
@@ -264,10 +270,11 @@ def test_unknown_format_rejected():
         model_to_dict(object())
 
 
-def test_canonical_json_is_key_order_independent():
-    a = {"b": 1.0, "a": [np.float64(2.5), 3]}
-    b = {"a": [2.5, 3], "b": 1.0}
-    assert canonical_json(a) == canonical_json(b)
+def test_a_store_key_is_independent_of_meta_key_order(tmp_path):
+    net = init_mlp((2, 3, 1), seed=0)
+    store = ModelStore(tmp_path)
+    assert store.save(net, meta={"b": 1.0, "a": [np.float64(2.5), 3]}) == \
+        store.save(net, meta={"a": [2.5, 3], "b": 1.0})
 
 
 def test_store_content_addressing(tmp_path):
@@ -282,7 +289,7 @@ def test_store_content_addressing(tmp_path):
     assert np.array_equal(back.weights[0], net.weights[0])
     doc = json.loads((tmp_path / "models" / f"{k1}.json").read_text())
     assert doc["meta"] == {"seed": 1}
-    assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == k1
+    assert hashlib.sha256(_canonical(doc).encode()).hexdigest() == k1
     # different meta -> different key
     k3 = store.save(net, meta={"seed": 2})
     assert k3 != k1

@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aimrom.models import MODELS
-from aimrom.spectral import grid_l2_norm, reconstruct, uniform_grid
+from aimrom.pod import pod_fit, pod_lift
+from aimrom.spectral import reconstruct, uniform_grid
 
 CHAFEE_GRID = uniform_grid(MODELS["chafee"].length, 65)
+
+
+def _trapezoid_norm(values, grid):
+    return math.sqrt(np.trapezoid(values * values, grid))
 
 
 def test_basis_domains_and_norms():
@@ -20,12 +25,12 @@ def test_basis_domains_and_norms():
         length, n = model.length, model.n_full
         g = uniform_grid(length, 65)
         assert (g[0], g[-1], g.shape) == (0.0, length, (65,))
-        assert grid_l2_norm(np.sin(g), g) ** 2 == pytest.approx(length / 2, abs=1e-14)
+        assert _trapezoid_norm(np.sin(g), g) ** 2 == pytest.approx(length / 2, abs=1e-14)
         # Parseval, ||u||^2 = (L/2) sum a_k^2, is exact at the 4n + 1 node
         # bound only where the modes sin(kx) are orthogonal on [0, L]
         g = uniform_grid(length, 4 * n + 1)
         a = np.linspace(-1.0, 1.0, n) + 0.3
-        assert grid_l2_norm(reconstruct(a, g), g) ** 2 == pytest.approx(
+        assert _trapezoid_norm(reconstruct(a, g), g) ** 2 == pytest.approx(
             (length / 2) * np.sum(a**2), rel=1e-13)
         with pytest.raises(ValueError, match="at least 2"):
             uniform_grid(length, 1)
@@ -61,31 +66,30 @@ def test_parseval_identity_on_grid():
     g = CHAFEE_GRID
     a = np.array([0.7, -0.3, 0.2])
     u = reconstruct(a, g)
-    assert abs(grid_l2_norm(u, g) ** 2 - 0.9738937226128359) < 1e-12
-    assert abs(grid_l2_norm(u, g) ** 2 - (math.pi / 2) * np.sum(a**2)) < 1e-12
+    assert abs(_trapezoid_norm(u, g) ** 2 - 0.9738937226128359) < 1e-12
+    assert abs(_trapezoid_norm(u, g) ** 2 - (math.pi / 2) * np.sum(a**2)) < 1e-12
+
+
+_POD = pod_fit(np.random.default_rng(0).normal(size=(20, 65)))
+_LIFTS = {"chafee": lambda c: reconstruct(c, CHAFEE_GRID),
+          "ks": lambda c: reconstruct(c, uniform_grid(MODELS["ks"].length, 65)),
+          "pod": lambda c: pod_lift(_POD, c)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    length=st.sampled_from([m.length for m in MODELS.values()]),
-    n_modes=st.sampled_from([2, 3, 8]),
-    rows=st.integers(1, 6),
+    lift=st.sampled_from(sorted(_LIFTS)),
+    width=st.sampled_from([1, 2, 3, 8]),
+    shape=st.lists(st.integers(1, 6), max_size=3),
     data=st.data(),
 )
-def test_reconstruct_is_the_sine_matrix_product(length, n_modes, rows, data):
-    # The written fields and scores are these two products, S @ c for one
-    # state and C @ S.T for a time series, so both must hold bit for bit.
-    # BLAS computes a batch (gemm) and one state (gemv) with different
-    # kernels, so a batch row may differ from the same state alone in the
-    # last bit; it stays within the rounding bound of a length-n dot product.
-    coeffs = data.draw(arrays(np.float64, (rows, n_modes), elements=st.floats(-5, 5)))
-    g = uniform_grid(length, 65)
-    sines = np.sin(np.outer(g, np.arange(1, n_modes + 1)))
-    batch = reconstruct(coeffs, g)
-    assert batch.tobytes() == (coeffs @ sines.T).tobytes()
-    assert reconstruct(coeffs[None], g).tobytes() == batch.tobytes()
-    eps = np.finfo(float).eps
-    for row, c in zip(batch, coeffs):
-        one = reconstruct(c, g)
-        assert one.tobytes() == (sines @ c).tobytes()
-        assert np.all(np.abs(row - one) <= 2 * n_modes * eps * np.sum(np.abs(c)))
+def test_a_batch_row_has_the_bits_of_its_state_alone(lift, width, shape, data):
+    # The scores compare fields lifted one state at a time (the corrected
+    # state) with fields lifted as a series (truth and raw run), so every
+    # row of a batch of any shape, one row included, must be that state's
+    # own product bit for bit
+    coeffs = data.draw(arrays(np.float64, (*shape, width), elements=st.floats(-5, 5)))
+    batch = _LIFTS[lift](coeffs)
+    assert batch.shape == (*shape, 65)
+    for index in np.ndindex(*shape):
+        assert batch[index].tobytes() == _LIFTS[lift](coeffs[index]).tobytes()

@@ -1,7 +1,8 @@
 """Whole-package checks: the benchmark's tracer (perfbench/spans.py) still
 finds every name it wraps, every exported name exists, every exception class
-is an AimromError, and README's route, dynamics and train-kind tables are
-the closures of rom.ROUTES, rom.DYNAMICS and cli.TRAIN_KINDS."""
+is an AimromError, README's route, dynamics and train-kind tables are
+the closures of rom.ROUTES, rom.DYNAMICS and cli.TRAIN_KINDS, and its
+command list is the CLI's commands."""
 
 import importlib
 import importlib.util
@@ -105,6 +106,13 @@ def test_every_exception_class_is_an_aimrom_error_with_the_readme_exit_code():
     assert {cls.__name__: cls.exit_code for cls in bases} == {
         name: int(code) for code, name in readme}
     assert sorted(cls.exit_code for cls in bases) == [2, 3, 4]
+
+
+def test_readme_command_list_is_the_cli_commands():
+    # README lists the commands as "... `--seed` override: `<command>`, ..., `<command>`."
+    listed = re.search(r"`--seed` override:\s+((?:`[\w-]+`,?\s+)*`[\w-]+`)\.",
+                       (ROOT / "README.md").read_text())
+    assert sorted(re.findall(r"`([\w-]+)`", listed.group(1))) == sorted(cli.main.commands)
 
 
 def test_readme_route_table_is_rom_routes():
