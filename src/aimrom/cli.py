@@ -19,8 +19,8 @@ import numpy as np
 import yaml
 
 from . import AimromError, ConfigurationError, NumericalFailure, __version__
-from .dmaps import dmaps_fit, double_dmaps_lift, select_independent
-from .integrate import SamplerConfig, rk4, sample_attractor
+from .dmaps import DiffusionMap, dmaps_fit, gh_fit, select_independent
+from .integrate import rk4, sample_attractor
 from .metrics import ensemble_histogram
 from .models import MODELS, analytic_field
 from .nn import TrainConfig, init_autoencoder, init_mlp, train, train_autoencoder
@@ -31,7 +31,6 @@ from .rom import (
     PipelineConfig,
     build_derivative_dataset,
     learn_field,
-    make_closure_dataset,
     run_pipeline,
 )
 from .serialize import (
@@ -314,21 +313,17 @@ _SAMPLE_SCHEMA = {**_MODEL_SCHEMA, "ic_box": list, "n_trajectories": int,
 def sample(cfg, out, seed):
     """Sample attractor snapshots from random initial conditions."""
     field = _field(cfg)
-    plan = SamplerConfig(
-        n_trajectories=cfg["n_trajectories"],
-        ic_box=np.asarray(cfg["ic_box"], dtype=float),
-        transient_time=float(cfg["transient_time"]),
-        snapshot_stride=cfg["snapshot_stride"],
-        seed=seed if seed is not None else _get(cfg, "seed", 0),
-        sample_time=float(cfg["sample_time"]),
+    seed = seed if seed is not None else _get(cfg, "seed", 0)
+    snaps = sample_attractor(
+        field, cfg["ic_box"], cfg["n_trajectories"], float(cfg["transient_time"]),
+        float(cfg["sample_time"]), cfg["snapshot_stride"], float(cfg["dt"]), seed=seed,
     )
-    snaps = sample_attractor(field, plan, dt=float(cfg["dt"]))
     header = ["traj_id", "t"] + [f"a{k}" for k in range(1, field.dim + 1)]
     write_table(out / "snapshots.csv", header,
                 np.column_stack([snaps.traj_ids, snaps.times, snaps.states]))
     _echo_kv("snapshots", snaps.states.shape[0])
     _echo_kv("failed trajectories", len(snaps.failed_ids))
-    return {"seed": plan.seed, "outputs": ["snapshots.csv"],
+    return {"seed": seed, "outputs": ["snapshots.csv"],
             "n_snapshots": snaps.states.shape[0],
             "failed_trajectories": list(snaps.failed_ids)}
 
@@ -384,6 +379,9 @@ def _fit_model(cfg, store, seed):
         extras = {"data_hash": file_hash(cfg["data"])}
     else:
         dm = store.load(cfg["dmap"])
+        if not isinstance(dm, DiffusionMap):
+            raise ConfigurationError(f"train config: dmap {cfg['dmap']!r} must name a "
+                                     f"DiffusionMap, not a {type(dm).__name__}")
         states, extras = dm.train_points, {"data_hash": store.resolve(cfg["dmap"])}
         if not dm.kept_indices:
             raise ConfigurationError("train config: stored dmap has no kept coordinates")
@@ -407,9 +405,8 @@ def _fit_model(cfg, store, seed):
                 f"train config: data width {states.shape[1]} != model dim {full.dim}")
 
     if kind == "closure":
-        x, y = make_closure_dataset(states, n_low)
         net = init_mlp((n_low, *hidden, states.shape[1] - n_low), seed=tcfg.seed)
-        return *train(net, x, y, tcfg), extras
+        return *train(net, states[:, :n_low], states[:, n_low:], tcfg), extras
 
     if kind in DYNAMICS:
         inputs, derivs = build_derivative_dataset(states, full, n_low)
@@ -435,7 +432,7 @@ def _fit_model(cfg, store, seed):
         return dm, None, extras
 
     if kind == "lift":
-        gh = double_dmaps_lift(dm, states, **_given(cfg, "epsilon_star", "delta"))
+        gh = gh_fit(dm.coordinates(), states, **_given(cfg, "epsilon_star", "delta"))
         extras["in_sample_mse"] = float(gh.in_sample_mse)
         return gh, None, extras
 

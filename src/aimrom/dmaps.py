@@ -34,7 +34,6 @@ __all__ = [
     "nystrom_restrict",
     "gh_fit",
     "gh_extend",
-    "double_dmaps_lift",
 ]
 
 
@@ -445,18 +444,3 @@ def gh_extend(gh, x_new):
     out = (a @ (gh.eigenvectors / gh.eigenvalues)) @ gh.coefficients
     return out[0] if single else out
 
-
-def double_dmaps_lift(dm, ambient_values, epsilon_star=None, delta=1e-6):
-    """Geometric harmonics from the kept diffusion coordinates to ambient data.
-
-    This is the lifting half of the double-diffusion-maps construction:
-    fit on (kept phi columns -> ambient values), extend with gh_extend.
-    """
-    if len(dm.kept_indices) == 0:
-        raise ValueError("run select_independent before lifting")
-    return gh_fit(
-        dm.coordinates(),
-        ambient_values,
-        epsilon_star=epsilon_star,
-        delta=delta,
-    )

@@ -10,7 +10,6 @@ from . import NumericalFailure
 __all__ = [
     "BlowUpError",
     "Trajectory",
-    "SamplerConfig",
     "SampleSet",
     "draw_in_box",
     "rk4",
@@ -157,33 +156,6 @@ def draw_in_box(ic_box, n, seed):
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
-    """Ensemble sampling plan.
-
-    ic_box is (dim, 2) rows of [low, high]; each trajectory starts uniform
-    in the box.  After transient_time the run continues for sample_time and
-    every snapshot_stride-th stored state is kept (the first kept state is
-    the one at the end of the transient).
-    """
-
-    n_trajectories: int
-    ic_box: np.ndarray
-    transient_time: float
-    snapshot_stride: int
-    seed: int
-    sample_time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "ic_box", _box(self.ic_box))
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be positive")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be positive")
-        if self.transient_time < 0 or self.sample_time <= 0:
-            raise ValueError("transient_time must be >= 0 and sample_time > 0")
-
-
-@dataclass(frozen=True)
 class SampleSet:
     """Stacked snapshots with their source trajectory ids and times."""
 
@@ -193,8 +165,13 @@ class SampleSet:
     failed_ids: tuple = ()
 
 
-def sample_attractor(field_, cfg, dt):
+def sample_attractor(field_, ic_box, n_trajectories, transient_time, sample_time,
+                     snapshot_stride, dt, seed=0):
     """Integrate an ensemble and collect post-transient snapshots.
+
+    Each trajectory starts uniform in ic_box, (dim, 2) rows of [low, high],
+    drawn by draw_in_box from seed; it runs for transient_time + sample_time
+    and keeps every snapshot_stride-th state from the end of the transient.
 
     All trajectories are stepped together as one batch (in chunks of about
     _BATCH_BYTES of dense states), each row with the arithmetic of a run of
@@ -203,31 +180,37 @@ def sample_attractor(field_, cfg, dt):
     recorded in failed_ids; if more than half fail the whole sample is
     abandoned.
     """
-    if cfg.ic_box.shape[0] != field_.dim:
-        raise ValueError(f"ic_box has {cfg.ic_box.shape[0]} rows but the field has "
-                         f"dimension {field_.dim}")
-    ics = draw_in_box(cfg.ic_box, cfg.n_trajectories, cfg.seed)
+    box = _box(ic_box)
+    if n_trajectories < 1:
+        raise ValueError("n_trajectories must be positive")
+    if snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be positive")
+    if transient_time < 0 or sample_time <= 0:
+        raise ValueError("transient_time must be >= 0 and sample_time > 0")
+    if box.shape[0] != field_.dim:
+        raise ValueError(f"ic_box has {box.shape[0]} rows but the field has dimension {field_.dim}")
+    ics = draw_in_box(box, n_trajectories, seed)
 
-    t_total = cfg.transient_time + cfg.sample_time
-    first_kept = int(round(cfg.transient_time / dt))
+    t_total = transient_time + sample_time
+    first_kept = int(round(transient_time / dt))
     chunk = max(1, _BATCH_BYTES // (8 * field_.dim * (int(t_total / dt) + 2)))
 
     states, ids, times = [], [], []
     failed = []
-    for lo in range(0, cfg.n_trajectories, chunk):
+    for lo in range(0, n_trajectories, chunk):
         traj = rk4(field_, ics[lo : lo + chunk], t_total, dt)
         ok = np.isnan(traj.blowup_times)
-        keep = np.arange(first_kept, traj.times.shape[0], cfg.snapshot_stride)
+        keep = np.arange(first_kept, traj.times.shape[0], snapshot_stride)
         # trajectory-major: every kept snapshot of one row, then the next row
         states.append(traj.states[keep][:, ok].transpose(1, 0, 2).reshape(-1, field_.dim))
         times.append(np.tile(traj.times[keep], int(ok.sum())))
         ids.append(np.repeat(lo + np.flatnonzero(ok), keep.shape[0]))
         failed.extend(int(lo + i) for i in np.flatnonzero(~ok))
 
-    if len(failed) > cfg.n_trajectories / 2:
+    if len(failed) > n_trajectories / 2:
         raise BlowUpError(
             time=t_total,
-            message=f"{len(failed)} of {cfg.n_trajectories} trajectories blew up",
+            message=f"{len(failed)} of {n_trajectories} trajectories blew up",
         )
     return SampleSet(
         states=np.concatenate(states, axis=0),

@@ -142,11 +142,12 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
 
     labels, samples, indices, failures = [], [], [], []
     truths = {}
-    for cfg in configs:
+    # each call checks its pipeline, so every one is checked before the first runs
+    batches = [run_pipeline_batch([cfg.with_ic(ic, final_time) for ic in ics], artifacts, truths)
+               for cfg in configs]
+    for cfg, batch in zip(configs, batches):
         errs, kept = [], []
-        for k, result in enumerate(run_pipeline_batch(
-            [cfg.with_ic(ic, final_time) for ic in ics], artifacts, truths
-        )):
+        for k, result in enumerate(batch):
             if isinstance(result, NumericalFailure):
                 failures.append((cfg.label(), k, result))
             else:

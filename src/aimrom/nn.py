@@ -69,9 +69,6 @@ class Mlp:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
     epochs: int = 100
     batch_size: int = 32
     seed: int = 0
@@ -190,6 +187,10 @@ def _standardization(data):
     return shift, scale
 
 
+# Adam's moment decay rates and the offset added to its denominator
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8
+
+
 class _Adam:
     """Adam on one flat parameter vector, updated in place.
 
@@ -198,28 +199,27 @@ class _Adam:
     array by array.
     """
 
-    def __init__(self, size, cfg):
+    def __init__(self, size, learning_rate):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._num = np.empty(size)
         self._den = np.empty(size)
         self.t = 0
-        self.cfg = cfg
+        self.learning_rate = learning_rate
 
     def step(self, params, grad):
-        c = self.cfg
         self.t += 1
         num, den = self._num, self._den
-        self.m *= c.beta1
-        self.m += np.multiply(1.0 - c.beta1, grad, out=num)
-        self.v *= c.beta2
-        np.multiply(1.0 - c.beta2, grad, out=num)
+        self.m *= _B1
+        self.m += np.multiply(1.0 - _B1, grad, out=num)
+        self.v *= _B2
+        np.multiply(1.0 - _B2, grad, out=num)
         self.v += np.multiply(num, grad, out=num)
-        np.divide(self.m, 1.0 - c.beta1**self.t, out=num)
-        num *= c.learning_rate
-        np.divide(self.v, 1.0 - c.beta2**self.t, out=den)
+        np.divide(self.m, 1.0 - _B1**self.t, out=num)
+        num *= self.learning_rate
+        np.divide(self.v, 1.0 - _B2**self.t, out=den)
         np.sqrt(den, out=den)
-        den += c.eps_hat
+        den += _EPS
         params -= np.divide(num, den, out=num)
 
 
@@ -262,7 +262,7 @@ def _fit(nets, x, y, cfg):
     ends = np.cumsum([a.size for a in arrays])
     params = np.concatenate([a.ravel() for a in arrays])
     grad = np.empty_like(params)
-    opt = _Adam(params.size, cfg)
+    opt = _Adam(params.size, cfg.learning_rate)
 
     def layers(flat):
         """Per network, its (weights, biases) as views into a flat vector."""

@@ -13,12 +13,12 @@ import numpy as np
 
 from . import ConfigurationError, MissingArtifactError, NumericalFailure
 from .aim import Closure, euler_galerkin_closure, postprocess, zero_closure
-from .dmaps import gh_extend
+from .dmaps import GeometricHarmonics, gh_extend
 from .integrate import rk4
 from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import MODELS, VectorField, analytic_field, field_from_name
-from .nn import Mlp, decoder_invert, forward, init_mlp, train
-from .pod import pod_lift, pod_project
+from .nn import Autoencoder, Mlp, decoder_invert, forward, init_mlp, train
+from .pod import PodModel, pod_lift, pod_project
 from .spectral import reconstruct, uniform_grid
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "build_derivative_dataset",
-    "make_closure_dataset",
     "learn_field",
     "run_pipeline",
     "run_pipeline_batch",
@@ -65,7 +64,6 @@ ROUTES = {"fourier": (("euler-galerkin", "mlp", "none"), _sine_coordinates),
 # coordinates have no such base) and whether it adds a dynamics-net
 DYNAMICS = {"truncated": (True, False), "black-box": (False, True), "gray-box": (True, True)}
 CLOSURES = tuple(dict.fromkeys(c for closures, _ in ROUTES.values() for c in closures))
-ARTIFACT_ROLES = ("dynamics-net", "closure-net", "latent-map", "lift", "autoencoder", "pod")
 
 
 def build_derivative_dataset(states, full_field, n_lead):
@@ -80,14 +78,6 @@ def build_derivative_dataset(states, full_field, n_lead):
     if not (1 <= n_lead < full_field.dim):
         raise ValueError("n_lead must be below the full dimension")
     return s[:, :n_lead], np.asarray(full_field.eval(s), dtype=float)[:, :n_lead]
-
-
-def make_closure_dataset(states, n_low):
-    """Split full snapshots into (leading block, tail block) training pairs."""
-    s = np.asarray(states, dtype=float)
-    if s.ndim != 2 or not (1 <= n_low < s.shape[1]):
-        raise ValueError("states must be (n, d) with 1 <= n_low < d")
-    return s[:, :n_low], s[:, n_low:]
 
 
 @dataclass(frozen=True)
@@ -163,7 +153,13 @@ class PipelineConfig:
                 raise ConfigurationError(f"unknown {key.replace('_', ' ')}: {getattr(self, key)!r}")
         spec = MODELS[self.model]
         n_low, n_full = spec.n_low, spec.n_full
-        ic = tuple(float(v) for v in np.atleast_1d(np.asarray(self.ic, dtype=float)))
+        try:
+            ic = np.atleast_1d(np.asarray(self.ic, dtype=float))
+        except (TypeError, ValueError):
+            ic = None
+        if ic is None or ic.ndim != 1:
+            raise ConfigurationError("ic must be a flat list of numbers")
+        ic = tuple(float(v) for v in ic)
         if len(ic) == n_low:
             ic = ic + (0.0,) * (n_full - n_low)
         if len(ic) != n_full:
@@ -213,10 +209,19 @@ class PipelineResult:
     decomposition: object = None
 
 
+# each artifact role and the type of model it takes
+ARTIFACT_ROLES = {"dynamics-net": LearnedField, "closure-net": Mlp, "latent-map": Mlp,
+                  "lift": GeometricHarmonics, "autoencoder": Autoencoder, "pod": PodModel}
+
+
 def _artifact(artifacts, name):
     if name not in artifacts:
         raise MissingArtifactError(f"pipeline needs artifact {name!r}")
-    return artifacts[name]
+    obj, expected = artifacts[name], ARTIFACT_ROLES[name]
+    if not isinstance(obj, expected):
+        raise ConfigurationError(f"artifact {name!r} must be of type {expected.__name__}, "
+                                 f"not {type(obj).__name__}")
+    return obj
 
 
 def validate_pipeline(cfg, artifacts):
@@ -238,8 +243,6 @@ def _reduced_field(cfg, artifacts):
     if not has_net:
         return base
     net = _artifact(artifacts, "dynamics-net")
-    if not isinstance(net, LearnedField):
-        raise ConfigurationError("artifact 'dynamics-net' must be a LearnedField")
     if net.dim != cfg.n_low:
         raise ConfigurationError(
             f"dynamics-net dimension {net.dim} does not match the reduced space ({cfg.n_low})"
@@ -270,6 +273,8 @@ def _build_closure(cfg, artifacts):
         lift = _artifact(artifacts, "lift")
         if latent_map.d_in != n_low:
             raise ConfigurationError("latent-map input width must match the lead block")
+        if latent_map.d_out != lift.inputs.shape[1]:
+            raise ConfigurationError("latent-map output width must match the lift's input width")
         if lift.d_out != cfg.n_full:
             raise ConfigurationError("lift output width must match the full coefficient vector")
 
@@ -304,17 +309,22 @@ def run_pipeline_batch(cfgs, artifacts, truths=None):
     """Run one pipeline from several initial conditions.
 
     cfgs are the pipeline's configs, alike but for ic; they are validated
-    before any integration.  The truth and the reduced model are each
-    integrated once, batched over the initial conditions; closures and
-    scores then run per initial condition.  A truths dict shares batched
-    truth runs between calls, keyed by model, nu, final_time, dt and the
-    initial conditions.  Yields, in order, each initial condition's
-    PipelineResult or the NumericalFailure that ended it.
+    by this call, before the generator it returns integrates anything.  The
+    truth and the reduced model are each integrated once, batched over the
+    initial conditions; closures and scores then run per initial condition.
+    A truths dict shares batched truth runs between calls, keyed by model,
+    nu, final_time, dt and the initial conditions.  Returns a generator
+    that yields, in order, each initial condition's PipelineResult or the
+    NumericalFailure that ended it.
     """
+    checked = validate_pipeline(cfgs[0], artifacts)
+    return _run_batch(cfgs, {} if truths is None else truths, *checked)
+
+
+def _run_batch(cfgs, truths, reduced_field, closure, grid, coordinates):
     cfg = cfgs[0]
-    reduced_field, closure, grid, (starts, lift, split) = validate_pipeline(cfg, artifacts)
+    starts, lift, split = coordinates
     ic_full = np.array([c.ic for c in cfgs])
-    truths = {} if truths is None else truths
     key = (cfg.model, cfg.nu, cfg.final_time, cfg.dt, ic_full.tobytes())
     if key not in truths:
         truths[key] = rk4(analytic_field(cfg.model, cfg.n_full, cfg.nu), ic_full,

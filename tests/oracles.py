@@ -51,11 +51,15 @@ def gradient(mlp, x, y_target):
     return list(zip(gw, gb))
 
 
+# Adam's moment decay rates and denominator offset, the values training uses
+B1, B2, EPS = 0.9, 0.999, 1e-8
+
+
 class PerArrayAdam:
     """Adam applied array by array, each moment and the step one numpy
     expression: the update that training on one flat vector must reproduce
     bit for bit.  square_first forms the second-moment increment as
-    (g g)(1 - beta2), an order that rounds differently."""
+    (g g)(1 - B2), an order that rounds differently."""
 
     def __init__(self, shapes, cfg, square_first=False):
         self.m = [np.zeros(s) for s in shapes]
@@ -69,14 +73,14 @@ class PerArrayAdam:
         self.t += 1
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
+            self.m[i] = B1 * self.m[i] + (1.0 - B1) * g
             if self.square_first:
-                self.v[i] = c.beta2 * self.v[i] + g * g * (1.0 - c.beta2)
+                self.v[i] = B2 * self.v[i] + g * g * (1.0 - B2)
             else:
-                self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
-            mhat = self.m[i] / (1.0 - c.beta1**self.t)
-            vhat = self.v[i] / (1.0 - c.beta2**self.t)
-            out.append(p - c.learning_rate * mhat / (np.sqrt(vhat) + c.eps_hat))
+                self.v[i] = B2 * self.v[i] + (1.0 - B2) * g * g
+            mhat = self.m[i] / (1.0 - B1**self.t)
+            vhat = self.v[i] / (1.0 - B2**self.t)
+            out.append(p - c.learning_rate * mhat / (np.sqrt(vhat) + EPS))
         return out
 
 

@@ -13,12 +13,12 @@ import pytest
 from aimrom.aim import euler_galerkin_closure
 from aimrom.dmaps import (
     dmaps_fit,
-    double_dmaps_lift,
     gh_extend,
+    gh_fit,
     nystrom_restrict,
     select_independent,
 )
-from aimrom.integrate import SamplerConfig, rk4, sample_attractor
+from aimrom.integrate import rk4, sample_attractor
 from aimrom.metrics import mape
 from aimrom.models import MODELS, VectorField, analytic_field, ks_rhs, toy_field
 from aimrom.nn import (
@@ -37,7 +37,6 @@ from aimrom.rom import (
     PipelineConfig,
     build_derivative_dataset,
     learn_field,
-    make_closure_dataset,
     run_pipeline,
 )
 from aimrom.spectral import reconstruct, uniform_grid
@@ -68,15 +67,9 @@ def ks_snapshots():
     on the manifold but still moving; sampling much later collapses onto
     a handful of steady states and the point cloud degenerates.
     """
-    cfg = SamplerConfig(
-        n_trajectories=40,
-        ic_box=KS_BOX,
-        transient_time=0.01,
-        snapshot_stride=10,
-        seed=21,
-        sample_time=0.05,
-    )
-    snaps = sample_attractor(analytic_field("ks", 8, NU_KS), cfg, dt=1e-4)
+    snaps = sample_attractor(analytic_field("ks", 8, NU_KS), KS_BOX, n_trajectories=40,
+                             transient_time=0.01, sample_time=0.05, snapshot_stride=10,
+                             dt=1e-4, seed=21)
     x = snaps.states
     idx = np.linspace(0, x.shape[0] - 1, 2000).astype(int)
     return np.ascontiguousarray(x[idx])
@@ -100,16 +93,9 @@ def ks_autoencoder(ks_snapshots, ks_split):
 
 
 def _sample_chafee(n_trajectories):
-    cfg = SamplerConfig(
-        n_trajectories=n_trajectories,
-        ic_box=CHAFEE_BOX,
-        transient_time=0.5,
-        snapshot_stride=10,
-        seed=11,
-        sample_time=2.0,
-    )
-
-    return sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), cfg, dt=1e-3).states
+    return sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), CHAFEE_BOX, n_trajectories,
+                            transient_time=0.5, sample_time=2.0, snapshot_stride=10,
+                            dt=1e-3, seed=11).states
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +119,9 @@ def test_01_postprocessed_field_accuracy():
     states = _sample_chafee(25)
     assert states.shape[0] >= 5000
 
-    low, tail = make_closure_dataset(states, 2)
     net = init_mlp((2, 24, 24, 1), seed=0)
     cfg_train = TrainConfig(learning_rate=2e-3, epochs=150, batch_size=64, seed=0)
-    net, _ = train(net, low, tail, cfg_train)
+    net, _ = train(net, states[:, :2], states[:, 2:], cfg_train)
 
     base = PipelineConfig(
         model="chafee",
@@ -368,7 +353,7 @@ def test_07_lifting_reconstruction_quality(ks_snapshots, ks_split, ks_autoencode
     x_train, x_test = ks_snapshots[train_idx], ks_snapshots[test_idx]
 
     dm, _ = select_independent(dmaps_fit(x_train, n_eigs=10))
-    gh = double_dmaps_lift(dm, x_train)
+    gh = gh_fit(dm.coordinates(), x_train)
     latent_test = nystrom_restrict(dm, x_test)[:, list(dm.kept_indices)]
     mse_dd = float(np.mean((gh_extend(gh, latent_test) - x_test) ** 2))
 
@@ -476,18 +461,11 @@ def test_09_numerics_hygiene():
     order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
 
     # 9c: repeat runs are bitwise identical under a fixed seed
-    cfg = SamplerConfig(
-        n_trajectories=4,
-        ic_box=CHAFEE_BOX,
-        transient_time=0.1,
-        snapshot_stride=20,
-        seed=13,
-        sample_time=0.4,
-    )
-
-    s1 = sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), cfg, dt=1e-3).states
-    s2 = sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), cfg, dt=1e-3).states
-    low, tail = make_closure_dataset(s1, 2)
+    plan = dict(n_trajectories=4, transient_time=0.1, sample_time=0.4, snapshot_stride=20,
+                dt=1e-3, seed=13)
+    s1 = sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), CHAFEE_BOX, **plan).states
+    s2 = sample_attractor(analytic_field("chafee", 3, NU_CHAFEE), CHAFEE_BOX, **plan).states
+    low, tail = s1[:, :2], s1[:, 2:]
     tc = TrainConfig(learning_rate=2e-3, epochs=30, batch_size=32, seed=4)
     n1, _ = train(init_mlp((2, 8, 1), seed=4), low, tail, tc)
     n2, _ = train(init_mlp((2, 8, 1), seed=4), low, tail, tc)
@@ -509,15 +487,9 @@ def test_09_numerics_hygiene():
 
 def test_10_toy_quadratic_manifold():
     t0 = time.perf_counter()
-    cfg = SamplerConfig(
-        n_trajectories=30,
-        ic_box=np.array([[-1.0, 3.0], [-1.0, 3.0]]),
-        transient_time=1.2,
-        snapshot_stride=20,
-        seed=3,
-        sample_time=2.0,
-    )
-    states = sample_attractor(toy_field(0.01), cfg, dt=1e-3).states
+    states = sample_attractor(toy_field(0.01), [[-1.0, 3.0], [-1.0, 3.0]], n_trajectories=30,
+                              transient_time=1.2, sample_time=2.0, snapshot_stride=20,
+                              dt=1e-3, seed=3).states
     pod = pod_fit(states)
     c = pod_project(pod, states)
     fit = quadratic_fit(c[:, 0], c[:, 1])

@@ -11,9 +11,10 @@ import yaml
 from click.testing import CliRunner
 
 import aimrom
+from aimrom import rom
 from aimrom.cli import TRAIN_KINDS, main
-from aimrom.dmaps import dmaps_fit, double_dmaps_lift, select_independent
-from aimrom.nn import init_autoencoder, init_mlp
+from aimrom.dmaps import dmaps_fit, gh_fit, select_independent
+from aimrom.nn import TrainConfig, init_autoencoder, init_mlp, train
 from aimrom.pod import pod_fit
 from aimrom.serialize import ModelStore, model_to_dict, read_table, write_table
 
@@ -700,12 +701,14 @@ def test_a_closure_with_model_parameters_needs_the_model_key(tmp_path, params):
 
 @pytest.fixture(scope="module")
 def train_inputs(tmp_path_factory):
-    """A readable snapshot file and a store holding a pruned dmap named dm."""
+    """A readable snapshot file and a store holding a pruned dmap named dm and a
+    pod named p."""
     root = tmp_path_factory.mktemp("inputs")
     t = np.linspace(0.0, 1.0, 40)
     pts = np.column_stack([t, 0.5 * t, -0.25 * t])
     write_table(root / "snapshots.csv", ["a1", "a2", "a3"], pts)
     ModelStore(root / "store").save(select_independent(dmaps_fit(pts, n_eigs=4))[0], alias="dm")
+    ModelStore(root / "store").save(pod_fit(pts), alias="p")
     return root
 
 
@@ -739,6 +742,49 @@ def test_n_low_must_leave_a_tail_of_the_input_width(train_inputs, tmp_path, kind
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
     assert res.exit_code == 2, res.output
     assert "n_low must leave at least one tail mode" in res.output
+
+
+@pytest.mark.parametrize("kind", ["lift", "latent-map"])
+def test_a_dmap_key_that_names_another_model_type_exits_2(train_inputs, tmp_path, kind):
+    doc = {"kind": kind, "alias": "m", "store": str(train_inputs / "store"), "dmap": "p",
+           "n_low": 2 if kind == "latent-map" else None}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
+    assert "dmap 'p' must name a DiffusionMap, not a PodModel" in res.output
+
+
+@pytest.mark.parametrize("pipeline, artifacts", [
+    ({"closure": "mlp"}, {"closure-net": "p"}),
+    ({"latent_route": "dmaps", "closure": "double-dmaps"}, {"latent-map": "p", "lift": "p"}),
+], ids=["closure-net", "latent-map"])
+def test_a_stored_model_of_the_wrong_type_exits_2(train_inputs, tmp_path, pipeline, artifacts):
+    doc = {"pipeline": dict(EVAL_PIPELINE, **pipeline), "store": str(train_inputs / "store"),
+           "artifacts": artifacts}
+    res = _invoke(["evaluate", "--config", _write(tmp_path / "e.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    role = next(iter(artifacts))
+    assert f"artifact '{role}' must be of type Mlp, not PodModel" in res.output
+
+
+def test_a_nested_ic_exits_2(tmp_path):
+    doc = {"pipeline": dict(EVAL_PIPELINE, ic=[[1, 0.5], [0.1, 0]])}
+    res = _invoke(["evaluate", "--config", _write(tmp_path / "e.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert "pipeline block: ic must be a flat list of numbers" in res.output
+
+
+def test_an_ensemble_checks_its_last_pipeline_before_any_run(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(rom, "rk4", lambda *args: calls.append(args))
+    doc = dict(ENSEMBLE_DOC, pipelines=[dict(EVAL_PIPELINE, closure="none"),
+                                        dict(EVAL_PIPELINE, closure="mlp")])
+    res = _invoke(["ensemble", "--config", _write(tmp_path / "ens.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 4, res.output
+    assert "pipeline needs artifact 'closure-net'" in res.output
+    assert calls == [] and list((tmp_path / "out").iterdir()) == []
 
 
 COMMANDS = ("simulate", "sample", "train", "postprocess", "evaluate", "ensemble")
@@ -803,11 +849,13 @@ def test_unset_train_keys_take_the_library_defaults(frame_runs, tmp_path):
         return json.loads(json.dumps(model_to_dict(obj)))
 
     assert stored({"kind": "pod", "data": str(data)}) == expected(pod_fit(states))
+    assert stored({"kind": "closure", "data": str(data), "n_low": 2}) == \
+        expected(train(init_mlp((2, 24, 24, 1)), states[:, :2], states[:, 2:], TrainConfig())[0])
     assert stored({"kind": "dmap", "data": str(data)}) == \
         expected(select_independent(dmaps_fit(states))[0])
     dm = store.load("dmap")
     assert stored({"kind": "lift", "dmap": "dmap"}) == \
-        expected(double_dmaps_lift(dm, dm.train_points))
+        expected(gh_fit(dm.coordinates(), dm.train_points))
 
 
 def test_ensemble_without_bins_writes_twenty(frame_runs):

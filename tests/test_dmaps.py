@@ -10,7 +10,6 @@ from aimrom.dmaps import (
     DiffusionMap,
     GeometricHarmonics,
     dmaps_fit,
-    double_dmaps_lift,
     gh_extend,
     gh_fit,
     nystrom_restrict,
@@ -246,20 +245,20 @@ def test_gh_validation():
         gh_fit(x + 1, np.zeros(10), epsilon_star=-1.0)
 
 
-def test_double_dmaps_lift_round_trip_on_line():
+def test_gh_fit_on_kept_coordinates_round_trips_on_line():
     _, pts = line_points(250, seed=16)
     dm = dmaps_fit(pts, n_eigs=5)
     pruned, _ = select_independent(dm)
-    gh = double_dmaps_lift(pruned, pts, delta=1e-12)
+    gh = gh_fit(pruned.coordinates(), pts, delta=1e-12)
     lifted = gh_extend(gh, pruned.coordinates())
     assert float(np.mean((lifted - pts) ** 2)) < 1e-6
 
 
-def test_double_dmaps_lift_requires_selection():
+def test_coordinates_require_selection():
     _, pts = line_points(60, seed=17)
     dm = dmaps_fit(pts, n_eigs=3)
-    with pytest.raises(ValueError, match="select_independent"):
-        double_dmaps_lift(dm, pts)
+    with pytest.raises(ValueError, match="no coordinate indices selected"):
+        dm.coordinates()
 
 
 # ---------------------------------------------------------------- kernels
@@ -547,7 +546,7 @@ def test_kernel_stages_hold_at_most_two_n2_arrays():
     # at most n^2 / 2 and O(n) values
     assert peak_in_n2_doubles(lambda: dmaps_fit(pts, n_eigs=8), n) < 2.5
     assert peak_in_n2_doubles(lambda: select_independent(dm), n) < 2.5
-    assert peak_in_n2_doubles(lambda: double_dmaps_lift(pruned, pts), n) < 2.5
+    assert peak_in_n2_doubles(lambda: gh_fit(pruned.coordinates(), pts), n) < 2.5
 
 
 def test_harmonic_pruning_holds_one_n2_array():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from aimrom.integrate import (
     BlowUpError,
-    SamplerConfig,
     Trajectory,
     rk4,
     sample_attractor,
@@ -93,15 +92,9 @@ def test_rk4_chafee_settles_toward_attractor():
 def test_sampler_single_trajectory_identity():
     # one trajectory, no transient, stride 1: the dataset is the rk4 output
     field = toy_field(0.05)
-    cfg = SamplerConfig(
-        n_trajectories=1,
-        ic_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        transient_time=0.0,
-        snapshot_stride=1,
-        seed=42,
-        sample_time=0.5,
-    )
-    out = sample_attractor(field, cfg, dt=1e-3)
+    plan = dict(ic_box=[[0.0, 1.0], [0.0, 1.0]], n_trajectories=1, transient_time=0.0,
+                sample_time=0.5, snapshot_stride=1, seed=42)
+    out = sample_attractor(field, dt=1e-3, **plan)
     rng = np.random.default_rng(42)
     ic = rng.random((1, 2))[0]
     traj = rk4(field, ic, 0.5, 1e-3)
@@ -112,15 +105,9 @@ def test_sampler_single_trajectory_identity():
 
 def test_sampler_stride_and_transient():
     field = toy_field(0.05)
-    cfg = SamplerConfig(
-        n_trajectories=3,
-        ic_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        transient_time=0.1,
-        snapshot_stride=10,
-        seed=7,
-        sample_time=0.2,
-    )
-    out = sample_attractor(field, cfg, dt=1e-3)
+    plan = dict(ic_box=[[0.0, 1.0], [0.0, 1.0]], n_trajectories=3, transient_time=0.1,
+                sample_time=0.2, snapshot_stride=10, seed=7)
+    out = sample_attractor(field, dt=1e-3, **plan)
     per_traj = 21  # floor(0.2 / (10 * 1e-3)) + 1
     assert out.states.shape[0] == 3 * per_traj
     assert out.times[0] == pytest.approx(0.1, abs=1e-12)
@@ -130,16 +117,10 @@ def test_sampler_stride_and_transient():
 
 def test_sampler_reproducible_under_seed():
     field = analytic_field("chafee", 2, 0.16)
-    cfg = SamplerConfig(
-        n_trajectories=4,
-        ic_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
-        transient_time=0.0,
-        snapshot_stride=5,
-        seed=123,
-        sample_time=0.1,
-    )
-    a = sample_attractor(field, cfg, dt=1e-3)
-    b = sample_attractor(field, cfg, dt=1e-3)
+    plan = dict(ic_box=[[-1.0, 1.0], [-1.0, 1.0]], n_trajectories=4, transient_time=0.0,
+                sample_time=0.1, snapshot_stride=5, seed=123)
+    a = sample_attractor(field, dt=1e-3, **plan)
+    b = sample_attractor(field, dt=1e-3, **plan)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.traj_ids, b.traj_ids)
@@ -148,15 +129,9 @@ def test_sampler_reproducible_under_seed():
 def test_sampler_excludes_blowups_but_keeps_majority():
     # blow up only when started above x = 1; box spans both regimes
     field = VectorField(1, lambda a: np.where(a > 1.0, a**3, -a))
-    cfg = SamplerConfig(
-        n_trajectories=10,
-        ic_box=np.array([[0.5, 1.2]]),
-        transient_time=0.0,
-        snapshot_stride=1,
-        seed=1,
-        sample_time=40.0,
-    )
-    out = sample_attractor(field, cfg, dt=0.05)
+    plan = dict(ic_box=[[0.5, 1.2]], n_trajectories=10, transient_time=0.0,
+                sample_time=40.0, snapshot_stride=1, seed=1)
+    out = sample_attractor(field, dt=0.05, **plan)
     assert len(out.failed_ids) > 0
     kept = set(range(10)) - set(out.failed_ids)
     assert set(out.traj_ids.tolist()) == kept
@@ -164,25 +139,20 @@ def test_sampler_excludes_blowups_but_keeps_majority():
 
 def test_sampler_raises_when_most_trajectories_blow_up():
     field = VectorField(1, lambda a: a**3)
-    cfg = SamplerConfig(
-        n_trajectories=4,
-        ic_box=np.array([[2.0, 3.0]]),
-        transient_time=0.0,
-        snapshot_stride=1,
-        seed=1,
-        sample_time=50.0,
-    )
+    plan = dict(ic_box=[[2.0, 3.0]], n_trajectories=4, transient_time=0.0,
+                sample_time=50.0, snapshot_stride=1, seed=1)
     with pytest.raises(BlowUpError):
-        sample_attractor(field, cfg, dt=0.5)
+        sample_attractor(field, dt=0.5, **plan)
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(0, np.array([[0.0, 1.0]]), 0.0, 1, 0, 1.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(1, np.array([[1.0, 0.0]]), 0.0, 1, 0, 1.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(1, np.array([[0.0, 1.0]]), 0.0, 0, 0, 1.0)
+    field = VectorField(1, lambda a: -a)
+    with pytest.raises(ValueError, match="n_trajectories must be positive"):
+        sample_attractor(field, [[0.0, 1.0]], 0, 0.0, 1.0, 1, 1e-3)
+    with pytest.raises(ValueError, match="low <= high"):
+        sample_attractor(field, [[1.0, 0.0]], 1, 0.0, 1.0, 1, 1e-3)
+    with pytest.raises(ValueError, match="snapshot_stride must be positive"):
+        sample_attractor(field, [[0.0, 1.0]], 1, 0.0, 1.0, 0, 1e-3)
 
 
 def test_rk4_rejects_a_field_that_changes_the_shape():

@@ -212,7 +212,7 @@ def _adam_runs(chain, square_first):
     params = [rng.normal(size=s) for s in shapes]
     flat = np.concatenate([p.ravel() for p in params])
     cfg = TrainConfig(learning_rate=3e-3)
-    opt, oracle = _Adam(flat.size, cfg), PerArrayAdam(shapes, cfg, square_first)
+    opt, oracle = _Adam(flat.size, cfg.learning_rate), PerArrayAdam(shapes, cfg, square_first)
     for _ in range(50):
         grads = [rng.normal(scale=rng.uniform(1e-3, 10.0), size=s) for s in shapes]
         opt.step(flat, np.concatenate([g.ravel() for g in grads]))
@@ -228,7 +228,7 @@ def test_flat_adam_matches_the_per_array_update_bitwise(chain):
 
 @pytest.mark.parametrize("chain", sorted(ADAM_CHAINS))
 def test_adam_oracle_tells_the_second_moment_order_apart(chain):
-    # (g g)(1 - beta2) rounds differently from ((1 - beta2) g) g, so the
+    # (g g)(1 - B2) rounds differently from ((1 - B2) g) g, so the
     # bitwise test above fails if the flat update forms v in that order
     runs = _adam_runs(ADAM_CHAINS[chain], True)
     assert any(not np.array_equal(flat, swapped) for flat, swapped in runs)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aimrom.aim import Closure, euler_galerkin_closure, postprocess
-from aimrom.integrate import BlowUpError, SamplerConfig, draw_in_box, rk4, sample_attractor
+from aimrom.dmaps import gh_fit
+from aimrom.integrate import BlowUpError, draw_in_box, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram, mape_series
 from aimrom.models import MODELS, VectorField, analytic_field, chafee_rhs_3
 from aimrom import rom
@@ -21,7 +22,6 @@ from aimrom.rom import (
     PipelineResult,
     build_derivative_dataset,
     learn_field,
-    make_closure_dataset,
     run_pipeline,
     run_pipeline_batch,
     validate_pipeline,
@@ -35,23 +35,16 @@ NU = 0.16
 @pytest.fixture(scope="module")
 def chafee_snapshots():
     field = analytic_field("chafee", 3, NU)
-    cfg = SamplerConfig(
-        n_trajectories=25,
-        ic_box=np.array([[-1.2, 1.2], [-0.6, 0.6], [-0.4, 0.4]]),
-        transient_time=0.5,
-        snapshot_stride=10,
-        seed=11,
-        sample_time=2.0,
-    )
-    return sample_attractor(field, cfg, dt=1e-3).states
+    box = [[-1.2, 1.2], [-0.6, 0.6], [-0.4, 0.4]]
+    return sample_attractor(field, box, n_trajectories=25, transient_time=0.5, sample_time=2.0,
+                            snapshot_stride=10, dt=1e-3, seed=11).states
 
 
 @pytest.fixture(scope="module")
 def closure_net(chafee_snapshots):
-    x, y = make_closure_dataset(chafee_snapshots, 2)
     net = init_mlp((2, 24, 24, 1), seed=0)
     cfg = TrainConfig(learning_rate=2e-3, epochs=150, batch_size=64, seed=0)
-    trained, _ = train(net, x, y, cfg)
+    trained, _ = train(net, chafee_snapshots[:, :2], chafee_snapshots[:, 2:], cfg)
     return trained
 
 
@@ -75,14 +68,6 @@ def test_derivative_dataset_targets_are_analytic():
     inputs, derivs = build_derivative_dataset(states, field, 2)
     assert np.array_equal(inputs, states[:, :2])
     assert np.allclose(derivs, chafee_rhs_3(states, NU)[:, :2], atol=1e-14)
-
-
-def test_make_closure_dataset_splits():
-    s = np.arange(12.0).reshape(4, 3)
-    x, y = make_closure_dataset(s, 2)
-    assert x.shape == (4, 2)
-    assert y.shape == (4, 1)
-    assert np.array_equal(np.hstack([x, y]), s)
 
 
 def test_learned_field_validation():
@@ -170,6 +155,12 @@ def test_pipeline_config_pads_reduced_ic():
     assert cfg.ic == (1.0, 0.5, 0.0)
     assert cfg.n_low == 2
     assert cfg.n_full == 3
+
+
+@pytest.mark.parametrize("ic", [((1.0, 0.5), (0.1, 0.0)), ({},)], ids=["nested", "mapping"])
+def test_an_ic_that_is_not_a_flat_list_of_numbers_is_a_configuration_error(ic):
+    with pytest.raises(ConfigurationError, match="ic must be a flat list of numbers"):
+        base_cfg(ic=ic)
 
 
 def test_pipeline_config_rejects_bad_values():
@@ -284,6 +275,67 @@ def test_a_mismatched_pod_artifact_fails_before_any_integration(monkeypatch, sna
     cfg = base_cfg(latent_route="pod", dynamics="black-box", closure="none")
     with pytest.raises(ConfigurationError, match=message):
         run_pipeline(cfg, {"pod": pod_fit(snapshots, center=False)})
+    assert calls == []
+
+
+def _lift(d_in, d_out):
+    rng = np.random.default_rng(0)
+    return gh_fit(rng.normal(size=(20, d_in)), rng.normal(size=(20, d_out)))
+
+
+DD_CFG = dict(latent_route="dmaps", closure="double-dmaps")
+
+
+@pytest.mark.parametrize("cfg, artifacts, message", [
+    (dict(dynamics="black-box", closure="none"),
+     {"dynamics-net": LearnedField("black-box", 3, init_mlp((3, 8, 3), seed=0))},
+     "dynamics-net dimension 3 does not match the reduced space"),
+    (DD_CFG, {"latent-map": init_mlp((3, 8, 2), seed=0), "lift": _lift(2, 3)},
+     "latent-map input width must match the lead block"),
+    (DD_CFG, {"latent-map": init_mlp((2, 8, 3), seed=0), "lift": _lift(2, 3)},
+     "latent-map output width must match the lift's input width"),
+    (DD_CFG, {"latent-map": init_mlp((2, 8, 2), seed=0), "lift": _lift(2, 2)},
+     "lift output width must match the full coefficient vector"),
+    (dict(latent_route="autoencoder", closure="decoder-inversion"),
+     {"autoencoder": init_autoencoder(4, 2, (8,), seed=0)},
+     "autoencoder ambient width must match the full state"),
+], ids=["dynamics-net", "latent-map-input", "latent-map-output", "lift-output", "autoencoder"])
+def test_a_mismatched_artifact_width_fails_before_any_integration(monkeypatch, cfg, artifacts,
+                                                                  message):
+    calls = _counting(monkeypatch, "rk4")
+    with pytest.raises(ConfigurationError, match=message):
+        run_pipeline(base_cfg(**cfg), artifacts)
+    assert calls == []
+
+
+# for each role, a pipeline that reads it and the artifacts it reads before it
+ROLE_PIPELINES = {
+    "dynamics-net": (dict(dynamics="black-box", closure="none"), {}),
+    "closure-net": (dict(closure="mlp"), {}),
+    "latent-map": (DD_CFG, {}),
+    "lift": (DD_CFG, {"latent-map": init_mlp((2, 8, 2), seed=0)}),
+    "autoencoder": (dict(latent_route="autoencoder", closure="decoder-inversion"), {}),
+    "pod": (dict(latent_route="pod", dynamics="black-box", closure="none"), {}),
+}
+
+
+@pytest.mark.parametrize("role", sorted(rom.ARTIFACT_ROLES))
+def test_an_artifact_of_the_wrong_type_fails_before_any_integration(monkeypatch, role):
+    cfg, artifacts = ROLE_PIPELINES[role]
+    wrong = init_mlp((2, 8, 1), seed=0) if role == "pod" else pod_fit(np.eye(3))
+    calls = _counting(monkeypatch, "rk4")
+    expected = rom.ARTIFACT_ROLES[role].__name__
+    with pytest.raises(ConfigurationError, match=f"artifact '{role}' must be of type "
+                                                 f"{expected}, not {type(wrong).__name__}"):
+        run_pipeline(base_cfg(**cfg), {**artifacts, role: wrong})
+    assert calls == []
+
+
+def test_an_ensemble_checks_every_pipeline_before_the_first_runs(monkeypatch):
+    calls = _counting(monkeypatch, "rk4")
+    with pytest.raises(MissingArtifactError, match="closure-net"):
+        ensemble_histogram([base_cfg(closure="none"), base_cfg(closure="mlp")], {},
+                           [[0.5, 1.2], [-0.5, 0.5], [-0.2, 0.2]], n_ic=4, seed=5)
     assert calls == []
 
 
