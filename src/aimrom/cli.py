@@ -48,6 +48,7 @@ from .spectral import reconstruct, uniform_grid
 from .svg import Series, save_line_plot
 
 _NUM = (int, float)
+_NUMS = [_NUM]  # a list type [t]: a YAML list whose every element is of type t
 
 
 # ------------------------------------------------------------ yaml loading
@@ -91,15 +92,14 @@ def _where(section, line):
 
 
 def _check(doc, schema, section, required=()):
-    """Validate one mapping: unknown keys rejected, types checked.
+    """Validate one mapping (or None): unknown keys rejected, types checked,
+    down to each element of a list.
 
     None is always allowed (meaning "use the default"); returns the mapping
     as a plain dict.
     """
     if doc is None:
         doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{section}: expected a mapping")
     line = getattr(doc, "line", None)
     unknown = sorted(k for k in doc if k not in schema)
     if unknown:
@@ -108,23 +108,33 @@ def _check(doc, schema, section, required=()):
     if missing:
         raise ConfigurationError(f"{_where(section, line)}: missing required keys {missing}")
     for key, value in doc.items():
-        if value is not None and not _is_type(value, schema[key]):
+        bad = value is not None and _mismatch(value, schema[key], key)
+        if bad:
+            where, part = bad
+            got = "dict" if isinstance(part, dict) else type(part).__name__
             raise ConfigurationError(
-                f"{_where(section, line)}: key {key!r} expects "
-                f"{_type_name(schema[key])}, got {type(value).__name__}"
-            )
+                f"{_where(section, line)}: key {key!r} expects {_type_name(schema[key])}, "
+                f"got {got}" + (f" at {where}" if where != key else ""))
     return dict(doc)
 
 
-def _is_type(value, tp):
+def _mismatch(value, tp, where):
+    """(where, part) for the first part of value that is not of type tp, else None."""
+    if isinstance(tp, list):
+        if not isinstance(value, list):
+            return where, value
+        return next(filter(None, (_mismatch(v, tp[0], f"{where}[{i}]")
+                                  for i, v in enumerate(value))), None)
     # bool subclasses int: true/false only pass where the schema names bool
     types = tp if isinstance(tp, tuple) else (tp,)
-    if isinstance(value, bool) and bool not in types:
-        return False
-    return isinstance(value, types)
+    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        return None
+    return where, value
 
 
 def _type_name(tp):
+    if isinstance(tp, list):
+        return f"list of {_type_name(tp[0])}"
     if isinstance(tp, tuple):
         return "/".join(t.__name__ for t in tp)
     return tp.__name__
@@ -139,8 +149,9 @@ def _get(cfg, key, default=None):
 
 def _dataclass_schema(cls):
     """(schema, required keys) of a config dataclass: a float field also takes
-    an int, a tuple field takes a YAML list; fields without a default are required."""
-    schema = {f.name: {float: _NUM, tuple: list}.get(f.type, f.type) for f in fields(cls)}
+    an int, a tuple field takes a YAML list of numbers; fields without a default
+    are required."""
+    schema = {f.name: {float: _NUM, tuple: _NUMS}.get(f.type, f.type) for f in fields(cls)}
     required = tuple(f.name for f in fields(cls)
                      if f.default is MISSING and f.default_factory is MISSING)
     return schema, required
@@ -264,7 +275,7 @@ def _command(name, schema, required=()):
 
 # ------------------------------------------------------------ simulate
 
-_SIM_SCHEMA = {**_MODEL_SCHEMA, "ic": list, "final_time": _NUM, "dt": _NUM,
+_SIM_SCHEMA = {**_MODEL_SCHEMA, "ic": _NUMS, "final_time": _NUM, "dt": _NUM,
                "grid_points": int}
 
 
@@ -302,7 +313,7 @@ def simulate(cfg, out, seed):
 
 # ------------------------------------------------------------ sample
 
-_SAMPLE_SCHEMA = {**_MODEL_SCHEMA, "ic_box": list, "n_trajectories": int,
+_SAMPLE_SCHEMA = {**_MODEL_SCHEMA, "ic_box": [_NUMS], "n_trajectories": int,
                   "transient_time": _NUM, "sample_time": _NUM, "snapshot_stride": int,
                   "dt": _NUM, "seed": int}
 
@@ -332,7 +343,7 @@ def sample(cfg, out, seed):
 
 _TRAIN_SCHEMA = {
     "kind": str, "alias": str, "store": str, "data": str, **_MODEL_SCHEMA,
-    "n_low": int, "hidden": list, "latent_dim": int, "train": dict,  # networks
+    "n_low": int, "hidden": [int], "latent_dim": int, "train": dict,  # networks
     "center": bool,  # pod
     "n_eigs": int, "kernel_epsilon": _NUM, "prune": bool,  # dmap
     "residual_threshold": _NUM, "bandwidth_factor": _NUM,
@@ -372,7 +383,7 @@ def _fit_model(cfg, store, seed):
     if hidden is not None:
         tcfg = _from_dataclass(TrainConfig, cfg.get("train"), "train block", seed)
         hidden = tuple(_get(cfg, "hidden", hidden))
-        if not all(_is_type(n, int) and n > 0 for n in hidden):
+        if not all(n > 0 for n in hidden):
             raise ConfigurationError("train config: hidden must be positive integers")
     if "data" in needs:
         states = _read_snapshots(cfg["data"])
@@ -465,9 +476,9 @@ def train_cmd(cfg, out, seed):
 
 # ------------------------------------------------------------ postprocess, evaluate
 
-def _metrics_document(result, hashes):
+def _metrics_document(label, result, hashes):
     doc = {
-        "label": result.config.label(),
+        "label": label,
         "raw": asdict(result.raw_metrics),
         "corrected": asdict(result.corrected_metrics),
         "corrected_coeffs": result.corrected_coeffs.tolist(),
@@ -502,8 +513,8 @@ def _pipeline_command(cfg, out, seed, evaluate):
             [Series(result.x, result.u_truth, "truth"),
              Series(result.x, result.u_raw, "truncated"),
              Series(result.x, result.u_corrected, "corrected")],
-            title=f"u(x, T={result.config.final_time:g})", x_label="x", y_label="u",
-            provenance=result.config.label(),
+            title=f"u(x, T={pipeline.final_time:g})", x_label="x", y_label="u",
+            provenance=pipeline.label(),
         )
         outputs.append("overlay.svg")
         if evaluate:
@@ -514,7 +525,7 @@ def _pipeline_command(cfg, out, seed, evaluate):
                 provenance=pipeline.label(),
             )
             outputs.append("error_series.svg")
-    doc = _metrics_document(result, hashes)
+    doc = _metrics_document(pipeline.label(), result, hashes)
     (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _echo_kv("pipeline", doc["label"])
     _echo_kv("MAPE corrected", "%.17g" % doc["corrected"]["mape_final"])
@@ -536,7 +547,7 @@ def evaluate(cfg, out, seed):
 
 # ------------------------------------------------------------ ensemble
 
-_ENSEMBLE_SCHEMA = {"pipelines": list, "ic_box": list, "n_ic": int, "seed": int,
+_ENSEMBLE_SCHEMA = {"pipelines": [dict], "ic_box": [_NUMS], "n_ic": int, "seed": int,
                     "bins": int, "final_time": _NUM, "store": str, "artifacts": dict,
                     "plots": bool}
 

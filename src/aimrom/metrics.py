@@ -1,7 +1,7 @@
 """Error metrics and the four-term truncation/closure error decomposition."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,24 +128,22 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     Returns per-config final percent errors binned on a common grid.
     Initial conditions are drawn uniformly in ic_box; a run that fails
     numerically is recorded under failures and skipped in the histogram.
-    Each distinct truth is integrated once for all pipelines and initial
-    conditions.
+    final_time, when given, replaces each pipeline's.  Each distinct truth
+    is integrated once for all pipelines and initial conditions.
     """
     # local import: the pipeline runner scores with this module
-    from .rom import run_pipeline_batch
+    from .rom import run_pipelines
 
     if n_ic < 1:
         raise ValueError("n_ic must be positive")
     if bins < 1:
         raise ValueError("bins must be at least 1")
     ics = draw_in_box(ic_box, n_ic, seed)
+    if final_time is not None:
+        configs = [replace(cfg, final_time=float(final_time)) for cfg in configs]
 
     labels, samples, indices, failures = [], [], [], []
-    truths = {}
-    # each call checks its pipeline, so every one is checked before the first runs
-    batches = [run_pipeline_batch([cfg.with_ic(ic, final_time) for ic in ics], artifacts, truths)
-               for cfg in configs]
-    for cfg, batch in zip(configs, batches):
+    for cfg, batch in zip(configs, run_pipelines(configs, ics, artifacts)):
         errs, kept = [], []
         for k, result in enumerate(batch):
             if isinstance(result, NumericalFailure):

@@ -88,8 +88,7 @@ class TrainHistory:
     """Per-epoch mean squared error in raw data units.
 
     train_mse[e] is epoch e's mean mini-batch loss, each batch's taken before
-    its Adam step (it was once a second pass over the training split after
-    the epoch); val_mse[e] is the validation split's after epoch e, NaN
+    its Adam step; val_mse[e] is the validation split's after epoch e, NaN
     without one.
     """
 
@@ -358,55 +357,44 @@ def lead_submodel(mlp, k):
 
 
 _GRAD_TOL = 1e-12  # a descent stops once its squared gradient norm falls below this
+_MAX_ITERS = 200  # descent steps an inversion takes at most
 
 
-def decoder_invert(decoder, target_lead, candidates, max_iters=200):
-    """Solve argmin_L ||lead(decoder(L)) - target_lead||^2 by multi-start descent.
-
-    candidates holds the starts, one latent vector per row; each start runs
-    gradient descent with backtracking line search.  Returns the best latent
-    vector found.  Raises NumericalFailure if every start ends non-finite.
-    """
+def decoder_invert(decoder, target_lead, start):
+    """Solve argmin_L ||lead(decoder(L)) - target_lead||^2 by gradient descent with
+    backtracking line search from the latent vector start; returns the latent
+    vector found.  Raises NumericalFailure if the objective ends non-finite."""
     target = np.asarray(target_lead, dtype=float)
-    k = target.shape[0]
-    sub = lead_submodel(decoder, k)
-    cands = np.asarray(candidates, dtype=float)
-    if cands.ndim != 2 or cands.shape[1] != decoder.d_in:
-        raise ValueError("candidate width does not match the decoder input")
+    sub = lead_submodel(decoder, target.shape[0])
+    latent = np.array(start, dtype=float)
+    if latent.shape != (decoder.d_in,):
+        raise ValueError("start width does not match the decoder input")
 
     def objective(latent):
         r = forward(sub, latent) - target
         return float(r @ r)
 
-    best_l, best_val = None, np.inf
-    for start in cands:
-        latent = start.copy()
-        val = objective(latent)
-        step = 0.1
-        for _ in range(max_iters):
-            r = forward(sub, latent) - target
-            g = 2.0 * jacobian(sub, latent).T @ r
-            gnorm = float(g @ g)
-            if gnorm < _GRAD_TOL:
+    val = objective(latent)
+    step = 0.1
+    for _ in range(_MAX_ITERS):
+        r = forward(sub, latent) - target
+        g = 2.0 * jacobian(sub, latent).T @ r
+        if float(g @ g) < _GRAD_TOL:
+            break
+        # backtracking: shrink until the step actually decreases the objective
+        for _ in range(40):
+            trial = latent - step * g
+            tval = objective(trial)
+            if np.isfinite(tval) and tval < val:
+                latent, val = trial, tval
+                step *= 1.5
                 break
-            # backtracking: shrink until the step actually decreases the objective
-            improved = False
-            for _ in range(40):
-                trial = latent - step * g
-                tval = objective(trial)
-                if np.isfinite(tval) and tval < val:
-                    latent, val = trial, tval
-                    step *= 1.5
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if np.isfinite(val) and val < best_val:
-            best_l, best_val = latent, val
-    if best_l is None:
-        raise NumericalFailure("all descent starts failed to produce a finite objective")
-    return best_l
+            step *= 0.5
+        else:
+            break
+    if not np.isfinite(val):
+        raise NumericalFailure("decoder inversion did not reach a finite objective")
+    return latent
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ modes, and scores the assembled state against a ground-truth run from the
 same initial condition.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -19,7 +19,7 @@ from .metrics import MetricsBundle, decompose_errors, mape, mape_series, mse
 from .models import MODELS, VectorField, analytic_field, field_from_name
 from .nn import Autoencoder, Mlp, decoder_invert, forward, init_mlp, train
 from .pod import PodModel, pod_lift, pod_project
-from .spectral import reconstruct, uniform_grid
+from .spectral import GRID_POINTS, reconstruct, uniform_grid
 
 __all__ = [
     "ConfigurationError",
@@ -30,7 +30,7 @@ __all__ = [
     "build_derivative_dataset",
     "learn_field",
     "run_pipeline",
-    "run_pipeline_batch",
+    "run_pipelines",
     "validate_pipeline",
 ]
 
@@ -127,6 +127,16 @@ def learn_field(inputs, derivs, hidden, train_cfg, base=None):
     return LearnedField(kind=kind, dim=d, net=trained, base=base), hist
 
 
+def _full_ics(model, ics):
+    """The rows of ics at the model's full width: an n_low-wide row is zero-padded."""
+    n_low, n_full = MODELS[model].n_low, MODELS[model].n_full
+    if ics.shape[1] == n_low:
+        return np.pad(ics, ((0, 0), (0, n_full - n_low)))
+    if ics.shape[1] != n_full:
+        raise ConfigurationError(f"ic must have {n_low} or {n_full} components for model {model}")
+    return ics
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end run description.
@@ -144,30 +154,21 @@ class PipelineConfig:
     final_time: float
     dt: float
     nu: float = None
-    grid_points: int = 65
+    grid_points: int = GRID_POINTS
 
     def __post_init__(self):
         for key, table in (("model", MODELS), ("latent_route", ROUTES),
                            ("dynamics", DYNAMICS), ("closure", CLOSURES)):
             if getattr(self, key) not in table:
                 raise ConfigurationError(f"unknown {key.replace('_', ' ')}: {getattr(self, key)!r}")
-        spec = MODELS[self.model]
-        n_low, n_full = spec.n_low, spec.n_full
         try:
             ic = np.atleast_1d(np.asarray(self.ic, dtype=float))
         except (TypeError, ValueError):
             ic = None
         if ic is None or ic.ndim != 1:
             raise ConfigurationError("ic must be a flat list of numbers")
-        ic = tuple(float(v) for v in ic)
-        if len(ic) == n_low:
-            ic = ic + (0.0,) * (n_full - n_low)
-        if len(ic) != n_full:
-            raise ConfigurationError(
-                f"ic must have {n_low} or {n_full} components for model {self.model}"
-            )
-        object.__setattr__(self, "ic", ic)
-        object.__setattr__(self, "nu", float(spec.nu if self.nu is None else self.nu))
+        object.__setattr__(self, "ic", tuple(_full_ics(self.model, ic[None, :])[0].tolist()))
+        object.__setattr__(self, "nu", float(MODELS[self.model].nu if self.nu is None else self.nu))
         if self.final_time <= 0 or self.dt <= 0:
             raise ConfigurationError("final_time and dt must be positive")
         if self.grid_points < 2:
@@ -181,10 +182,6 @@ class PipelineConfig:
     def n_full(self):
         return MODELS[self.model].n_full
 
-    def with_ic(self, ic, final_time=None):
-        t = self.final_time if final_time is None else float(final_time)
-        return replace(self, ic=tuple(np.asarray(ic, dtype=float)), final_time=t)
-
     def label(self):
         return f"{self.model}/{self.latent_route}/{self.dynamics}/{self.closure}"
 
@@ -195,7 +192,6 @@ class PipelineResult:
     at the grid points x, error_series the raw run's percent error at each of
     reduced.times."""
 
-    config: PipelineConfig
     truth: object
     reduced: object
     corrected_coeffs: np.ndarray = field(repr=False)
@@ -290,55 +286,55 @@ def _build_closure(cfg, artifacts):
         raise ConfigurationError("autoencoder ambient width must match the full state")
 
     def inv_map(p):
-        starts = forward(ae.encoder, np.concatenate([p, np.zeros(n_high)]))[None, :]
-        latent = decoder_invert(ae.decoder, p, starts)
+        start = forward(ae.encoder, np.concatenate([p, np.zeros(n_high)]))
+        latent = decoder_invert(ae.decoder, p, start)
         return forward(ae.decoder, latent)[n_low:]
 
     return Closure(n_low=n_low, n_high=n_high, map=inv_map)
 
 
 def run_pipeline(cfg, artifacts):
-    """Integrate, close, and score one pipeline; returns a PipelineResult."""
-    (result,) = run_pipeline_batch([cfg], artifacts)
+    """Integrate, close, and score one pipeline from its ic; returns a PipelineResult."""
+    (result,) = run_pipelines([cfg], [cfg.ic], artifacts)[0]
     if isinstance(result, NumericalFailure):
         raise result
     return result
 
 
-def run_pipeline_batch(cfgs, artifacts, truths=None):
-    """Run one pipeline from several initial conditions.
+def run_pipelines(cfgs, ics, artifacts):
+    """Run each pipeline from every initial condition, one per row of ics.
 
-    cfgs are the pipeline's configs, alike but for ic; they are validated
-    by this call, before the generator it returns integrates anything.  The
-    truth and the reduced model are each integrated once, batched over the
-    initial conditions; closures and scores then run per initial condition.
-    A truths dict shares batched truth runs between calls, keyed by model,
-    nu, final_time, dt and the initial conditions.  Returns a generator
-    that yields, in order, each initial condition's PipelineResult or the
-    NumericalFailure that ended it.
+    Every pipeline, its artifacts and the rows (n_low or n_full wide) are
+    checked before anything is integrated.  Returns one generator per pipeline,
+    yielding in row order each row's PipelineResult or the NumericalFailure
+    that ended it.  Truth and reduced runs are batched over the rows, and
+    pipelines with the same truth share one run of it.
     """
-    checked = validate_pipeline(cfgs[0], artifacts)
-    return _run_batch(cfgs, {} if truths is None else truths, *checked)
+    rows = np.asarray(ics, dtype=float)
+    if rows.ndim != 2:
+        raise ConfigurationError("ics must hold one initial condition per row")
+    checked = [(cfg, _full_ics(cfg.model, rows), *validate_pipeline(cfg, artifacts))
+               for cfg in cfgs]
+    truth_runs = {}
+    return [_run_batch(truth_runs, *args) for args in checked]
 
 
-def _run_batch(cfgs, truths, reduced_field, closure, grid, coordinates):
-    cfg = cfgs[0]
+def _run_batch(truth_runs, cfg, ic_full, reduced_field, closure, grid, coordinates):
     starts, lift, split = coordinates
-    ic_full = np.array([c.ic for c in cfgs])
     key = (cfg.model, cfg.nu, cfg.final_time, cfg.dt, ic_full.tobytes())
-    if key not in truths:
-        truths[key] = rk4(analytic_field(cfg.model, cfg.n_full, cfg.nu), ic_full,
-                          cfg.final_time, cfg.dt)
-    truth = truths[key]
+    if key not in truth_runs:
+        truth_runs[key] = rk4(analytic_field(cfg.model, cfg.n_full, cfg.nu), ic_full,
+                              cfg.final_time, cfg.dt)
+    truth = truth_runs[key]
 
     live = np.flatnonzero(np.isnan(truth.blowup_times))
     # with no live truth, each row below raises its truth's blow-up first
     reduced = (rk4(reduced_field, starts(ic_full[live]), cfg.final_time, cfg.dt)
                if live.size else None)
 
-    for k, run_cfg in enumerate(cfgs):
+    for k in range(ic_full.shape[0]):
         try:
-            result = _score(run_cfg, truth.row(k), reduced.row(int(np.searchsorted(live, k))),
+            result = _score(cfg, truth.row(k), reduced.row(int(np.searchsorted(live, k))),
                             closure, lift, grid, split)
         except NumericalFailure as exc:
             result = exc
@@ -361,7 +357,6 @@ def _score(cfg, truth, reduced, closure, lift, grid, split):
     decomposition = (decompose_errors(truth.final_state, coeffs, reduced.dim,
                                       MODELS[cfg.model].length) if split else None)
     return PipelineResult(
-        config=cfg,
         truth=truth,
         reduced=reduced,
         corrected_coeffs=coeffs,

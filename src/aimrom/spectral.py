@@ -9,10 +9,12 @@ coefficients' 2-norm (Parseval).  A grid is a plain array of nodes in [0, L].
 
 import numpy as np
 
-__all__ = ["uniform_grid", "reconstruct"]
+__all__ = ["GRID_POINTS", "uniform_grid", "reconstruct"]
+
+GRID_POINTS = 65  # the node count of a grid whose caller sets none
 
 
-def uniform_grid(length, n_points=65):
+def uniform_grid(length, n_points=GRID_POINTS):
     """n_points uniform nodes on [0, length], endpoints included."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")

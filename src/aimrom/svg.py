@@ -25,7 +25,7 @@ class Series:
 
     x: np.ndarray
     y: np.ndarray
-    label: str = ""
+    label: str
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -72,7 +72,7 @@ def _fmt(v):
     return "%.6g" % v
 
 
-def line_plot(series, title="", x_label="", y_label="", provenance=""):
+def line_plot(series, title, x_label, y_label, provenance):
     """Render the series to a _WIDTH x _HEIGHT SVG document string."""
     if not series:
         raise ValueError("no series to plot")
@@ -92,7 +92,7 @@ def line_plot(series, title="", x_label="", y_label="", provenance=""):
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
-        f"<!-- provenance: {note} -->" if provenance else "<!-- provenance: none -->",
+        f"<!-- provenance: {note} -->",
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{px(x_lo):.2f}" y="{py(y_hi):.2f}" width="{box_w:.2f}" '
         f'height="{box_h:.2f}" fill="none" stroke="#444" stroke-width="1"/>',
@@ -124,35 +124,28 @@ def line_plot(series, title="", x_label="", y_label="", provenance=""):
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
     # legend, top-right inside the plot box
-    j = -1
     for i, s in enumerate(series):
-        if not s.label:
-            continue
-        j += 1
         color = _COLORS[i % len(_COLORS)]
         lx = _MARGIN["left"] + box_w - 150
-        ly = _MARGIN["top"] + 14 + 16 * j
+        ly = _MARGIN["top"] + 14 + 16 * i
         parts.append(
             f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 22:.2f}" '
             f'y2="{ly - 4:.2f}" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}">{_escape(s.label)}</text>')
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-size="14">{_escape(title)}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{_MARGIN["left"] + box_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" '
-            f'text-anchor="middle">{_escape(x_label)}</text>'
-        )
-    if y_label:
-        yl_x, yl_y = 16, _MARGIN["top"] + box_h / 2
-        parts.append(
-            f'<text x="{yl_x}" y="{yl_y:.2f}" text-anchor="middle" '
-            f'transform="rotate(-90 {yl_x} {yl_y:.2f})">{_escape(y_label)}</text>'
-        )
+    parts.append(
+        f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
+        f'font-size="14">{_escape(title)}</text>'
+    )
+    parts.append(
+        f'<text x="{_MARGIN["left"] + box_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" '
+        f'text-anchor="middle">{_escape(x_label)}</text>'
+    )
+    yl_x, yl_y = 16, _MARGIN["top"] + box_h / 2
+    parts.append(
+        f'<text x="{yl_x}" y="{yl_y:.2f}" text-anchor="middle" '
+        f'transform="rotate(-90 {yl_x} {yl_y:.2f})">{_escape(y_label)}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

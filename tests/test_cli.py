@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,7 +197,7 @@ def test_disconnected_kernel_exits_3(tmp_path):
 
 
 def test_decoder_inversion_failure_exits_3(tmp_path):
-    # a decoder whose output overflows the objective from every start
+    # a decoder whose output overflows the objective from the encoder's start
     ae = init_autoencoder(3, 2, (4,), seed=0)
     weights = (*ae.decoder.weights[:-1], np.full_like(ae.decoder.weights[-1], 1e300))
     ae = dataclasses.replace(ae, decoder=dataclasses.replace(ae.decoder, weights=weights))
@@ -207,7 +208,7 @@ def test_decoder_inversion_failure_exits_3(tmp_path):
     cfg = _write(tmp_path / "eval.yaml", doc)
     proc = _run_proc(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
     assert proc.returncode == 3
-    assert "numeric failure" in proc.stderr and "descent starts failed" in proc.stderr
+    assert "numeric failure" in proc.stderr and "did not reach a finite objective" in proc.stderr
 
 
 def test_numpys_own_linalg_error_exits_3_not_2(tmp_path, monkeypatch):
@@ -638,6 +639,13 @@ def test_hidden_rejects_booleans(tmp_path):
     doc = dict(_closure_doc(data, tmp_path / "store"), hidden=[True, 8])
     res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
     assert res.exit_code == 2, res.output
+    assert "key 'hidden' expects list of int, got bool at hidden[0]" in res.output
+
+
+def test_hidden_widths_must_be_positive(tmp_path):
+    doc = {"kind": "closure", "alias": "cl", "data": "absent.csv", "n_low": 2, "hidden": [8, 0]}
+    res = _invoke(["train", "--config", _write(tmp_path / "t.yaml", doc), "--out", tmp_path / "t"])
+    assert res.exit_code == 2, res.output
     assert "hidden must be positive integers" in res.output
 
 
@@ -772,7 +780,48 @@ def test_a_nested_ic_exits_2(tmp_path):
     res = _invoke(["evaluate", "--config", _write(tmp_path / "e.yaml", doc),
                    "--out", tmp_path / "out"])
     assert res.exit_code == 2, res.output
-    assert "pipeline block: ic must be a flat list of numbers" in res.output
+    assert "pipeline block (line 2): key 'ic' expects list of int/float, got list at ic[0]" \
+        in res.output
+
+
+_NUMS = "expects list of int/float"
+_BOX = "expects list of list of int/float"
+
+
+@pytest.mark.parametrize("command, doc, section, message", [
+    ("simulate", dict(SIM_DOC, ic=[1.0, {"a": 1}, 0.1]), "simulate config",
+     f"key 'ic' {_NUMS}, got dict at ic[1]"),
+    ("simulate", dict(SIM_DOC, ic=[1.0, True, 0.1]), "simulate config",
+     f"key 'ic' {_NUMS}, got bool at ic[1]"),
+    ("simulate", dict(SIM_DOC, ic=[1.0, "0.5", 0.1]), "simulate config",
+     f"key 'ic' {_NUMS}, got str at ic[1]"),
+    ("sample", dict(SAMPLE_DOC, ic_box=[[-1.2, {"a": 1}], [-0.6, 0.6], [-0.4, 0.4]]),
+     "sample config", f"key 'ic_box' {_BOX}, got dict at ic_box[0][1]"),
+    ("sample", dict(SAMPLE_DOC, ic_box=[[-1.2, 1.2], 0.6, [-0.4, 0.4]]), "sample config",
+     f"key 'ic_box' {_BOX}, got float at ic_box[1]"),
+    ("train", {"kind": "closure", "alias": "cl", "data": "absent.csv", "n_low": 2,
+               "hidden": [8, 2.5]}, "train config", "key 'hidden' expects list of int, "
+                                                    "got float at hidden[1]"),
+    ("evaluate", {"pipeline": dict(EVAL_PIPELINE, ic=[1.0, None, 0.1])}, "pipeline block",
+     f"key 'ic' {_NUMS}, got NoneType at ic[1]"),
+    ("postprocess", {"pipeline": dict(EVAL_PIPELINE, ic=[1.0, "0.5", 0.1])}, "pipeline block",
+     f"key 'ic' {_NUMS}, got str at ic[1]"),
+    ("ensemble", dict(ENSEMBLE_DOC, ic_box=[[0.5, 1.2], [-0.5, {"a": 1}], [-0.2, 0.2]]),
+     "ensemble config", f"key 'ic_box' {_BOX}, got dict at ic_box[1][1]"),
+    ("ensemble", dict(ENSEMBLE_DOC, pipelines=[EVAL_PIPELINE, "none"]), "ensemble config",
+     "key 'pipelines' expects list of dict, got str at pipelines[1]"),
+    ("ensemble", dict(ENSEMBLE_DOC, pipelines=[dict(EVAL_PIPELINE, ic=[1.0, True, 0.1])]),
+     r"pipelines\[0\]", f"key 'ic' {_NUMS}, got bool at ic[1]"),
+], ids=["simulate-mapping", "simulate-bool", "simulate-string", "sample-mapping",
+        "sample-flat-row", "train-hidden", "evaluate-null", "postprocess-string",
+        "ensemble-box", "ensemble-pipeline", "ensemble-pipeline-ic"])
+def test_a_list_element_of_the_wrong_type_exits_2_before_any_file_is_written(
+        tmp_path, command, doc, section, message):
+    res = _invoke([command, "--config", _write(tmp_path / "c.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert re.search(rf"{section} \(line \d+\): {re.escape(message)}", res.output), res.output
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_an_ensemble_checks_its_last_pipeline_before_any_run(tmp_path, monkeypatch):

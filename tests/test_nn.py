@@ -349,15 +349,17 @@ def test_decoder_invert_linear_decoder_matches_least_squares():
     dec = manual_mlp([w], [b])
     target = np.array([0.7, 1.1])
     expected = np.linalg.solve(w[:2], target - b[:2])
-    rng = np.random.default_rng(5)
-    found = decoder_invert(dec, target, rng.normal(size=(6, 2)), max_iters=800)
-    assert np.max(np.abs(found - expected)) < 1e-4
+    # each start alone reaches the answer within the descent's step budget
+    for start in np.random.default_rng(5).normal(size=(6, 2)):
+        found = decoder_invert(dec, target, start)
+        assert np.max(np.abs(found - expected)) < 1e-4
 
 
-def test_decoder_invert_rejects_bad_candidates():
+def test_decoder_invert_rejects_a_start_that_is_not_one_latent_vector():
     dec = init_mlp((2, 8, 3), seed=0)
-    with pytest.raises(ValueError):
-        decoder_invert(dec, np.array([0.1, 0.2]), np.zeros((3, 5)))
+    for start in (np.zeros(5), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="start width does not match the decoder input"):
+            decoder_invert(dec, np.array([0.1, 0.2]), start)
 
 
 def test_autoencoder_shapes_and_composition():

@@ -23,7 +23,7 @@ from aimrom.rom import (
     build_derivative_dataset,
     learn_field,
     run_pipeline,
-    run_pipeline_batch,
+    run_pipelines,
     validate_pipeline,
 )
 from aimrom.spectral import reconstruct, uniform_grid
@@ -352,13 +352,40 @@ def test_a_mismatched_closure_net_fails_an_ensemble_whose_truths_all_blow_up(mon
     assert calls == []
 
 
-def test_pipeline_label_and_with_ic():
-    cfg = base_cfg()
-    assert cfg.label() == "chafee/fourier/truncated/euler-galerkin"
-    moved = cfg.with_ic(np.array([0.5, 0.1, 0.0]), final_time=1.0)
-    assert moved.ic == (0.5, 0.1, 0.0)
-    assert moved.final_time == 1.0
-    assert cfg.final_time == 5.0
+def test_pipeline_label():
+    assert base_cfg().label() == "chafee/fourier/truncated/euler-galerkin"
+
+
+def test_each_pipeline_of_a_batch_equals_its_own_per_row_runs():
+    # the pipelines differ in closure and in final time, so neither may be run as the other
+    eg = base_cfg(final_time=1.0, dt=1e-2)
+    cfgs = [eg, replace(eg, closure="none", final_time=2.0)]
+    ics = draw_in_box(CHAFEE_BOX, 4, seed=3)
+    for cfg, batch in zip(cfgs, run_pipelines(cfgs, ics, {}), strict=True):
+        for ic, res in zip(ics, batch, strict=True):
+            solo = run_pipeline(replace(cfg, ic=ic), {})
+            assert res.truth.final_time == cfg.final_time
+            assert res.corrected_coeffs.tobytes() == solo.corrected_coeffs.tobytes()
+            assert res.error_series.tobytes() == solo.error_series.tobytes()
+            assert res.corrected_metrics == solo.corrected_metrics
+            assert res.raw_metrics == solo.raw_metrics
+            assert res.decomposition == solo.decomposition
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_an_ics_row_of_another_width_fails_before_any_integration(monkeypatch, width):
+    calls = _counting(monkeypatch, "rk4")
+    with pytest.raises(ConfigurationError, match="ic must have 2 or 3 components"):
+        run_pipelines([base_cfg(closure="none"), base_cfg()], np.zeros((3, width)), {})
+    assert calls == []
+
+
+def test_a_reduced_width_ics_row_is_zero_padded():
+    cfg = base_cfg(final_time=0.1, dt=1e-2)
+    (batch,) = run_pipelines([cfg], [(1.0, 0.5)], {})
+    (res,) = batch
+    solo = run_pipeline(replace(cfg, ic=(1.0, 0.5, 0.0)), {})
+    assert res.corrected_coeffs.tobytes() == solo.corrected_coeffs.tobytes()
 
 
 def test_truncated_euler_galerkin_pipeline_end_to_end():
@@ -385,7 +412,8 @@ def test_decoder_inversion_runs_once_per_scored_run(monkeypatch):
     assert res.decomposition is not None
     calls.clear()
     ics = [(1.0, 0.5, 0.1), (0.5, -0.3, 0.0), (-0.8, 0.2, 0.1)]
-    results = list(run_pipeline_batch([cfg.with_ic(ic) for ic in ics], artifacts))
+    (batch,) = run_pipelines([cfg], ics, artifacts)
+    results = list(batch)
     assert all(isinstance(r, PipelineResult) for r in results)
     assert len(calls) == 3
 
@@ -420,7 +448,8 @@ def test_zero_closure_is_plain_truncation(pod_artifacts):
               pod_artifacts)]
     for cfg, box, artifacts in cases:
         ics = draw_in_box(box, 10, seed=7)
-        for res in run_pipeline_batch([cfg.with_ic(ic) for ic in ics], artifacts):
+        (batch,) = run_pipelines([cfg], ics, artifacts)
+        for res in batch:
             assert not np.any(res.corrected_coeffs[cfg.n_low:])
             assert res.corrected_metrics == res.raw_metrics
             assert res.u_corrected.tobytes() == res.u_raw.tobytes()
@@ -545,7 +574,7 @@ def test_pod_route_matches_its_assembly_from_public_functions(pod_artifacts):
     cfg = base_cfg(latent_route="pod", dynamics="black-box", closure="mlp", final_time=2.0)
     ics = np.array([[1.0, 0.5, 0.1], [0.6, -0.3, 0.2], [-0.8, 0.2, -0.1]])
     cases = [([run_pipeline(cfg, pod_artifacts)], _pod_by_hand(cfg, pod_artifacts, ics[:1])),
-             (list(run_pipeline_batch([cfg.with_ic(ic) for ic in ics], pod_artifacts)),
+             (list(run_pipelines([cfg], ics, pod_artifacts)[0]),
               _pod_by_hand(cfg, pod_artifacts, ics))]
     for results, expected in cases:
         for res, parts in zip(results, expected, strict=True):
@@ -593,7 +622,7 @@ def test_batched_rk4_matches_per_row_for_learned_fields(kind, model, n_traj, see
         assert np.max(np.abs(batch.row(k).states - solo)) <= 1e-12 * np.max(np.abs(solo))
 
 
-def _per_ic_ensemble(configs, artifacts, ic_box, n_ic, seed, final_time=None):
+def _per_ic_ensemble(configs, artifacts, ic_box, n_ic, seed):
     """The ensemble as one run_pipeline per pipeline and initial condition."""
     box = np.asarray(ic_box, dtype=float)
     rng = np.random.default_rng(seed)
@@ -603,7 +632,7 @@ def _per_ic_ensemble(configs, artifacts, ic_box, n_ic, seed, final_time=None):
         errs = []
         for ic in ics:
             try:
-                errs.append(run_pipeline(cfg.with_ic(ic, final_time), artifacts)
+                errs.append(run_pipeline(replace(cfg, ic=ic), artifacts)
                             .corrected_metrics.mape_final)
             except BlowUpError:
                 pass
@@ -618,8 +647,8 @@ KS_BOX = [[-1.0, 1.0]] * 2 + [[-0.5, 0.5]] * 6
 
 @settings(max_examples=10, deadline=None)
 @given(model=st.sampled_from(["chafee", "ks"]), n_ic=st.integers(1, 5),
-       seed=st.integers(0, 2**16))
-def test_ensemble_equals_the_per_ic_pipeline_loop_bitwise(closure_net, model, n_ic, seed):
+       seed=st.integers(0, 2**16), halve=st.booleans())
+def test_ensemble_equals_the_per_ic_pipeline_loop_bitwise(closure_net, model, n_ic, seed, halve):
     if model == "chafee":
         eg = base_cfg(final_time=1.0, dt=1e-2)
         configs = [eg, replace(eg, closure="mlp"), replace(eg, closure="none")]
@@ -628,7 +657,12 @@ def test_ensemble_equals_the_per_ic_pipeline_loop_bitwise(closure_net, model, n_
         configs = [PipelineConfig("ks", "fourier", "truncated", "none", (0.0,) * 8, 0.01, 1e-4)]
         box = KS_BOX
     artifacts = {"closure-net": closure_net}
-    result = ensemble_histogram(configs, artifacts, box, n_ic=n_ic, seed=seed, bins=5)
+    # an ensemble's final_time replaces each pipeline's
+    final_time = configs[0].final_time / 2 if halve else None
+    result = ensemble_histogram(configs, artifacts, box, n_ic=n_ic, seed=seed, bins=5,
+                                final_time=final_time)
+    if halve:
+        configs = [replace(cfg, final_time=final_time) for cfg in configs]
     samples, failed = _per_ic_ensemble(configs, artifacts, box, n_ic, seed)
     assert result.failed == failed
     for got, want in zip(result.samples, samples):

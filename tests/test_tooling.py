@@ -1,14 +1,15 @@
 """Whole-package checks: the benchmark's tracer (perfbench/spans.py) still
-finds every name it wraps, every exported name exists, every exception class
-is an AimromError, README's route, dynamics and train-kind tables are
-the closures of rom.ROUTES, rom.DYNAMICS and cli.TRAIN_KINDS, and its
-command list is the CLI's commands."""
+finds every name it wraps and every argument its hooks read, every exported
+name exists, every exception class is an AimromError, README's route,
+dynamics and train-kind tables are the closures of rom.ROUTES, rom.DYNAMICS
+and cli.TRAIN_KINDS, and its command list is the CLI's commands."""
 
 import importlib
 import importlib.util
 import inspect
 import pkgutil
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import aimrom
 import aimrom.cli  # noqa: F401  (imports every module the tracer patches)
-from aimrom import AimromError, cli, models, rom
+from aimrom import AimromError, cli, dmaps, integrate, metrics, models, nn, rom, serialize
 from aimrom.aim import euler_galerkin_closure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +80,42 @@ def test_one_pipeline_run_records_its_postprocess_and_reconstruct_spans(spans):
     assert summary["rom.run_pipeline"][0] == 1
     assert summary["aim.postprocess"][0] == 1
     assert summary["spectral.reconstruct"][0] >= 1
+
+
+def test_each_argument_hook_tallies_its_hand_count(spans, tmp_path):
+    # the hooks read call arguments by name, so a renamed parameter breaks only a traced run
+    cfg = nn.TrainConfig(epochs=3, batch_size=8)
+    # at dt = 0.3 the 3-mode truth blows up from a3 >= 4; seed 5 draws one such start of 5
+    eg = rom.PipelineConfig("chafee", "fourier", "truncated", "euler-galerkin",
+                            (1.0, 0.5, 0.1), 3.0, 0.3)
+    pipelines = [eg, replace(eg, closure="none")]
+    store = serialize.ModelStore(tmp_path / "store")
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        integrate.rk4(models.analytic_field("chafee", 3), np.zeros(3), 1.05, 0.1)
+        nn.train(nn.init_mlp((2, 4, 1)), np.zeros((20, 2)), np.zeros((20, 1)), cfg)
+        nn.train_autoencoder(nn.init_autoencoder(3, 2, (4,)), np.zeros((10, 3)), cfg)
+        dm, _ = dmaps.select_independent(
+            dmaps.dmaps_fit(np.random.default_rng(0).normal(size=(30, 2)), n_eigs=3))
+        result = metrics.ensemble_histogram(pipelines, {}, [[-1.0, 1.0], [-1.0, 1.0],
+                                                            [-1.0, 5.0]], n_ic=5, seed=5)
+        serialize.write_table(tmp_path / "t.csv", ["a"], np.zeros((2, 1)))
+        serialize.write_manifest(tmp_path, {"command": "none"})
+        store.save(nn.init_mlp((2, 4, 1)), alias="net")
+    written = sum(f.stat().st_size for f in tmp_path.rglob("*") if f.is_file())
+    assert result.failed == (1, 1) and dm.kept_indices
+    assert dict(tracer.tally) == {
+        # 10 steps and a short tail; the ensemble's shared truth and its two
+        # reduced runs take 10 steps each
+        "integrate.rk4_steps": 11 + 3 * 10,
+        # 18 and 9 training rows after the 10% validation split: 3 and 2 batches
+        "nn.train_epochs": 3 + 3,
+        "nn.adam_steps": 3 * 3 + 3 * 2,
+        "dmaps.kept_coords": len(dm.kept_indices),
+        "metrics.pipelines_attempted": 2 * 5,
+        "metrics.pipelines_failed": 2,
+        "serialize.bytes_written": written,
+    }
 
 
 MODULES = [aimrom] + [importlib.import_module(f"aimrom.{m.name}")
