@@ -1,4 +1,4 @@
-"""Command surface: simulate, sample, train, postprocess, evaluate, ensemble.
+"""Command surface: simulate, sample, train, evaluate, ensemble.
 
 Every command reads a YAML config (schema-validated, unknown keys rejected,
 errors reported with the source line), writes its outputs plus a manifest
@@ -93,7 +93,7 @@ def _where(section, line):
 
 def _check(doc, schema, section, required=()):
     """Validate one mapping (or None): unknown keys rejected, types checked,
-    down to each element of a list.
+    down to each element of a list, and every number finite.
 
     None is always allowed (meaning "use the default"); returns the mapping
     as a plain dict.
@@ -112,6 +112,8 @@ def _check(doc, schema, section, required=()):
         if bad:
             where, part = bad
             got = "dict" if isinstance(part, dict) else type(part).__name__
+            if isinstance(part, float) and not np.isfinite(part):
+                got = f"non-finite {part}"
             raise ConfigurationError(
                 f"{_where(section, line)}: key {key!r} expects {_type_name(schema[key])}, "
                 f"got {got}" + (f" at {where}" if where != key else ""))
@@ -119,7 +121,7 @@ def _check(doc, schema, section, required=()):
 
 
 def _mismatch(value, tp, where):
-    """(where, part) for the first part of value that is not of type tp, else None."""
+    """(where, part) for the first part of value not of type tp or not finite, else None."""
     if isinstance(tp, list):
         if not isinstance(value, list):
             return where, value
@@ -128,7 +130,8 @@ def _mismatch(value, tp, where):
     # bool subclasses int: true/false only pass where the schema names bool
     types = tp if isinstance(tp, tuple) else (tp,)
     if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
-        return None
+        # YAML's .inf and .nan are floats, but no run can use one
+        return None if not isinstance(value, float) or np.isfinite(value) else (where, value)
     return where, value
 
 
@@ -474,7 +477,7 @@ def train_cmd(cfg, out, seed):
     return {"seed": seed, "outputs": outputs, "models": {cfg["alias"]: key}}
 
 
-# ------------------------------------------------------------ postprocess, evaluate
+# ------------------------------------------------------------ evaluate
 
 def _metrics_document(label, result, hashes):
     doc = {
@@ -492,21 +495,16 @@ def _metrics_document(label, result, hashes):
 _PIPELINE_SCHEMA = {"pipeline": dict, "store": str, "artifacts": dict, "plots": bool}
 
 
-def _pipeline_command(cfg, out, seed, evaluate):
-    """Run the configured pipeline; write the post-processed state (postprocess)
-    or the error series (evaluate), the plots and metrics.json."""
+@_command("evaluate", _PIPELINE_SCHEMA, required=("pipeline",))
+def evaluate(cfg, out, seed):
+    """Run a pipeline and write its metrics, error series, and plots."""
     pipeline = _from_dataclass(PipelineConfig, cfg["pipeline"], "pipeline block")
     artifacts, hashes = _load_artifacts(cfg, out)
     result = run_pipeline(pipeline, artifacts)
     times = result.reduced.times
-    if evaluate:
-        write_table(out / "error_series.csv", ["t", "percent_error"],
-                    np.column_stack([times, result.error_series]))
-        outputs = ["metrics.json", "error_series.csv"]
-    else:
-        header = [f"a{k}" for k in range(1, result.corrected_coeffs.shape[0] + 1)]
-        write_table(out / "corrected.csv", header, result.corrected_coeffs)
-        outputs = ["corrected.csv", "metrics.json"]
+    write_table(out / "error_series.csv", ["t", "percent_error"],
+                np.column_stack([times, result.error_series]))
+    outputs = ["metrics.json", "error_series.csv"]
     if _get(cfg, "plots", True):
         save_line_plot(
             out / "overlay.svg",
@@ -516,33 +514,19 @@ def _pipeline_command(cfg, out, seed, evaluate):
             title=f"u(x, T={pipeline.final_time:g})", x_label="x", y_label="u",
             provenance=pipeline.label(),
         )
-        outputs.append("overlay.svg")
-        if evaluate:
-            save_line_plot(
-                out / "error_series.svg",
-                [Series(times, result.error_series, "truncated")],
-                title="leading-mode percent error", x_label="t", y_label="% error",
-                provenance=pipeline.label(),
-            )
-            outputs.append("error_series.svg")
+        save_line_plot(
+            out / "error_series.svg",
+            [Series(times, result.error_series, "truncated")],
+            title="leading-mode percent error", x_label="t", y_label="% error",
+            provenance=pipeline.label(),
+        )
+        outputs += ["overlay.svg", "error_series.svg"]
     doc = _metrics_document(pipeline.label(), result, hashes)
     (out / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _echo_kv("pipeline", doc["label"])
     _echo_kv("MAPE corrected", "%.17g" % doc["corrected"]["mape_final"])
     _echo_kv("MAPE raw", "%.17g" % doc["raw"]["mape_final"])
     return {"seed": seed, "outputs": outputs, "models": hashes}
-
-
-@_command("postprocess", _PIPELINE_SCHEMA, required=("pipeline",))
-def postprocess(cfg, out, seed):
-    """Run a pipeline and write the post-processed state plus overlay plot."""
-    return _pipeline_command(cfg, out, seed, evaluate=False)
-
-
-@_command("evaluate", _PIPELINE_SCHEMA, required=("pipeline",))
-def evaluate(cfg, out, seed):
-    """Run a pipeline and write its metrics, error series, and plots."""
-    return _pipeline_command(cfg, out, seed, evaluate=True)
 
 
 # ------------------------------------------------------------ ensemble

@@ -92,8 +92,8 @@ def rk4(field_, a0, t_end, dt):
     a0 = np.asarray(a0, dtype=float)
     if a0.ndim not in (1, 2) or a0.shape[-1] != field_.dim:
         raise ValueError(f"initial state must have shape ({field_.dim},) or (n_traj, {field_.dim})")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0 < dt < np.inf and 0 < t_end < np.inf):
+        raise ValueError("dt and t_end must be positive and finite")
     if not np.all(np.isfinite(a0)):
         raise ValueError("initial state must be finite")
 

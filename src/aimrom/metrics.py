@@ -129,7 +129,8 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     Initial conditions are drawn uniformly in ic_box; a run that fails
     numerically is recorded under failures and skipped in the histogram.
     final_time, when given, replaces each pipeline's.  Each distinct truth
-    is integrated once for all pipelines and initial conditions.
+    and each distinct reduced run is integrated once for all pipelines and
+    initial conditions.
     """
     # local import: the pipeline runner scores with this module
     from .rom import run_pipelines

@@ -308,28 +308,32 @@ def run_pipelines(cfgs, ics, artifacts):
     checked before anything is integrated.  Returns one generator per pipeline,
     yielding in row order each row's PipelineResult or the NumericalFailure
     that ended it.  Truth and reduced runs are batched over the rows, and
-    pipelines with the same truth share one run of it.
+    each distinct truth and each distinct reduced run is integrated once.
     """
     rows = np.asarray(ics, dtype=float)
     if rows.ndim != 2:
         raise ConfigurationError("ics must hold one initial condition per row")
     checked = [(cfg, _full_ics(cfg.model, rows), *validate_pipeline(cfg, artifacts))
                for cfg in cfgs]
-    truth_runs = {}
-    return [_run_batch(truth_runs, *args) for args in checked]
+    runs = {}
+
+    def run(cfg, role, field_, a0):
+        # (model, nu, role) names the field exactly: role is "truth" or the
+        # dynamics, and one artifacts dict holds one dynamics-net
+        key = (cfg.model, cfg.nu, role, cfg.final_time, cfg.dt, a0.tobytes())
+        if key not in runs:
+            runs[key] = rk4(field_, a0, cfg.final_time, cfg.dt)
+        return runs[key]
+
+    return [_run_batch(run, *args) for args in checked]
 
 
-def _run_batch(truth_runs, cfg, ic_full, reduced_field, closure, grid, coordinates):
+def _run_batch(run, cfg, ic_full, reduced_field, closure, grid, coordinates):
     starts, lift, split = coordinates
-    key = (cfg.model, cfg.nu, cfg.final_time, cfg.dt, ic_full.tobytes())
-    if key not in truth_runs:
-        truth_runs[key] = rk4(analytic_field(cfg.model, cfg.n_full, cfg.nu), ic_full,
-                              cfg.final_time, cfg.dt)
-    truth = truth_runs[key]
-
+    truth = run(cfg, "truth", analytic_field(cfg.model, cfg.n_full, cfg.nu), ic_full)
     live = np.flatnonzero(np.isnan(truth.blowup_times))
     # with no live truth, each row below raises its truth's blow-up first
-    reduced = (rk4(reduced_field, starts(ic_full[live]), cfg.final_time, cfg.dt)
+    reduced = (run(cfg, cfg.dynamics, reduced_field, starts(ic_full[live]))
                if live.size else None)
 
     for k in range(ic_full.shape[0]):

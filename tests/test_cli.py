@@ -65,8 +65,17 @@ def test_importing_the_cli_loads_no_network_modules():
 def test_module_entry_point_shows_commands():
     proc = _run_proc(["--help"])
     assert proc.returncode == 0
-    for cmd in ("simulate", "sample", "train", "postprocess", "evaluate", "ensemble"):
+    for cmd in ("simulate", "sample", "train", "evaluate", "ensemble"):
         assert cmd in proc.stdout
+
+
+def test_postprocess_is_not_a_command(tmp_path):
+    # evaluate runs the same pipeline and writes the corrected state to metrics.json
+    cfg = _write(tmp_path / "pp.yaml", {"pipeline": EVAL_PIPELINE})
+    res = _invoke(["postprocess", "--config", cfg, "--out", tmp_path / "out"])
+    assert res.exit_code == 2
+    assert "No such command 'postprocess'" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_outputs(tmp_path):
@@ -385,15 +394,15 @@ def test_evaluate_writes_metrics_and_plots(tmp_path):
         assert text.startswith("<svg") and "provenance" in text
 
 
-def test_postprocess_writes_corrected_state(tmp_path):
-    cfg = _write(tmp_path / "pp.yaml", {"pipeline": EVAL_PIPELINE, "plots": False})
-    res = _invoke(["postprocess", "--config", cfg, "--out", tmp_path / "out"])
+def test_evaluate_without_plots_writes_the_corrected_state_and_no_svg(tmp_path):
+    cfg = _write(tmp_path / "eval.yaml", {"pipeline": EVAL_PIPELINE, "plots": False})
+    res = _invoke(["evaluate", "--config", cfg, "--out", tmp_path / "out"])
     assert res.exit_code == 0, res.output
-    header, data, _ = read_table(tmp_path / "out" / "corrected.csv")
-    assert header == ["a1", "a2", "a3"]
     doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
-    assert np.array_equal(data[0], np.asarray(doc["corrected_coeffs"]))
-    assert not (tmp_path / "out" / "overlay.svg").exists()
+    assert len(doc["corrected_coeffs"]) == rom.PipelineConfig(**EVAL_PIPELINE).n_full
+    assert not list((tmp_path / "out").glob("*.svg"))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["metrics.json", "error_series.csv"]
 
 
 def test_evaluate_missing_artifact_exits_4(tmp_path):
@@ -419,7 +428,7 @@ def test_evaluate_with_a_missing_store_exits_4_and_creates_nothing(tmp_path):
     assert not store.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "postprocess", "ensemble"])
+@pytest.mark.parametrize("command", ["evaluate", "ensemble"])
 def test_a_pipeline_check_error_names_its_block(tmp_path, command):
     bogus = dict(EVAL_PIPELINE, closure="bogus")
     if command == "ensemble":
@@ -452,7 +461,7 @@ def test_a_pipeline_seed_key_is_unknown(tmp_path):
     assert "unknown keys ['seed']" in res.output
 
 
-@pytest.mark.parametrize("command", ["postprocess", "evaluate"])
+@pytest.mark.parametrize("command", ["evaluate"])
 def test_a_pipeline_manifest_records_the_seed_override(tmp_path, command):
     cfg = _write(tmp_path / "eval.yaml", {"pipeline": dict(EVAL_PIPELINE, final_time=0.01)})
     for out, seed in (("a", []), ("b", ["--seed", "5"])):
@@ -546,7 +555,7 @@ def test_sample_ic_box_of_another_width_exits_2(tmp_path):
      "n_low"),
     ("train", {"kind": "pod", "alias": "p", "data": "absent.csv", "delta": True}, "delta"),
     ("evaluate", {"pipeline": dict(EVAL_PIPELINE, final_time=True)}, "final_time"),
-    ("postprocess", {"pipeline": dict(EVAL_PIPELINE, grid_points=True)}, "grid_points"),
+    ("evaluate", {"pipeline": dict(EVAL_PIPELINE, grid_points=True)}, "grid_points"),
     ("ensemble", dict(ENSEMBLE_DOC, n_ic=True), "n_ic"),
     ("ensemble", dict(ENSEMBLE_DOC, final_time=False), "final_time"),
 ])
@@ -804,7 +813,7 @@ _BOX = "expects list of list of int/float"
                                                     "got float at hidden[1]"),
     ("evaluate", {"pipeline": dict(EVAL_PIPELINE, ic=[1.0, None, 0.1])}, "pipeline block",
      f"key 'ic' {_NUMS}, got NoneType at ic[1]"),
-    ("postprocess", {"pipeline": dict(EVAL_PIPELINE, ic=[1.0, "0.5", 0.1])}, "pipeline block",
+    ("evaluate", {"pipeline": dict(EVAL_PIPELINE, ic=[1.0, "0.5", 0.1])}, "pipeline block",
      f"key 'ic' {_NUMS}, got str at ic[1]"),
     ("ensemble", dict(ENSEMBLE_DOC, ic_box=[[0.5, 1.2], [-0.5, {"a": 1}], [-0.2, 0.2]]),
      "ensemble config", f"key 'ic_box' {_BOX}, got dict at ic_box[1][1]"),
@@ -813,15 +822,55 @@ _BOX = "expects list of list of int/float"
     ("ensemble", dict(ENSEMBLE_DOC, pipelines=[dict(EVAL_PIPELINE, ic=[1.0, True, 0.1])]),
      r"pipelines\[0\]", f"key 'ic' {_NUMS}, got bool at ic[1]"),
 ], ids=["simulate-mapping", "simulate-bool", "simulate-string", "sample-mapping",
-        "sample-flat-row", "train-hidden", "evaluate-null", "postprocess-string",
+        "sample-flat-row", "train-hidden", "evaluate-null", "evaluate-string",
         "ensemble-box", "ensemble-pipeline", "ensemble-pipeline-ic"])
 def test_a_list_element_of_the_wrong_type_exits_2_before_any_file_is_written(
         tmp_path, command, doc, section, message):
-    res = _invoke([command, "--config", _write(tmp_path / "c.yaml", doc),
-                   "--out", tmp_path / "out"])
+    _exits_2_before_any_file(tmp_path, command, _write(tmp_path / "c.yaml", doc),
+                             section, message)
+
+
+def _exits_2_before_any_file(tmp_path, command, config, section, message):
+    res = _invoke([command, "--config", config, "--out", tmp_path / "out"])
     assert res.exit_code == 2, res.output
     assert re.search(rf"{section} \(line \d+\): {re.escape(message)}", res.output), res.output
     assert list((tmp_path / "out").iterdir()) == []
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("command, doc, section, message", [
+    ("simulate", dict(SIM_DOC, final_time=_INF), "simulate config",
+     "key 'final_time' expects int/float, got non-finite inf"),
+    ("simulate", dict(SIM_DOC, dt=_INF), "simulate config",
+     "key 'dt' expects int/float, got non-finite inf"),
+    ("simulate", dict(SIM_DOC, dt=_NAN), "simulate config",
+     "key 'dt' expects int/float, got non-finite nan"),
+    ("simulate", dict(SIM_DOC, ic=[1.0, _NAN, 0.1]), "simulate config",
+     f"key 'ic' {_NUMS}, got non-finite nan at ic[1]"),
+    ("sample", dict(SAMPLE_DOC, transient_time=_INF), "sample config",
+     "key 'transient_time' expects int/float, got non-finite inf"),
+    ("sample", dict(SAMPLE_DOC, ic_box=[[-_INF, 1.2], [-0.6, 0.6], [-0.4, 0.4]]),
+     "sample config", f"key 'ic_box' {_BOX}, got non-finite -inf at ic_box[0][0]"),
+    ("evaluate", {"pipeline": dict(EVAL_PIPELINE, final_time=_NAN)}, "pipeline block",
+     "key 'final_time' expects int/float, got non-finite nan"),
+    ("ensemble", dict(ENSEMBLE_DOC, pipelines=[dict(EVAL_PIPELINE, dt=_INF)]),
+     r"pipelines\[0\]", "key 'dt' expects int/float, got non-finite inf"),
+    ("ensemble", dict(ENSEMBLE_DOC, final_time=_NAN), "ensemble config",
+     "key 'final_time' expects int/float, got non-finite nan"),
+    ("train", {"kind": "closure", "alias": "cl", "data": "absent.csv", "n_low": 2,
+               "train": {"learning_rate": _NAN}}, "train block",
+     "key 'learning_rate' expects int/float, got non-finite nan"),
+], ids=["simulate-final-time", "simulate-dt-inf", "simulate-dt-nan", "simulate-ic",
+        "sample-transient-time", "sample-ic-box", "evaluate-final-time", "ensemble-dt",
+        "ensemble-final-time", "train-learning-rate"])
+def test_a_non_finite_number_exits_2_before_any_file_is_written(
+        tmp_path, command, doc, section, message):
+    # the config holds YAML's .inf or .nan, which load as floats no run can use
+    config = _write(tmp_path / "c.yaml", doc)
+    assert re.search(r"\.(inf|nan)\b", config.read_text())
+    _exits_2_before_any_file(tmp_path, command, config, section, message)
 
 
 def test_an_ensemble_checks_its_last_pipeline_before_any_run(tmp_path, monkeypatch):
@@ -836,7 +885,7 @@ def test_an_ensemble_checks_its_last_pipeline_before_any_run(tmp_path, monkeypat
     assert calls == [] and list((tmp_path / "out").iterdir()) == []
 
 
-COMMANDS = ("simulate", "sample", "train", "postprocess", "evaluate", "ensemble")
+COMMANDS = ("simulate", "sample", "train", "evaluate", "ensemble")
 
 
 @pytest.fixture(scope="module")
@@ -852,7 +901,6 @@ def frame_runs(tmp_path_factory):
         "simulate": SIM_DOC,
         "sample": SAMPLE_DOC,
         "train": train_doc,
-        "postprocess": pipeline,
         "evaluate": pipeline,
         "ensemble": dict(ENSEMBLE_DOC, pipelines=[pipeline["pipeline"]], plots=True,
                          store=store, artifacts=pipeline["artifacts"]),

@@ -68,6 +68,14 @@ def test_rk4_rejects_bad_arguments():
         rk4(field, np.array([np.nan]), 1.0, 0.1)
 
 
+@pytest.mark.parametrize("t_end, dt", [(1.0, np.inf), (1.0, np.nan), (np.inf, 0.1),
+                                       (np.nan, 0.1)])
+def test_rk4_rejects_a_non_finite_step_or_final_time(t_end, dt):
+    # an infinite dt once returned the initial state alone, at t = nan
+    with pytest.raises(ValueError, match="dt and t_end must be positive and finite"):
+        rk4(scalar_field(lambda x: -x), np.array([1.0]), t_end, dt)
+
+
 def test_rk4_blowup_reports_time():
     field = scalar_field(lambda x: x * x)  # finite-time blow-up at t = 1 for x0 = 1
     with pytest.raises(BlowUpError) as err:

@@ -352,6 +352,28 @@ def test_a_mismatched_closure_net_fails_an_ensemble_whose_truths_all_blow_up(mon
     assert calls == []
 
 
+def test_an_ensemble_integrates_each_distinct_run_once(monkeypatch, closure_net):
+    eg = base_cfg(final_time=0.5, dt=1e-2)
+    artifacts = {"closure-net": closure_net,
+                 "dynamics-net": LearnedField("black-box", 2, init_mlp((2, 8, 2), seed=0))}
+    box = [[0.5, 1.2], [-0.5, 0.5], [-0.2, 0.2]]
+    calls = _counting(monkeypatch, "rk4")
+
+    def runs(configs):
+        calls.clear()
+        ensemble_histogram(configs, artifacts, box, n_ic=3, seed=5)
+        return [(field_.dim, t_end) for field_, _, t_end, _ in calls]
+
+    # pipelines that differ only in closure share the truth and the reduced run
+    assert runs([eg, replace(eg, closure="mlp"), replace(eg, closure="none")]) == [
+        (3, 0.5), (2, 0.5)]
+    # another dynamics is another field, another final time another run
+    assert runs([eg, replace(eg, dynamics="black-box", closure="none")]) == [
+        (3, 0.5), (2, 0.5), (2, 0.5)]
+    assert runs([eg, replace(eg, final_time=0.25)]) == [
+        (3, 0.5), (2, 0.5), (3, 0.25), (2, 0.25)]
+
+
 def test_pipeline_label():
     assert base_cfg().label() == "chafee/fourier/truncated/euler-galerkin"
 

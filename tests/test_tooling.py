@@ -105,9 +105,9 @@ def test_each_argument_hook_tallies_its_hand_count(spans, tmp_path):
     written = sum(f.stat().st_size for f in tmp_path.rglob("*") if f.is_file())
     assert result.failed == (1, 1) and dm.kept_indices
     assert dict(tracer.tally) == {
-        # 10 steps and a short tail; the ensemble's shared truth and its two
-        # reduced runs take 10 steps each
-        "integrate.rk4_steps": 11 + 3 * 10,
+        # 10 steps and a short tail; the ensemble's truth and the reduced run
+        # its two pipelines share take 10 steps each
+        "integrate.rk4_steps": 11 + 2 * 10,
         # 18 and 9 training rows after the 10% validation split: 3 and 2 batches
         "nn.train_epochs": 3 + 3,
         "nn.adam_steps": 3 * 3 + 3 * 2,
