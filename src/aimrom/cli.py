@@ -532,8 +532,7 @@ def evaluate(cfg, out, seed):
 # ------------------------------------------------------------ ensemble
 
 _ENSEMBLE_SCHEMA = {"pipelines": [dict], "ic_box": [_NUMS], "n_ic": int, "seed": int,
-                    "bins": int, "final_time": _NUM, "store": str, "artifacts": dict,
-                    "plots": bool}
+                    "bins": int, "store": str, "artifacts": dict, "plots": bool}
 
 
 @_command("ensemble", _ENSEMBLE_SCHEMA, required=("pipelines", "ic_box", "n_ic"))
@@ -552,7 +551,7 @@ def ensemble(cfg, out, seed):
     seed = seed if seed is not None else _get(cfg, "seed", 0)
     result = ensemble_histogram(
         configs, artifacts, np.asarray(cfg["ic_box"], dtype=float),
-        n_ic=cfg["n_ic"], seed=seed, **_given(cfg, "bins", "final_time"),
+        n_ic=cfg["n_ic"], seed=seed, **_given(cfg, "bins"),
     )
     write_long_samples(out / "samples.csv", result.labels, result.samples, result.ic_indices)
     write_histogram_csv(out / "histogram.csv", result.labels,

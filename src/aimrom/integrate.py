@@ -84,10 +84,10 @@ def rk4(field_, a0, t_end, dt):
     if t_end is not an integer multiple of dt.  Returns the dense trajectory.
 
     a0 is one state (dim,) or a batch (n_traj, dim) stepped together, each
-    row with the same arithmetic as a run of its own.  A single run raises
-    BlowUpError when its state stops being finite; in a batch the row is
-    dropped from the stepping and its time recorded in blowup_times.  The
-    field is called on (rows, dim) arrays, a single run being one row.
+    row with the same arithmetic as a run of its own.  A row that stops
+    being finite is dropped from the stepping and its time recorded in
+    blowup_times; a single run returns its 1-row batch's row(0), which then
+    raises BlowUpError.  The field is called on (rows, dim) arrays.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.ndim not in (1, 2) or a0.shape[-1] != field_.dim:
@@ -134,11 +134,8 @@ def rk4(field_, a0, t_end, dt):
                 states[i] = a
             else:
                 states[i, live] = a
-    if a0.ndim == 1:
-        if not np.isnan(blowup[0]):
-            raise BlowUpError(time=blowup[0])
-        return Trajectory(times=times, states=states[:, 0])
-    return Trajectory(times=times, states=states, blowup_times=blowup)
+    traj = Trajectory(times=times, states=states, blowup_times=blowup)
+    return traj.row(0) if a0.ndim == 1 else traj
 
 
 def _box(ic_box):
@@ -185,8 +182,12 @@ def sample_attractor(field_, ic_box, n_trajectories, transient_time, sample_time
         raise ValueError("n_trajectories must be positive")
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be positive")
-    if transient_time < 0 or sample_time <= 0:
-        raise ValueError("transient_time must be >= 0 and sample_time > 0")
+    if not 0 <= transient_time < np.inf:
+        raise ValueError(f"transient_time must be >= 0 and finite, got {transient_time}")
+    if not 0 < sample_time < np.inf:
+        raise ValueError(f"sample_time must be > 0 and finite, got {sample_time}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
     if box.shape[0] != field_.dim:
         raise ValueError(f"ic_box has {box.shape[0]} rows but the field has dimension {field_.dim}")
     ics = draw_in_box(box, n_trajectories, seed)

@@ -1,7 +1,7 @@
 """Error metrics and the four-term truncation/closure error decomposition."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,15 +122,15 @@ class EnsembleResult:
     failures: tuple = ()
 
 
-def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_time=None):
+def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20):
     """Run each pipeline over one shared set of seeded initial conditions.
 
     Returns per-config final percent errors binned on a common grid.
     Initial conditions are drawn uniformly in ic_box; a run that fails
     numerically is recorded under failures and skipped in the histogram.
-    final_time, when given, replaces each pipeline's.  Each distinct truth
-    and each distinct reduced run is integrated once for all pipelines and
-    initial conditions.
+    Each pipeline runs to its own final_time.  Each distinct truth and each
+    distinct reduced run is integrated once for all pipelines and initial
+    conditions.
     """
     # local import: the pipeline runner scores with this module
     from .rom import run_pipelines
@@ -140,8 +140,6 @@ def ensemble_histogram(configs, artifacts, ic_box, n_ic, seed, bins=20, final_ti
     if bins < 1:
         raise ValueError("bins must be at least 1")
     ics = draw_in_box(ic_box, n_ic, seed)
-    if final_time is not None:
-        configs = [replace(cfg, final_time=float(final_time)) for cfg in configs]
 
     labels, samples, indices, failures = [], [], [], []
     for cfg, batch in zip(configs, run_pipelines(configs, ics, artifacts)):

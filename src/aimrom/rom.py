@@ -169,8 +169,8 @@ class PipelineConfig:
             raise ConfigurationError("ic must be a flat list of numbers")
         object.__setattr__(self, "ic", tuple(_full_ics(self.model, ic[None, :])[0].tolist()))
         object.__setattr__(self, "nu", float(MODELS[self.model].nu if self.nu is None else self.nu))
-        if self.final_time <= 0 or self.dt <= 0:
-            raise ConfigurationError("final_time and dt must be positive")
+        if not (0 < self.final_time < np.inf and 0 < self.dt < np.inf):
+            raise ConfigurationError("final_time and dt must be positive and finite")
         if self.grid_points < 2:
             raise ConfigurationError("grid_points must be at least 2")
 
@@ -307,8 +307,8 @@ def run_pipelines(cfgs, ics, artifacts):
     Every pipeline, its artifacts and the rows (n_low or n_full wide) are
     checked before anything is integrated.  Returns one generator per pipeline,
     yielding in row order each row's PipelineResult or the NumericalFailure
-    that ended it.  Truth and reduced runs are batched over the rows, and
-    each distinct truth and each distinct reduced run is integrated once.
+    that ended it (a blown-up truth's BlowUpError first).  Truth and reduced
+    runs are batched over all rows, each distinct one integrated once.
     """
     rows = np.asarray(ics, dtype=float)
     if rows.ndim != 2:
@@ -329,17 +329,14 @@ def run_pipelines(cfgs, ics, artifacts):
 
 
 def _run_batch(run, cfg, ic_full, reduced_field, closure, grid, coordinates):
+    """Each row's result or failure; truth and reduced run start from every row."""
     starts, lift, split = coordinates
     truth = run(cfg, "truth", analytic_field(cfg.model, cfg.n_full, cfg.nu), ic_full)
-    live = np.flatnonzero(np.isnan(truth.blowup_times))
-    # with no live truth, each row below raises its truth's blow-up first
-    reduced = (run(cfg, cfg.dynamics, reduced_field, starts(ic_full[live]))
-               if live.size else None)
+    reduced = run(cfg, cfg.dynamics, reduced_field, starts(ic_full))
 
     for k in range(ic_full.shape[0]):
         try:
-            result = _score(cfg, truth.row(k), reduced.row(int(np.searchsorted(live, k))),
-                            closure, lift, grid, split)
+            result = _score(cfg, truth.row(k), reduced.row(k), closure, lift, grid, split)
         except NumericalFailure as exc:
             result = exc
         yield result

@@ -15,7 +15,7 @@ import aimrom
 from aimrom import rom
 from aimrom.cli import TRAIN_KINDS, main
 from aimrom.dmaps import dmaps_fit, gh_fit, select_independent
-from aimrom.nn import TrainConfig, init_autoencoder, init_mlp, train
+from aimrom.nn import TrainConfig, init_autoencoder, init_mlp, train, train_autoencoder
 from aimrom.pod import pod_fit
 from aimrom.serialize import ModelStore, model_to_dict, read_table, write_table
 
@@ -322,6 +322,24 @@ def test_seed_override_changes_hash(tmp_path):
     assert _hash_from(res1.output) != _hash_from(res2.output)
 
 
+def test_train_autoencoder_stores_the_library_fit(tmp_path):
+    data = _sampled(tmp_path)
+    store = ModelStore(tmp_path / "store")
+    doc = {"kind": "autoencoder", "alias": "ae", "data": str(data), "store": str(store.root),
+           "latent_dim": 2, "hidden": [8], "train": {"epochs": 4, "batch_size": 16, "seed": 3}}
+    res = _invoke(["train", "--config", _write(tmp_path / "ae.yaml", doc),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 0, res.output
+    states = read_table(data)[1][:, 2:]
+    want, history = train_autoencoder(init_autoencoder(3, 2, (8,), seed=3), states,
+                                      TrainConfig(epochs=4, batch_size=16, seed=3))
+    assert model_to_dict(store.load("ae")) == model_to_dict(want)
+    header, loss, _ = read_table(tmp_path / "out" / "loss.csv")
+    assert header == ["epoch", "train_mse", "val_mse"]
+    assert loss[:, 0].tolist() == [1, 2, 3, 4]
+    assert loss[:, 1].tobytes() == np.asarray(history.train_mse).tobytes()
+
+
 def test_train_pod_writes_energy(tmp_path):
     data = _sampled(tmp_path)
     doc = {"kind": "pod", "alias": "pod", "data": str(data), "store": str(tmp_path / "store")}
@@ -557,7 +575,8 @@ def test_sample_ic_box_of_another_width_exits_2(tmp_path):
     ("evaluate", {"pipeline": dict(EVAL_PIPELINE, final_time=True)}, "final_time"),
     ("evaluate", {"pipeline": dict(EVAL_PIPELINE, grid_points=True)}, "grid_points"),
     ("ensemble", dict(ENSEMBLE_DOC, n_ic=True), "n_ic"),
-    ("ensemble", dict(ENSEMBLE_DOC, final_time=False), "final_time"),
+    ("ensemble", dict(ENSEMBLE_DOC, pipelines=[dict(EVAL_PIPELINE, final_time=False)]),
+     "final_time"),
 ])
 def test_numeric_keys_reject_booleans(tmp_path, command, doc, key):
     # isinstance(True, int) holds, so the schema check must rule bools out itself
@@ -857,8 +876,8 @@ _INF, _NAN = float("inf"), float("nan")
      "key 'final_time' expects int/float, got non-finite nan"),
     ("ensemble", dict(ENSEMBLE_DOC, pipelines=[dict(EVAL_PIPELINE, dt=_INF)]),
      r"pipelines\[0\]", "key 'dt' expects int/float, got non-finite inf"),
-    ("ensemble", dict(ENSEMBLE_DOC, final_time=_NAN), "ensemble config",
-     "key 'final_time' expects int/float, got non-finite nan"),
+    ("ensemble", dict(ENSEMBLE_DOC, pipelines=[dict(EVAL_PIPELINE, final_time=_INF)]),
+     r"pipelines\[0\]", "key 'final_time' expects int/float, got non-finite inf"),
     ("train", {"kind": "closure", "alias": "cl", "data": "absent.csv", "n_low": 2,
                "train": {"learning_rate": _NAN}}, "train block",
      "key 'learning_rate' expects int/float, got non-finite nan"),
@@ -882,6 +901,18 @@ def test_an_ensemble_checks_its_last_pipeline_before_any_run(tmp_path, monkeypat
                    "--out", tmp_path / "out"])
     assert res.exit_code == 4, res.output
     assert "pipeline needs artifact 'closure-net'" in res.output
+    assert calls == [] and list((tmp_path / "out").iterdir()) == []
+
+
+def test_an_ensemble_final_time_is_an_unknown_key_before_any_run(tmp_path, monkeypatch):
+    # each pipeline block sets its own final_time; the ensemble has no second one
+    calls = []
+    monkeypatch.setattr(rom, "rk4", lambda *args: calls.append(args))
+    res = _invoke(["ensemble", "--config", _write(tmp_path / "ens.yaml",
+                                                  dict(ENSEMBLE_DOC, final_time=0.5)),
+                   "--out", tmp_path / "out"])
+    assert res.exit_code == 2, res.output
+    assert re.search(r"ensemble config \(line \d+\): unknown keys \['final_time'\]", res.output)
     assert calls == [] and list((tmp_path / "out").iterdir()) == []
 
 

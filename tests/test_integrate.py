@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aimrom import integrate
 from aimrom.integrate import (
     BlowUpError,
     Trajectory,
@@ -161,6 +163,49 @@ def test_sampler_config_validation():
         sample_attractor(field, [[1.0, 0.0]], 1, 0.0, 1.0, 1, 1e-3)
     with pytest.raises(ValueError, match="snapshot_stride must be positive"):
         sample_attractor(field, [[0.0, 1.0]], 1, 0.0, 1.0, 0, 1e-3)
+
+
+@pytest.mark.parametrize("times, message", [
+    (dict(dt=0.0), "dt must be > 0 and finite, got 0.0"),
+    (dict(dt=np.nan), "dt must be > 0 and finite, got nan"),
+    (dict(transient_time=np.inf), "transient_time must be >= 0 and finite, got inf"),
+    (dict(transient_time=np.nan), "transient_time must be >= 0 and finite, got nan"),
+    (dict(sample_time=np.nan), "sample_time must be > 0 and finite, got nan"),
+    (dict(sample_time=np.inf), "sample_time must be > 0 and finite, got inf"),
+], ids=["dt-zero", "dt-nan", "transient-inf", "transient-nan", "sample-nan", "sample-inf"])
+def test_sampler_names_a_bad_time_before_the_draw(monkeypatch, times, message):
+    calls = []
+    monkeypatch.setattr(integrate, "draw_in_box", lambda *args: calls.append(args))
+    plan = {"transient_time": 0.1, "sample_time": 0.1, "dt": 0.01, **times}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_attractor(analytic_field("chafee", 3, 0.16), [[-1.2, 1.2], [-0.6, 0.6],
+                                                             [-0.4, 0.4]], 2, snapshot_stride=1,
+                         **plan)
+    assert calls == []
+
+
+def test_sampler_results_do_not_depend_on_the_chunking(monkeypatch):
+    # blow up only when started above x = 1: seed 0 draws 4, 5, 7 and 9 there
+    field = VectorField(1, lambda a: np.where(a > 1.0, a**3, -a))
+    plan = dict(ic_box=[[0.5, 1.2]], n_trajectories=10, transient_time=0.5, sample_time=5.0,
+                snapshot_stride=3, dt=0.05, seed=0)
+    whole = sample_attractor(field, **plan)
+    rows = []
+    real = integrate.rk4
+
+    def counted(field_, a0, t_end, dt):
+        rows.append(len(a0))
+        return real(field_, a0, t_end, dt)
+
+    monkeypatch.setattr(integrate, "rk4", counted)
+    # a trajectory of 112 one-component states takes 896 bytes: 3 fit a chunk
+    monkeypatch.setattr(integrate, "_BATCH_BYTES", 3 * 896 + 400)
+    chunked = sample_attractor(field, **plan)
+    assert rows == [3, 3, 3, 1]
+    assert chunked.failed_ids == whole.failed_ids == (4, 5, 7, 9)
+    for name in ("states", "traj_ids", "times"):
+        assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert set(whole.traj_ids.tolist()) == {0, 1, 2, 3, 6, 8}
 
 
 def test_rk4_rejects_a_field_that_changes_the_shape():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aimrom.aim import Closure, euler_galerkin_closure, postprocess
-from aimrom.dmaps import gh_fit
+from aimrom.dmaps import gh_extend, gh_fit
 from aimrom.integrate import BlowUpError, draw_in_box, rk4, sample_attractor
 from aimrom.metrics import ensemble_histogram, mape_series
 from aimrom.models import MODELS, VectorField, analytic_field, chafee_rhs_3
@@ -174,6 +174,16 @@ def test_pipeline_config_rejects_bad_values():
         base_cfg(grid_points=1)
 
 
+@pytest.mark.parametrize("key, value", [("final_time", np.inf), ("final_time", np.nan),
+                                        ("dt", np.inf), ("dt", np.nan)])
+def test_a_non_finite_time_is_a_configuration_error_before_any_run(monkeypatch, key, value):
+    # checked on construction, so no pipeline of an ensemble runs before a bad one is found
+    calls = _counting(monkeypatch, "rk4")
+    with pytest.raises(ConfigurationError, match="final_time and dt must be positive and finite"):
+        replace(base_cfg(final_time=0.1, dt=0.01), **{key: value})
+    assert calls == []
+
+
 def test_the_decomposition_does_not_depend_on_the_grid():
     # it is exact from the coefficients, so a 5-node grid gives the 65-node bits
     coarse, fine = (run_pipeline(base_cfg(final_time=1.0, dt=1e-2, grid_points=n), {})
@@ -306,6 +316,16 @@ def test_a_mismatched_artifact_width_fails_before_any_integration(monkeypatch, c
     with pytest.raises(ConfigurationError, match=message):
         run_pipeline(base_cfg(**cfg), artifacts)
     assert calls == []
+
+
+def test_a_double_dmaps_pipeline_closes_through_its_latent_map_and_lift():
+    latent_map, lift = init_mlp((2, 8, 2), seed=0), _lift(2, 3)
+    res = run_pipeline(base_cfg(final_time=0.5, dt=1e-2, **DD_CFG),
+                       {"latent-map": latent_map, "lift": lift})
+    tail = gh_extend(lift, forward(latent_map, res.reduced.final_state))[2:]
+    assert res.corrected_coeffs[:2].tobytes() == res.reduced.final_state.tobytes()
+    assert res.corrected_coeffs[2:].tobytes() == tail.tobytes()
+    assert np.all(tail != 0.0)
 
 
 # for each role, a pipeline that reads it and the artifacts it reads before it
@@ -669,8 +689,8 @@ KS_BOX = [[-1.0, 1.0]] * 2 + [[-0.5, 0.5]] * 6
 
 @settings(max_examples=10, deadline=None)
 @given(model=st.sampled_from(["chafee", "ks"]), n_ic=st.integers(1, 5),
-       seed=st.integers(0, 2**16), halve=st.booleans())
-def test_ensemble_equals_the_per_ic_pipeline_loop_bitwise(closure_net, model, n_ic, seed, halve):
+       seed=st.integers(0, 2**16))
+def test_ensemble_equals_the_per_ic_pipeline_loop_bitwise(closure_net, model, n_ic, seed):
     if model == "chafee":
         eg = base_cfg(final_time=1.0, dt=1e-2)
         configs = [eg, replace(eg, closure="mlp"), replace(eg, closure="none")]
@@ -679,12 +699,7 @@ def test_ensemble_equals_the_per_ic_pipeline_loop_bitwise(closure_net, model, n_
         configs = [PipelineConfig("ks", "fourier", "truncated", "none", (0.0,) * 8, 0.01, 1e-4)]
         box = KS_BOX
     artifacts = {"closure-net": closure_net}
-    # an ensemble's final_time replaces each pipeline's
-    final_time = configs[0].final_time / 2 if halve else None
-    result = ensemble_histogram(configs, artifacts, box, n_ic=n_ic, seed=seed, bins=5,
-                                final_time=final_time)
-    if halve:
-        configs = [replace(cfg, final_time=final_time) for cfg in configs]
+    result = ensemble_histogram(configs, artifacts, box, n_ic=n_ic, seed=seed, bins=5)
     samples, failed = _per_ic_ensemble(configs, artifacts, box, n_ic, seed)
     assert result.failed == failed
     for got, want in zip(result.samples, samples):
@@ -708,6 +723,19 @@ def test_a_truth_blowup_fails_that_initial_condition_in_every_pipeline(closure_n
     assert failed == result.failed
     for got, want in zip(result.samples, samples):
         assert got.tobytes() == want.tobytes()
+
+
+def test_the_reduced_run_starts_from_every_row_when_a_truth_blows_up(monkeypatch):
+    # the box and seed of the test above: the truth blows up on one of 5 rows
+    box = [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 5.0]]
+    ics = draw_in_box(box, 5, seed=5)
+    calls = _counting(monkeypatch, "rk4")
+    (batch,) = run_pipelines([base_cfg(final_time=3.0, dt=0.3)], ics, {})
+    results = list(batch)
+    assert [isinstance(r, BlowUpError) for r in results].count(True) == 1
+    (_, truth_starts, *_), (_, reduced_starts, *_) = calls
+    assert np.array_equal(truth_starts, ics)
+    assert np.array_equal(reduced_starts, ics[:, :2])
 
 
 def test_an_ensemble_records_each_initial_condition_whose_closure_overflows():

@@ -2,7 +2,8 @@
 finds every name it wraps and every argument its hooks read, every exported
 name exists, every exception class is an AimromError, README's route,
 dynamics and train-kind tables are the closures of rom.ROUTES, rom.DYNAMICS
-and cli.TRAIN_KINDS, and its command list is the CLI's commands."""
+and cli.TRAIN_KINDS, its command list is the CLI's commands, and its example
+configs pass their commands' schemas and run in order."""
 
 import importlib
 import importlib.util
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from click.testing import CliRunner
 
 import aimrom
 import aimrom.cli  # noqa: F401  (imports every module the tracer patches)
@@ -184,3 +187,24 @@ def test_every_train_kind_key_is_in_the_train_schema_and_every_schema_key_is_use
     used = {key for needs, reads, _ in cli.TRAIN_KINDS.values() for key in needs + reads}
     assert used <= set(cli._TRAIN_SCHEMA)
     assert set(cli._TRAIN_SCHEMA) - used == {"kind", "alias", "store"}
+
+
+def test_readme_examples_pass_their_schemas_and_run_in_order(tmp_path, monkeypatch):
+    # README gives each config as a "# <name>.yaml" block and each run as an
+    # "aimrom <command> --config <name>.yaml --out <dir>" line
+    readme = (ROOT / "README.md").read_text()
+    configs = dict(re.findall(r"^```yaml\n# ([\w-]+\.yaml)\n(.*?)^```", readme, re.M | re.S))
+    runs = re.findall(r"^aimrom ([\w-]+) --config ([\w-]+\.yaml) --out (\S+)$", readme, re.M)
+    assert [command for command, _, _ in runs] == list(cli.main.commands)
+    assert sorted(name for _, name, _ in runs) == sorted(configs)
+    schemas = {"simulate": cli._SIM_SCHEMA, "sample": cli._SAMPLE_SCHEMA,
+               "train": cli._TRAIN_SCHEMA, "evaluate": cli._PIPELINE_SCHEMA,
+               "ensemble": cli._ENSEMBLE_SCHEMA}
+    for command, name, _ in runs:
+        cli._check(yaml.safe_load(configs[name]), schemas[command], name)
+    # the configs name their data and store relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    for command, name, out in runs:
+        (tmp_path / name).write_text(configs[name])
+        res = CliRunner().invoke(cli.main, [command, "--config", name, "--out", out])
+        assert res.exit_code == 0, (name, res.output)
