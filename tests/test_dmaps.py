@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aimrom import NumericalFailure, dmaps
@@ -57,6 +57,46 @@ def test_median_epsilon_hand_value():
 def test_upper_median_gives_numpy_median_bits(n):
     # n = 7 and 10 give an odd count of pairs, 8 and 9 an even one
     pts = np.random.default_rng(n).normal(size=(n, 3))
+    d2 = dmaps._sq_dists(pts, pts)
+    upper = d2[np.triu_indices(n, 1)]
+    assert dmaps._upper_median(d2) == np.median(upper)
+    assert dmaps._upper_median(d2, np.sqrt) == np.median(np.sqrt(upper))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    levels=st.sampled_from([1, 2, 3, 10, 2**40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, levels=2**40, seed=0)  # one pair
+@example(n=4, levels=2**40, seed=0)  # six pairs: an even count
+@example(n=5, levels=1, seed=0)  # every pair equal
+def test_upper_median_equals_numpy_median(n, levels, seed):
+    # entries from `levels` values: 1 makes every pair equal, 2 and 3 tie
+    # heavily.  The diagonal and the lower triangle are drawn apart from the
+    # upper one and must not count.
+    rng = np.random.default_rng(seed)
+    d2 = rng.integers(0, levels, (n, n)) * rng.uniform(0.5, 2.0)
+    d2[np.tril_indices(n)] = rng.uniform(0.0, 2.0 * levels, n * (n + 1) // 2)
+    upper = d2[np.triu_indices(n, 1)]
+    assert dmaps._upper_median(d2) == np.median(upper)
+    assert dmaps._upper_median(d2, np.sqrt) == np.median(np.sqrt(upper))
+
+
+@pytest.mark.parametrize(
+    "sample, bracket",
+    [
+        (dmaps._MEDIAN_SAMPLE, (0.0, 0.01)),  # below the middle: widens up
+        (dmaps._MEDIAN_SAMPLE, (0.99, 1.0)),  # above it: widens down
+        (1, dmaps._MEDIAN_BRACKET),  # one sampled pair brackets only itself
+    ],
+)
+def test_upper_median_widens_a_bracket_that_misses(monkeypatch, sample, bracket):
+    monkeypatch.setattr(dmaps, "_MEDIAN_SAMPLE", sample)
+    monkeypatch.setattr(dmaps, "_MEDIAN_BRACKET", bracket)
+    n = 2 * dmaps._ROWS + 45
+    pts = rectangle_points(n, seed=35)
     d2 = dmaps._sq_dists(pts, pts)
     upper = d2[np.triu_indices(n, 1)]
     assert dmaps._upper_median(d2) == np.median(upper)
@@ -542,7 +582,7 @@ def test_kernel_stages_hold_at_most_two_n2_arrays():
     dm = dmaps_fit(pts, n_eigs=8)
     pruned, _ = select_independent(dm)
     # each stage holds two n x n arrays and one block of rows at most; the
-    # rest (the median's upper triangle, the per-point normal matrices) is
+    # rest (the median's gathered bracket, the per-point normal matrices) is
     # at most n^2 / 2 and O(n) values
     assert peak_in_n2_doubles(lambda: dmaps_fit(pts, n_eigs=8), n) < 2.5
     assert peak_in_n2_doubles(lambda: select_independent(dm), n) < 2.5
@@ -553,9 +593,32 @@ def test_harmonic_pruning_holds_one_n2_array():
     n = 4 * dmaps._ROWS + 100
     dm = dmaps_fit(rectangle_points(n, seed=33), n_eigs=8)
     # the squared distances, and two blocks of weights and residuals of at
-    # most 2 _ROWS - 1 rows each (the median's upper triangle, n^2 / 2, is
-    # freed before the first block is built)
+    # most 2 _ROWS - 1 rows each (the median's gathered bracket is freed
+    # before the first block is built)
     assert peak_in_n2_doubles(lambda: select_independent(dm), n) < 1.8
+
+
+@pytest.mark.parametrize(
+    "n, bounds",
+    [
+        (4 * dmaps._ROWS + 100, {"dmaps_fit": 1.4, "gh_fit": 1.4}),
+        # ks-dmaps fits 2 080 snapshots
+        (2080, {"dmaps_fit": 1.2, "select_independent": 1.4, "gh_fit": 1.2}),
+    ],
+)
+def test_kernel_stages_hold_one_n2_array(n, bounds):
+    pts = rectangle_points(n, seed=33)
+    dm = dmaps_fit(pts, n_eigs=8)
+    pruned, _ = select_independent(dm)
+    stages = {
+        "dmaps_fit": lambda: dmaps_fit(pts, n_eigs=8),
+        "select_independent": lambda: select_independent(dm),
+        "gh_fit": lambda: gh_fit(pruned.coordinates(), pts),
+    }
+    # one n x n array, a block of rows or two, and the bandwidth median's
+    # gathered bracket, about n^2 / 20 values: no copy of the triangle
+    for stage, bound in bounds.items():
+        assert peak_in_n2_doubles(stages[stage], n) < bound, stage
 
 
 # ------------------------------------------- geometric harmonics eigenpairs
